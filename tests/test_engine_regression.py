@@ -46,6 +46,25 @@ EXPECTED = {
     ("csp2-generic+dc", (5, 5, 2, 31)): ("infeasible", 31, 26),
 }
 
+#: options of the unseeded cells: deterministic min-domain ordering
+#: (csp1 without a tie-break seed; csp2-generic off its chronological
+#: input order), the configurations the randomized grid above never runs
+UNSEEDED_OPTIONS = {"csp1": {}, "csp2-generic": {"chronological": False}}
+
+#: (solver, spec) -> (status, nodes, fails) with ``seed=None``
+EXPECTED_UNSEEDED = {
+    ("csp1", None): ("feasible", 6559, 3268),
+    ("csp1", (4, 4, 2, 11)): ("infeasible", 124, 63),
+    ("csp1", (4, 4, 2, 12)): ("feasible", 42, 18),
+    ("csp1", (5, 4, 2, 23)): ("feasible", 761, 367),
+    ("csp1", (5, 5, 2, 31)): ("infeasible", 62, 32),
+    ("csp2-generic", None): ("feasible", 21, 1),
+    ("csp2-generic", (4, 4, 2, 11)): ("infeasible", 155, 99),
+    ("csp2-generic", (4, 4, 2, 12)): ("feasible", 7, 0),
+    ("csp2-generic", (5, 4, 2, 23)): ("feasible", 15, 0),
+    ("csp2-generic", (5, 5, 2, 31)): ("infeasible", 11782, 9273),
+}
+
 
 def _instance(spec):
     if spec is None:
@@ -65,6 +84,20 @@ def test_pinned_search_counters(solver_name, spec):
     result = solver.solve(node_limit=NODE_LIMIT)
     got = (result.status.value, result.stats.nodes, result.stats.fails)
     assert got == EXPECTED[(solver_name, spec)]
+
+
+@pytest.mark.parametrize(
+    "solver_name,spec", sorted(EXPECTED_UNSEEDED, key=str), ids=lambda x: str(x)
+)
+def test_pinned_unseeded_counters(solver_name, spec):
+    """Unseeded min-domain search keeps the recorded decisions."""
+    system, plat = _instance(spec)
+    solver = create_solver(
+        solver_name, system, plat, seed=None, **UNSEEDED_OPTIONS[solver_name]
+    )
+    result = solver.solve(node_limit=NODE_LIMIT)
+    got = (result.status.value, result.stats.nodes, result.stats.fails)
+    assert got == EXPECTED_UNSEEDED[(solver_name, spec)]
 
 
 def test_grid_covers_all_verdicts():
