@@ -8,10 +8,10 @@ scalar references they must stay byte-identical to:
   ``static_key``) vs the slot-by-slot loop of
   :func:`repro.baselines.simulator.simulate_priority_policy`, for
   global EDF and global fixed priority on a pinned seeded grid;
-* **demand** — the numpy prefix-sum interval-load table
-  (:mod:`repro.kernels.demand`) vs its pure-Python rolling sweep
-  (forced via ``REPRO_NO_NUMPY=1``), over the necessary-condition
-  certificates.
+* **demand** — the numpy interval-load kernels of
+  :mod:`repro.kernels.demand` (prefix-sum table, forced-demand scan) vs
+  their pure-Python references (``_*_reference``), called directly on
+  the inputs the necessary-condition tests build.
 
 Every cell *asserts* result equality before recording a time, so the
 benchmark doubles as a coarse parity check: a speedup obtained by
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -37,7 +36,7 @@ import time
 from repro.analysis import necessary
 from repro.baselines.simulator import simulate_priority_policy
 from repro.generator.random_systems import generate_system
-from repro.kernels import have_numpy
+from repro.kernels import demand
 
 SCHEMA = "bench-kernels/v1"
 
@@ -112,28 +111,50 @@ def _bench_simulator(count: int) -> dict:
     }
 
 
-def _demand_obs(system, m):
-    certs = necessary.necessary_certificates(system, m)
+def _demand_inputs(system, m):
+    """The kernel arguments the necessary-condition tests would pass."""
+    system = necessary._constrained(system)
+    T = system.hyperperiod
+    spans = necessary._window_spans(system)
+    frags = necessary._job_fragments(system)
+    starts, ends = sorted(set(frags[0])), sorted(set(frags[1]))
+    if not frags[3] or len(starts) * len(ends) > necessary.MAX_FORCED_PAIRS:
+        forced = None
+    else:
+        forced = (*frags, starts, ends, m)
+    return spans, T, m, forced
+
+
+def _demand_obs(inputs, enclosed, min_procs, forced_witness):
+    spans, T, m, forced = inputs
+    cells = necessary.MAX_TABLE_CELLS
     return (
-        [(c.verdict.value, c.test_name, c.witness) for c in certs],
-        necessary.processor_lower_bound(system),
+        enclosed(spans, T, m, cells),
+        min_procs(spans, T, cells),
+        None if forced is None else forced_witness(*forced),
     )
 
 
 def _bench_demand(count: int) -> dict:
-    """Necessary-condition certificates: numpy table vs Python sweep."""
-    cases = _systems(count)
+    """Interval-load kernels: numpy vs the pure-Python references."""
+    cases = [_demand_inputs(s, m) for s, m in _systems(count)]
     t0 = time.perf_counter()
-    with_np = [_demand_obs(s, m) for s, m in cases]
+    with_np = [
+        _demand_obs(c, demand.enclosed_excess_witness,
+                    demand.interval_min_processors,
+                    demand.forced_demand_witness)
+        for c in cases
+    ]
     kernel_s = time.perf_counter() - t0
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        t0 = time.perf_counter()
-        without = [_demand_obs(s, m) for s, m in cases]
-        scalar_s = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
-    assert with_np == without, "demand kernel diverged from Python sweep"
+    t0 = time.perf_counter()
+    reference = [
+        _demand_obs(c, demand._enclosed_excess_witness_reference,
+                    demand._interval_min_processors_reference,
+                    demand._forced_demand_witness_reference)
+        for c in cases
+    ]
+    scalar_s = time.perf_counter() - t0
+    assert with_np == reference, "demand kernel diverged from its reference"
     return {
         "name": "demand",
         "instances": len(cases),
@@ -156,7 +177,7 @@ def run_grid(smoke: bool = False) -> dict:
         "schema": SCHEMA,
         "scale": "smoke" if smoke else "default",
         "python": sys.version.split()[0],
-        "numpy": have_numpy(),
+        "numpy": True,
         "sections": sections,
         "totals": totals,
     }

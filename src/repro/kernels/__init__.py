@@ -1,81 +1,21 @@
-"""Vectorised hot-path kernels (numpy optional; scalar fallbacks built in).
+"""Hot-path kernels: batched counting rows, block stepping, demand tables.
 
 This package is a *leaf*: it imports nothing from :mod:`repro.csp`,
 :mod:`repro.baselines` or :mod:`repro.analysis`, so any layer can call
-into it without cycles.  Every kernel has two implementations with
-byte-identical outputs:
+into it without cycles.  Each kernel has exactly one production
+implementation, and each is pure Python or numpy depending on which one
+measured faster:
 
-* a **numpy path**, used when numpy is importable and not masked;
-* a **pure-Python path**, used when numpy is missing — or when the
-  environment variable ``REPRO_NO_NUMPY`` is set, which is how CI pins
-  the fallback against rot (see the ``kernel-parity`` stage).
+* :mod:`repro.kernels.fixpoint` — the engine's counting rows, batched
+  into plain-Python inline tables.  A numpy call costs microseconds of
+  dispatch, more than a whole node's bookkeeping at these row sizes;
+* :mod:`repro.kernels.simulate` — the block-stepping simulator, pure
+  Python with a list-of-rows history (a numpy history buffer measured
+  slower);
+* :mod:`repro.kernels.demand` — the all-pairs demand tables, numpy
+  prefix sums over thousands of slots per call, where vectorisation
+  wins outright.
 
-The split is deliberate about *where* numpy pays for itself: a numpy
-call costs microseconds of dispatch overhead, so the per-event search
-hot path (:mod:`repro.kernels.fixpoint`) batches counting rows with
-plain-Python inline tables and reserves numpy for the whole-matrix
-reset pass; the simulators and demand tables
-(:mod:`repro.kernels.simulate`, :mod:`repro.kernels.demand`) operate on
-thousands of slots per call, where vectorisation wins outright.
-
-Gate helpers:
-
-* :func:`numpy_or_none` — the single numpy access point for kernels;
-* :func:`have_numpy` — boolean convenience;
-* :func:`kernel_availability` — the dict ``repro-mgrts solvers --json``
-  reports, so clients can see which kernels a deployment runs.
+numpy is a declared dependency of the package, so nothing here is gated
+on it.
 """
-
-from __future__ import annotations
-
-import os
-
-__all__ = ["numpy_or_none", "have_numpy", "kernel_availability"]
-
-_cached = None
-_probed = False
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` when absent or masked.
-
-    ``REPRO_NO_NUMPY`` (any non-empty value) masks numpy for every
-    kernel; it is read per call so tests can flip it with
-    ``monkeypatch.setenv`` without re-importing anything.  The import
-    itself is probed once per process.
-    """
-    global _cached, _probed
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    if not _probed:
-        _probed = True
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised via the env mask
-            numpy = None
-        _cached = numpy
-    return _cached
-
-
-def have_numpy() -> bool:
-    """True iff the numpy-backed kernel paths are currently usable."""
-    return numpy_or_none() is not None
-
-
-def kernel_availability() -> dict:
-    """Which kernel implementations this process would run.
-
-    ``batched_fixpoint`` is pure Python by design (per-event numpy calls
-    cost more than they save), so it is always available; the other
-    entries report whether the numpy path or the scalar fallback is
-    active.  Reported by ``repro-mgrts solvers --json``.
-    """
-    np = numpy_or_none()
-    return {
-        "numpy": np is not None,
-        "numpy_version": getattr(np, "__version__", None),
-        "batched_fixpoint": True,
-        "vectorized_var_orders": np is not None,
-        "simulator_blocks": np is not None,
-        "demand_table": np is not None,
-    }

@@ -14,12 +14,14 @@ about the demand enclosed in — or forced into — every scan interval
   per candidate interval, every job is forced to run
   ``max(0, C - |window outside [a, b]|)`` units inside it.
 
-Each function has a numpy path (``np.cumsum`` prefix sums, vectorised
-overlap clips) and a pure-Python fallback used when numpy is absent or
-masked (``REPRO_NO_NUMPY``).  The fallback trades the ``O(T^2)`` table
-for an ``O(T)``-memory rolling row sweep but returns **identical**
-results — including the numpy path's first-occurrence-in-row-major
-tie-break for the witness interval, which the parity suite pins.
+Each function runs on numpy (``np.cumsum`` prefix sums, vectorised
+overlap clips).  Each also has a private pure-Python reference
+(``_*_reference``) that tests and ``benchmarks/bench_kernels.py`` call
+directly; production code never selects it.  The references trade the
+``O(T^2)`` table for an ``O(T)``-memory rolling row sweep but return
+**identical** results — including the numpy path's
+first-occurrence-in-row-major tie-break for the witness interval, which
+the parity suite pins.
 
 This module is a leaf: inputs are plain sequences of ints, not model
 objects.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.kernels import numpy_or_none
+import numpy as np
 
 __all__ = [
     "enclosed_excess_witness",
@@ -40,7 +42,7 @@ __all__ = [
 Span = "tuple[int, int, int]"  # (start, end, wcet) of one job window
 
 
-def _demand_table_numpy(np, spans, T: int):
+def _demand_table(spans, T: int):
     """``D[a, b]`` = total demand of windows wholly inside ``[a, b]``."""
     hist = np.zeros((T, T), dtype=np.int64)
     for s, e, c in spans:
@@ -87,16 +89,22 @@ def enclosed_excess_witness(
     """
     if T * T > max_cells:
         return None, False
-    np = numpy_or_none()
-    if np is not None:
-        table = _demand_table_numpy(np, spans, T)
-        lengths = np.arange(T)[None, :] - np.arange(T)[:, None] + 1
-        excess = np.where(lengths > 0, table - m * lengths, np.int64(-1))
-        flat = int(np.argmax(excess))
-        a, b = divmod(flat, T)
-        if excess[a, b] > 0:
-            return (int(a), int(b), int(table[a, b])), True
-        return None, True
+    table = _demand_table(spans, T)
+    lengths = np.arange(T)[None, :] - np.arange(T)[:, None] + 1
+    excess = np.where(lengths > 0, table - m * lengths, np.int64(-1))
+    flat = int(np.argmax(excess))
+    a, b = divmod(flat, T)
+    if excess[a, b] > 0:
+        return (int(a), int(b), int(table[a, b])), True
+    return None, True
+
+
+def _enclosed_excess_witness_reference(
+    spans: Sequence[tuple], T: int, m: int, max_cells: int
+) -> "tuple[tuple[int, int, int] | None, bool]":
+    """Pure-Python :func:`enclosed_excess_witness` (parity oracle)."""
+    if T * T > max_cells:
+        return None, False
     # rolling sweep: track the maximal excess and, among equal maxima,
     # the smallest flat index a*T + b — np.argmax's first occurrence
     best = None
@@ -128,13 +136,19 @@ def interval_min_processors(
     interval-load processor lower bound; None when over ``max_cells``."""
     if T * T > max_cells or T == 0:
         return None
-    np = numpy_or_none()
-    if np is not None:
-        table = _demand_table_numpy(np, spans, T)
-        lengths = np.arange(T)[None, :] - np.arange(T)[:, None] + 1
-        valid = lengths > 0
-        need = -(-table[valid] // lengths[valid])  # ceil division
-        return int(need.max()) if need.size else None
+    table = _demand_table(spans, T)
+    lengths = np.arange(T)[None, :] - np.arange(T)[:, None] + 1
+    valid = lengths > 0
+    need = -(-table[valid] // lengths[valid])  # ceil division
+    return int(need.max()) if need.size else None
+
+
+def _interval_min_processors_reference(
+    spans: Sequence[tuple], T: int, max_cells: int
+) -> int | None:
+    """Pure-Python :func:`interval_min_processors` (parity oracle)."""
+    if T * T > max_cells or T == 0:
+        return None
     best = 0
     for a, row in _iter_rows_desc(spans, T):
         for b in range(a, T):
@@ -162,27 +176,38 @@ def forced_demand_witness(
     x ``ends`` order (both ascending) and the first ``(a, b, demand)``
     with ``demand > m (b - a + 1)`` is returned, or None.
     """
-    np = numpy_or_none()
-    if np is not None:
-        fs = np.asarray(f_start, dtype=np.int64)
-        fe = np.asarray(f_end, dtype=np.int64)
-        fj = np.asarray(f_job, dtype=np.int64)
-        wc = np.asarray(wcet, dtype=np.int64)
-        wl = np.asarray(wlen, dtype=np.int64)
-        for a in starts:
-            for b in ends:
-                if b < a:
-                    continue
-                overlap_f = np.clip(
-                    np.minimum(fe, b) - np.maximum(fs, a) + 1, 0, None
-                )
-                overlap = np.zeros(len(wc), dtype=np.int64)
-                np.add.at(overlap, fj, overlap_f)
-                forced = np.clip(wc - (wl - overlap), 0, None)
-                demand = int(forced.sum())
-                if demand > m * (b - a + 1):
-                    return int(a), int(b), demand
-        return None
+    fs = np.asarray(f_start, dtype=np.int64)
+    fe = np.asarray(f_end, dtype=np.int64)
+    fj = np.asarray(f_job, dtype=np.int64)
+    wc = np.asarray(wcet, dtype=np.int64)
+    wl = np.asarray(wlen, dtype=np.int64)
+    for a in starts:
+        for b in ends:
+            if b < a:
+                continue
+            overlap_f = np.clip(
+                np.minimum(fe, b) - np.maximum(fs, a) + 1, 0, None
+            )
+            overlap = np.zeros(len(wc), dtype=np.int64)
+            np.add.at(overlap, fj, overlap_f)
+            forced = np.clip(wc - (wl - overlap), 0, None)
+            demand = int(forced.sum())
+            if demand > m * (b - a + 1):
+                return int(a), int(b), demand
+    return None
+
+
+def _forced_demand_witness_reference(
+    f_start: Sequence[int],
+    f_end: Sequence[int],
+    f_job: Sequence[int],
+    wcet: Sequence[int],
+    wlen: Sequence[int],
+    starts: Sequence[int],
+    ends: Sequence[int],
+    m: int,
+) -> "tuple[int, int, int] | None":
+    """Pure-Python :func:`forced_demand_witness` (parity oracle)."""
     n_jobs = len(wcet)
     n_frag = len(f_start)
     overlap = [0] * n_jobs

@@ -1,19 +1,19 @@
-"""Kernel parity suite: the vectorised paths must be byte-identical.
+"""Kernel parity suite: each kernel must match its reference exactly.
 
-Every kernel in :mod:`repro.kernels` has three implementations that must
-agree observation-for-observation:
+Three kernels in :mod:`repro.kernels` still have a second
+implementation to agree with, observation for observation:
 
-* the **scalar reference** it replaced (the slot-by-slot simulator loop,
-  the per-propagator engine path, the per-interval demand loops);
-* the **numpy** fast path;
-* the **pure-Python fallback** used when numpy is absent or masked via
-  ``REPRO_NO_NUMPY=1``.
+* the block-stepping simulator vs the slot-by-slot simulator loop;
+* the numpy demand tables vs their pure-Python references
+  (``repro.kernels.demand._*_reference``), called directly;
+* the batched counting rows vs the counting propagators' own
+  ``on_event`` / ``reset`` bookkeeping, which the learning engine
+  still runs.
 
 "Byte-identical" is literal: same SimulationResult fields including the
 extracted cyclic schedule, same cascade certificates witness-for-witness,
 same engine status/nodes/fails on the pinned regression grid, same
-CountingKernel aggregates.  CI runs this file twice — once with numpy,
-once under ``REPRO_NO_NUMPY=1`` — so both kernel paths stay covered.
+counting-row aggregates.
 """
 
 import random
@@ -28,9 +28,13 @@ from repro.baselines.simulator import simulate_priority_policy
 from repro.generator import GeneratorConfig, generate_instance
 from repro.generator.named import running_example, running_example_platform
 from repro.generator.random_systems import generate_system
+from repro.csp.propagators import (
+    CountEq,
+    ExactSumBool,
+    WeightedCountEq,
+    WeightedExactSumBool,
+)
 from repro.kernels import demand as demand_kernel
-from repro.kernels import have_numpy, kernel_availability, numpy_or_none
-from repro.kernels.fixpoint import CountingKernel
 from repro.model import Platform, TaskSystem
 from repro.solvers.registry import create_solver
 
@@ -121,21 +125,20 @@ class TestSimulatorParity:
             ),
         )
 
-    def test_numpy_masked_fallback(self, monkeypatch):
-        """The list-of-rows history path returns the same schedules."""
-        with_np = [global_edf(_random_system(s), 2) for s in range(10)]
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        without = [global_edf(_random_system(s), 2) for s in range(10)]
-        for a, b in zip(with_np, without):
-            _sim_equal(a, b)
-
 
 # ---------------------------------------------------------------------------
-# demand kernels: numpy table vs pure-Python rolling sweep
+# demand kernels: numpy table vs pure-Python references
 # ---------------------------------------------------------------------------
+
+_DEMAND_REFERENCES = {
+    "enclosed_excess_witness": demand_kernel._enclosed_excess_witness_reference,
+    "interval_min_processors": demand_kernel._interval_min_processors_reference,
+    "forced_demand_witness": demand_kernel._forced_demand_witness_reference,
+}
+
 
 class TestDemandParity:
-    """Certificates (witnesses included) agree with numpy masked."""
+    """Certificates (witnesses included) agree with the references."""
 
     def _certs(self, system, m):
         return [
@@ -149,7 +152,8 @@ class TestDemandParity:
         with_np = [self._certs(system, m) for m in (1, 2, 3)]
         bound_np = necessary.processor_lower_bound(system)
         wit_np = necessary.demand_over_capacity_witness(system, 2)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        for name, reference in _DEMAND_REFERENCES.items():
+            monkeypatch.setattr(demand_kernel, name, reference)
         without = [self._certs(system, m) for m in (1, 2, 3)]
         assert with_np == without
         assert bound_np == necessary.processor_lower_bound(system)
@@ -165,34 +169,27 @@ class TestDemandParity:
     )
     def test_excess_witness_paths_agree(self, spans, m):
         """The tie-break (np.argmax first occurrence) is pinned exactly."""
-        import os
-
         T = 8
         spans = [(min(s, e), max(s, e), c) for s, e, c in spans]
-        with_np = demand_kernel.enclosed_excess_witness(spans, T, m, 10_000)
-        need_np = demand_kernel.interval_min_processors(spans, T, 10_000)
-        prior = os.environ.get("REPRO_NO_NUMPY")
-        os.environ["REPRO_NO_NUMPY"] = "1"
-        try:
-            assert demand_kernel.enclosed_excess_witness(
-                spans, T, m, 10_000
-            ) == with_np
-            assert demand_kernel.interval_min_processors(
-                spans, T, 10_000
-            ) == need_np
-        finally:
-            if prior is None:
-                del os.environ["REPRO_NO_NUMPY"]
-            else:
-                os.environ["REPRO_NO_NUMPY"] = prior
+        assert demand_kernel.enclosed_excess_witness(
+            spans, T, m, 10_000
+        ) == demand_kernel._enclosed_excess_witness_reference(
+            spans, T, m, 10_000
+        )
+        assert demand_kernel.interval_min_processors(
+            spans, T, 10_000
+        ) == demand_kernel._interval_min_processors_reference(spans, T, 10_000)
 
 
 # ---------------------------------------------------------------------------
-# engine: vectorised batching vs the legacy per-propagator path
+# engine: batched counting rows vs the propagators' own hooks
 # ---------------------------------------------------------------------------
 
 ENGINE_SPECS = [None, (4, 4, 2, 11), (4, 4, 2, 12), (5, 4, 2, 23),
                 (5, 5, 2, 31)]
+
+#: the propagators whose rows the chronological engine batches
+COUNTING = (ExactSumBool, WeightedExactSumBool, CountEq, WeightedCountEq)
 
 
 def _instance(spec):
@@ -204,66 +201,51 @@ def _instance(spec):
 
 
 class TestEngineParity:
-    """vectorize=True/None/False: identical search decisions (PR-3 grid)."""
+    """Inline batched rows and ``on_event`` hooks decide alike."""
 
     @pytest.mark.parametrize("solver_name", ["csp1", "csp2-generic",
                                              "csp2-generic+dc"])
     @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=str)
-    def test_vec_vs_scalar_counters(self, solver_name, spec):
+    def test_vec_vs_scalar_counters(self, solver_name, spec, monkeypatch):
         system, plat = _instance(spec)
-        runs = {}
-        for vec in (None, False, True):
-            solver = create_solver(
-                solver_name, system, plat, seed=SEED, vectorize=vec
-            )
+
+        def run():
+            solver = create_solver(solver_name, system, plat, seed=SEED)
             out = solver.solve(node_limit=20_000)
-            runs[vec] = (out.status.value, out.stats.nodes, out.stats.fails)
-        assert runs[None] == runs[False] == runs[True]
+            return out.status.value, out.stats.nodes, out.stats.fails
+
+        batched = run()
+        # without batch_row the engine wires every counting propagator
+        # through its on_event hook, as the learning engine does
+        for cls in COUNTING:
+            monkeypatch.delattr(cls, "batch_row")
+        assert run() == batched
 
 
 # ---------------------------------------------------------------------------
-# CountingKernel: numpy reset pass vs the scalar evaluate sweep
+# CountingKernel: reset sweep vs each propagator's own reset
 # ---------------------------------------------------------------------------
 
 class TestCountingKernelReset:
-    def _kernel_and_state(self):
+    def test_reset_matches_evaluate(self):
+        """Kernel aggregates equal the ``_c`` counters every batched
+        propagator computes for itself, on a partly assigned state."""
         from repro.csp.search import Solver
         from repro.csp.state import DomainState
         from repro.encodings.csp2 import encode_csp2
 
         system, plat = running_example(), running_example_platform()
         enc = encode_csp2(system, plat, True)
-        engine = Solver(enc.model)
-        assert engine._kernel is not None, "csp2 should batch counting rows"
-        return engine._kernel, DomainState(enc.model)
-
-    def test_reset_matches_evaluate(self):
-        kernel, state = self._kernel_and_state()
+        kernel = Solver(enc.model)._kernel
+        assert kernel is not None, "csp2 should batch counting rows"
+        state = DomainState(enc.model)
+        for var in enc.model.variables[::3]:
+            state.assign(var, state.min_value(var))
         kernel.reset(state)
         after_reset = [list(row.c) for row in kernel.rows]
         assert after_reset == kernel.evaluate(state)
-
-    def test_reset_matches_evaluate_numpy_masked(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        kernel, state = self._kernel_and_state()
-        kernel.reset(state)
-        assert [list(row.c) for row in kernel.rows] == kernel.evaluate(state)
-
-
-# ---------------------------------------------------------------------------
-# availability reporting
-# ---------------------------------------------------------------------------
-
-class TestAvailability:
-    def test_numpy_mask_is_per_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert numpy_or_none() is None
-        assert have_numpy() is False
-        monkeypatch.delenv("REPRO_NO_NUMPY")
-        # unmasked: the answer reflects the actual install, immediately
-        assert (numpy_or_none() is not None) == have_numpy()
-
-    def test_availability_payload_shape(self):
-        info = kernel_availability()
-        assert set(info) >= {"numpy", "batched_fixpoint", "simulator_blocks",
-                             "demand_table", "vectorized_var_orders"}
+        own = []
+        for row in kernel.rows:
+            row.prop.reset(state)
+            own.append(list(row.prop._c))
+        assert after_reset == own

@@ -101,6 +101,12 @@ class TestRegistryMetadata:
             with pytest.raises(ValueError, match="suffix"):
                 create_solver(bad, running_example(), Platform.identical(2))
 
+    def test_engine_knob_suffix_gone(self):
+        """The generic engine has one fixpoint; ``+vec`` selected nothing."""
+        for bad in ("csp1+vec", "csp2-generic+vec"):
+            with pytest.raises(ValueError, match="suffix"):
+                create_solver(bad, running_example(), Platform.identical(2))
+
     def test_hidden_suffixes_still_accepted(self):
         for ok in ("csp2+d-c", "csp1+min_dom", "sat+sequential", "fp+(d-c)"):
             assert is_solver_name(ok), ok
@@ -348,18 +354,13 @@ class TestSolversCli:
         assert "proves_infeasibility" in by_base["csp2"]["capabilities"]
         assert by_base["csp2-local"]["capabilities"] == []
 
-    def test_solvers_json_reports_kernel_availability(self, capsys):
+    def test_solvers_json_has_only_the_solvers_block(self, capsys):
+        """numpy is a declared dependency: no kernel block to report."""
         from repro.cli import main
-        from repro.kernels import have_numpy
 
         assert main(["solvers", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        kernels = payload["kernels"]
-        assert kernels["numpy"] == have_numpy()
-        assert kernels["batched_fixpoint"] is True
-        for key in ("vectorized_var_orders", "simulator_blocks",
-                    "demand_table"):
-            assert key in kernels
+        assert set(payload) == {"solvers"}
 
     def test_solvers_json_carries_service_discovery_fields(self, capsys):
         """The service hello/clients key off base, suffixes, memory_bound."""
