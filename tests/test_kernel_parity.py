@@ -25,15 +25,15 @@ from hypothesis import strategies as st
 from repro.analysis import necessary
 from repro.baselines import global_edf, global_fixed_priority
 from repro.baselines.simulator import simulate_priority_policy
-from repro.generator import GeneratorConfig, generate_instance
-from repro.generator.named import running_example, running_example_platform
-from repro.generator.random_systems import generate_system
 from repro.csp.propagators import (
     CountEq,
     ExactSumBool,
     WeightedCountEq,
     WeightedExactSumBool,
 )
+from repro.generator import GeneratorConfig, generate_instance
+from repro.generator.named import running_example, running_example_platform
+from repro.generator.random_systems import generate_system
 from repro.kernels import demand as demand_kernel
 from repro.model import Platform, TaskSystem
 from repro.solvers.registry import create_solver
