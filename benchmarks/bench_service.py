@@ -1,13 +1,14 @@
 """Solver-service throughput benchmark: cold solves vs warm memo serves.
 
 Boots the daemon in-process (:class:`~repro.service.server.ServiceHandle`,
-production configuration: one supervised child per solve) and pushes a
+production configuration: supervised children, reused across solves)
+and pushes a
 pinned seeded grid through a pipelined :class:`ServiceClient` at
 ``jobs`` in {1, 4}:
 
 * **cold** — empty memo cache, every request executes on the transport;
   the headline number is problems/s through the full admission ->
-  supervised child -> journal -> response path;
+  warm supervised worker -> journal -> response path;
 * **warm** — the same grid resubmitted against the now-populated cache;
   every response must be a cache hit (the run *fails* otherwise), so
   the number isolates the service's non-solving overhead.

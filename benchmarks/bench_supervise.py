@@ -1,12 +1,14 @@
 """Supervision-overhead benchmark: watched children vs the plain pool.
 
 Measures what fault tolerance costs on a pinned seeded grid of tiny
-cells, where per-cell solve time is small and the process-per-cell
-overhead of supervised execution is at its *worst*:
+cells, where per-cell solve time is small and the per-cell overhead of
+supervised execution is at its *worst*:
 
 * ``plain``      — ``run_batch`` on the default in-process path;
-* ``supervised`` — the same campaign with ``supervised=True`` (one
-  watched child per cell: fork, pipe, sentinel wait, reap);
+* ``supervised`` — the same campaign with ``supervised=True`` (watched
+  children reused across cells: a pipe round trip and sentinel wait per
+  cell, a fork only per worker, after a fault or after a fixed number
+  of cells);
 * ``chaos``      — supervised plus deterministic fault injection at the
   default smoke rate, counting faults and retries.
 

@@ -9,6 +9,9 @@ the library baseline on a seeded 40-problem grid:
   elapsed zeroed — wall clock is the one sanctioned difference);
 * **warm memo** — resubmitting the same grid must serve every response
   from the shared cache (``"cached": true``), computing nothing;
+* **warm workers** — the cold pass must start fewer supervised children
+  than it solved problems (``workers_spawned`` from ``stats``), and no
+  child may outlive the daemon after ``shutdown``;
 * **journal sharding** — splitting the grid across two daemon runs with
   separate shard journals, then ``merge_journals``-ing them, must
   reproduce the single-daemon journal modulo elapsed.
@@ -19,9 +22,11 @@ non-zero on any divergence).
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -73,19 +78,47 @@ def canonical_journal(path):
     return order, content
 
 
+def _stat_fields(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or ``None``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def child_pids(pid):
+    """Live child processes of ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(entry)
+            if fields and fields[1] == str(pid) and fields[0] != "Z":
+                children.append(int(entry))
+    return children
+
+
+def alive(pid):
+    """True iff ``pid`` is a running (not zombie) process."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 class Daemon:
     """One ``repro-mgrts serve`` subprocess on an ephemeral port.
 
-    ``jobs=1`` on purpose: solves then complete in admission order, so
-    the journal's key order is deterministic and the shard-merge
-    comparison below can be byte-for-byte rather than set-wise.
+    Supervised, as deployed: each solve runs in a watched child that is
+    reused for the next request.  ``jobs=1`` on purpose: solves then
+    complete in admission order, so the journal's key order is
+    deterministic and the shard-merge comparison below can be
+    byte-for-byte rather than set-wise.
     """
 
     def __init__(self, journal, cache_dir, jobs=1):
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--jobs", str(jobs), "--unsupervised",
+                "--port", "0", "--jobs", str(jobs),
                 "--cache-dir", str(cache_dir), "--journal", str(journal),
             ],
             stdout=subprocess.PIPE,
@@ -101,9 +134,15 @@ class Daemon:
         return ServiceClient.connect(self.host, self.port)
 
     def shutdown(self):
+        """Stop the daemon; returns ``(exit code, children left alive)``."""
+        workers = child_pids(self.proc.pid)
         with self.client() as client:
             client.shutdown()
-        return self.proc.wait(timeout=60.0)
+        code = self.proc.wait(timeout=60.0)
+        deadline = time.monotonic() + 5.0
+        while any(alive(p) for p in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return code, [p for p in workers if alive(p)]
 
 
 def main(argv=None):
@@ -129,6 +168,7 @@ def main(argv=None):
                 problems, SOLVER,
                 on_response=lambda i, r, c: cold_flags.append(c),
             )
+            cold_stats = client.stats()
             client.solve_many(
                 problems, SOLVER,
                 on_response=lambda i, r, c: warm_flags.append(c),
@@ -155,8 +195,18 @@ def main(argv=None):
             print(f"FAIL: server computed {stats['computed']} solves, "
                   f"expected {len(problems)}")
             return 1
-        if daemon.shutdown() != 0:
+        if cold_stats["workers_spawned"] >= cold_stats["computed"]:
+            print(f"FAIL: the cold pass spawned "
+                  f"{cold_stats['workers_spawned']} workers for "
+                  f"{cold_stats['computed']} solves (no reuse)")
+            return 1
+        code, orphans = daemon.shutdown()
+        if code != 0:
             print("FAIL: daemon exited non-zero after shutdown")
+            return 1
+        if orphans:
+            print(f"FAIL: {len(orphans)} worker process(es) outlived the "
+                  f"daemon: {orphans}")
             return 1
 
         # -- two daemons, half the grid each: shard-merge equivalence -------
@@ -165,8 +215,9 @@ def main(argv=None):
             daemon = Daemon(tmp / f"shard-{name}.jsonl", tmp / "cache-shards")
             with daemon.client() as client:
                 client.solve_many(part, SOLVER)
-            if daemon.shutdown() != 0:
-                print(f"FAIL: shard daemon {name!r} exited non-zero")
+            if daemon.shutdown() != (0, []):
+                print(f"FAIL: shard daemon {name!r} exited non-zero "
+                      "or left workers behind")
                 return 1
         merge_journals(
             [tmp / "shard-a.jsonl", tmp / "shard-b.jsonl"],
@@ -180,8 +231,9 @@ def main(argv=None):
 
     print(
         f"serve smoke OK: {len(problems)} problems cold-equivalent to "
-        f"solve_iter, {len(problems)} warm cache hits, 2-shard merge "
-        "matches the single-daemon journal"
+        f"solve_iter on {cold_stats['workers_spawned']} warm worker(s), "
+        f"{len(problems)} warm cache hits, 2-shard merge matches the "
+        "single-daemon journal, no worker outlived its daemon"
     )
     return 0
 

@@ -16,9 +16,10 @@ campaigns into first-class objects:
 * :mod:`repro.batch.racing` — :func:`race`: the complementary
   primitive for the ``portfolio:`` meta-solver — several attempts at
   the *same* cell, first decisive answer wins, losers terminated;
-* :mod:`repro.batch.supervise` — :func:`run_supervised`: one work unit
-  in one disposable watched child, with wall watchdog, optional
-  address-space rlimit and fault classification (the layer that makes
+* :mod:`repro.batch.supervise` — :class:`SupervisedWorker` (and its
+  single-use form :func:`run_supervised`): work units in a watched
+  child, with wall watchdog, optional address-space rlimit and fault
+  classification (the layer that makes
   ``run_batch`` campaigns *always complete*, journaling dead cells as
   ``fault:*`` records after bounded deterministic retries);
 * :mod:`repro.batch.chaos` — :class:`ChaosConfig`: seeded deterministic
@@ -60,6 +61,7 @@ from repro.batch.supervise import (
     FAULT_OOM,
     FAULT_TIMEOUT,
     FaultRecord,
+    SupervisedWorker,
     run_supervised,
 )
 
@@ -83,6 +85,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosError",
     "FaultRecord",
+    "SupervisedWorker",
     "run_supervised",
     "FAULT_CRASH",
     "FAULT_ERROR",

@@ -19,13 +19,16 @@ three sources each record came from —
 Fault tolerance: a campaign *always completes*.  A cell whose execution
 dies — worker SIGKILLed by the OOM killer, a hang past the watchdog, an
 unhandled exception — is retried a bounded number of times (seeded
-deterministic backoff) in supervised one-shot children
+deterministic backoff) in supervised children
 (:mod:`repro.batch.supervise`), then journaled as a ``fault:*`` record
 like any other result.  The default pool path escalates failed cells to
 the supervised path instead of letting ``BrokenProcessPool`` abort the
 campaign; ``supervised=True`` (forced on whenever chaos injection is
-configured) runs *every* computed cell in its own watched child with an
-optional address-space rlimit.  All of that now lives behind the
+configured) runs *every* computed cell in a watched child with an
+optional address-space rlimit.  Watched children are reused: a child
+that answered cleanly takes the next cell, a child is recycled after
+any fault or a fixed number of cells, and every retry runs in a fresh
+child.  All of that now lives behind the
 transport seam, so other consumers (the solver service) inherit it.
 
 Determinism: a cell's outcome depends only on its content (system, solver,
@@ -161,8 +164,9 @@ def run_batch(
         (from whichever source).  A callback that raises is disabled with
         a warning — user code must never abort journaling mid-campaign.
     supervised:
-        Run every computed cell in its own watched child process
-        (watchdog + optional rlimit + fault classification).  Without it
+        Run every computed cell in a watched child process (watchdog +
+        optional rlimit + fault classification; clean children are
+        reused, faulted ones recycled).  Without it
         the pool fast path is used and only *failing* cells escalate to
         supervision.  Forced on whenever ``chaos`` is set.
     retries:
@@ -281,6 +285,7 @@ def run_batch(
             journal_fh.flush()
         tick()
 
+    owned: LocalPoolTransport | None = None
     try:
         # 2. serve what the shared cache already knows
         if cache is not None:
@@ -311,7 +316,7 @@ def run_batch(
 
         if pending:
             if transport is None:
-                transport = LocalPoolTransport(
+                transport = owned = LocalPoolTransport(
                     jobs=jobs,
                     supervised=use_supervised,
                     retries=retries,
@@ -341,6 +346,8 @@ def run_batch(
                     record = res.value
                 finish(res.key, record, res.attempts > 1)
     finally:
+        if owned is not None:
+            owned.close()  # retire the warm supervised children
         if journal_fh is not None:
             journal_fh.close()
 

@@ -1,4 +1,4 @@
-"""Supervised execution: one work unit, one disposable child, one verdict.
+"""Supervised execution: watched children, one classified verdict per item.
 
 The process pool treats a dead worker as a catastrophe
 (``BrokenProcessPool`` aborts everything in flight).  The paper's own
@@ -7,7 +7,9 @@ instances" — so campaigns need the opposite stance: a child process is
 *expected* to be killable, and its death is a classifiable result, not
 an exception.
 
-:func:`run_supervised` runs ``fn(payload)`` in a dedicated child with
+A :class:`SupervisedWorker` is one child that answers work items until
+it is closed or faults; :func:`run_supervised` is the single-use case.
+Every item runs under
 
 * a **wall-clock watchdog** — the parent waits on the result pipe *and*
   the process sentinel (``multiprocessing.connection.wait``), so a child
@@ -20,6 +22,13 @@ an exception.
   a Python error (with traceback), a signal death (SIGKILL read as the
   OOM-killer's signature), or a watchdog timeout.
 
+A child that reports an error exits right after, and a watchdog timeout
+terminates it, so a faulted worker never takes another item.  Reuse is
+the caller's policy (:class:`~repro.batch.transport.LocalPoolTransport`
+keeps clean workers warm and recycles them after a fault or a fixed
+number of items); the watchdog and the classification here are the same
+for a fresh child and a warm one.
+
 ``fn`` must be a module-level callable and ``payload`` plain picklable
 data (the R4 pickle-safety lint enforces both), exactly like the pool
 and race primitives.
@@ -28,7 +37,9 @@ and race primitives.
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import signal
+import threading
 import time
 import traceback
 from collections.abc import Callable
@@ -36,14 +47,13 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any
 
-from repro.batch.chaos import ChaosConfig, inject_worker_fault
-
 __all__ = [
     "FAULT_CRASH",
     "FAULT_ERROR",
     "FAULT_OOM",
     "FAULT_TIMEOUT",
     "FaultRecord",
+    "SupervisedWorker",
     "run_supervised",
 ]
 
@@ -56,6 +66,16 @@ FAULT_TIMEOUT = "timeout"  # the watchdog deadline passed; child terminated
 #: default seconds granted past the nominal budget before the watchdog
 #: fires (covers model construction and interpreter startup)
 DEFAULT_GRACE = 10.0
+
+#: seconds a retiring worker gets to exit on its own before it is
+#: terminated
+_RETIRE_GRACE = 1.0
+
+#: serialises pipe creation and fork across threads: a child forked
+#: while another thread's pipe is half set up would inherit that pipe's
+#: child end, and two such children could keep each other's pipes open
+#: after the parent dies
+_SPAWN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -102,21 +122,19 @@ def _signal_name(exitcode: int) -> str:
         return f"signal {-exitcode}"
 
 
-def _supervised_entry(
-    conn,
-    fn: Callable,
-    payload,
-    memory_limit: int | None,
-    chaos: ChaosConfig | None,
-    chaos_key: str | None,
-) -> None:
-    """Child target: sandbox, maybe inject chaos, run, report once.
+def _worker_main(conn, parent_end, memory_limit: int | None) -> None:
+    """Child target: sandbox once, then answer work messages until EOF.
 
-    Reports ``("ok", result)`` or ``("error", traceback_text)`` on the
-    pipe; a signal death reports nothing (that *is* the signal the
-    parent classifies).  The rlimit is set before any allocation so an
-    over-budget run fails inside the sandbox.
+    Each ``(fn, payload)`` message is answered ``("ok", result)`` or
+    ``("error", traceback_text)``; after an error the child exits, so a
+    failed item never leaves a possibly-poisoned interpreter behind.  A
+    signal death reports nothing (that *is* the signal the parent
+    classifies).  The rlimit is set before any work so an over-budget
+    item fails inside the sandbox.  The inherited copy of the parent's
+    pipe end is closed first: once the parent is gone, ``recv`` sees EOF
+    and the child exits instead of lingering as an orphan.
     """
+    parent_end.close()
     if memory_limit is not None:
         import resource
 
@@ -125,17 +143,26 @@ def _supervised_entry(
             resource.RLIMIT_AS,
             (memory_limit, hard if 0 < hard < memory_limit else memory_limit),
         )
-    try:
-        if chaos is not None and chaos_key is not None:
-            inject_worker_fault(chaos, chaos_key)
-        result = fn(payload)
-    except BaseException:
+    while True:
         try:
-            conn.send(("error", traceback.format_exc(limit=20)))
-        except (MemoryError, OSError):  # pragma: no cover - truly starved
-            pass
-        return
-    conn.send(("ok", result))
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            return  # the parent closed its end (or died): retire
+        try:
+            # unpickled here, so a payload that fails to load (a
+            # MemoryError under the rlimit) is reported like fn's errors
+            message = pickle.loads(data)
+            if message is None:
+                return  # an explicit stop request
+            fn, payload = message
+            result = fn(payload)
+        except BaseException:
+            try:
+                conn.send(("error", traceback.format_exc(limit=20)))
+            except (MemoryError, OSError):  # pragma: no cover - truly starved
+                pass
+            return
+        conn.send(("ok", result))
 
 
 def _classify_death(exitcode: int | None) -> FaultRecord:
@@ -164,70 +191,90 @@ def _reap(proc) -> None:
         proc.join(timeout=5.0)
 
 
-def run_supervised(
-    fn: Callable,
-    payload,
-    wall_limit: float | None = None,
-    memory_limit: int | None = None,
-    chaos: ChaosConfig | None = None,
-    chaos_key: str | None = None,
-) -> "tuple[Any, FaultRecord | None]":
-    """Run ``fn(payload)`` in a watched child; classify how it ended.
+class SupervisedWorker:
+    """One watched child that answers work items until it is closed.
 
-    Parameters
-    ----------
-    fn:
-        Module-level callable (pickled by qualified name into the child).
-    payload:
-        Plain picklable argument for ``fn``.
-    wall_limit:
-        Watchdog deadline in seconds (``None`` = wait for the sentinel
-        forever — death is still detected, hangs are the caller's risk).
-    memory_limit:
-        ``RLIMIT_AS`` in bytes for the child, set before any work.
-    chaos, chaos_key:
-        Opt-in fault injection: the child calls
-        :func:`~repro.batch.chaos.inject_worker_fault` with this key on
-        entry.  ``None`` injects nothing.
+    The child is forked and sandboxed (``RLIMIT_AS``) once, then serves
+    ``(fn, payload)`` messages over one duplex pipe.  :meth:`run` watches
+    each item on the pipe and the process sentinel under the wall-clock
+    deadline, and classifies any failure into a :class:`FaultRecord`.  A faulted worker is dead (it
+    exits after reporting an error, and the watchdog terminates a hang),
+    so callers :meth:`close` it and run the next item elsewhere.
 
-    Returns
-    -------
-    (result, fault):
-        Exactly one side is meaningful: ``fault is None`` and ``result``
-        is ``fn``'s return value, or ``fault`` is the classified
-        :class:`FaultRecord` and ``result`` is ``None``.
+    Not thread-safe: one item at a time, from one thread.
     """
-    ctx = mp.get_context()
-    parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_supervised_entry,
-        args=(child, fn, payload, memory_limit, chaos, chaos_key),
-        daemon=True,
-    )
-    proc.start()
-    child.close()  # the child's handle lives in the child now
-    deadline = None if wall_limit is None else time.monotonic() + wall_limit
-    try:
+
+    def __init__(self, memory_limit: int | None = None) -> None:
+        ctx = mp.get_context()
+        with _SPAWN_LOCK:
+            self._conn, child = ctx.Pipe(duplex=True)
+            self.proc = ctx.Process(
+                target=_worker_main,
+                args=(child, self._conn, memory_limit),
+                daemon=True,
+            )
+            self.proc.start()
+            child.close()  # the child's handle lives in the child now
+        #: work items handed to this child so far
+        self.items = 0
+
+    @property
+    def pid(self) -> int | None:
+        """The child's process id."""
+        return self.proc.pid
+
+    def run(
+        self, fn: Callable, payload, wall_limit: float | None = None
+    ) -> "tuple[Any, FaultRecord | None]":
+        """Run ``fn(payload)`` in the child; classify how it ended.
+
+        Parameters
+        ----------
+        fn:
+            Module-level callable (pickled by qualified name).
+        payload:
+            Plain picklable argument for ``fn``.
+        wall_limit:
+            Watchdog deadline in seconds (``None`` = wait for the sentinel
+            forever — death is still detected, hangs are the caller's
+            risk).
+
+        Returns
+        -------
+        (result, fault):
+            Exactly one side is meaningful: ``fault is None`` and
+            ``result`` is ``fn``'s return value, or ``fault`` is the
+            classified :class:`FaultRecord` and ``result`` is ``None``.
+        """
+        self.items += 1
+        conn, proc = self._conn, self.proc
+        try:
+            conn.send((fn, payload))
+        except OSError:
+            # the child died while idle: that death is this item's verdict
+            _reap(proc)
+            return None, _classify_death(proc.exitcode)
+        deadline = None if wall_limit is None else time.monotonic() + wall_limit
         while True:
             timeout = None
             if deadline is not None:
                 timeout = max(0.0, deadline - time.monotonic())
-            ready = _wait_connections([parent, proc.sentinel], timeout=timeout)
-            if parent in ready:
+            ready = _wait_connections([conn, proc.sentinel], timeout=timeout)
+            if conn in ready:
                 try:
-                    tag, value = parent.recv()
+                    tag, value = conn.recv()
                 except (EOFError, OSError):
                     # pipe closed without a message: treat as a death
                     proc.join()
                     return None, _classify_death(proc.exitcode)
-                proc.join()
                 if tag == "ok":
                     return value, None
+                proc.join()  # the child exits after reporting an error
                 return None, _classify_fault_message(value, proc.exitcode)
             if proc.sentinel in ready:
                 # dead without (yet) a message — drain the pipe once:
                 # a child can send and exit before the parent polls
-                if parent.poll(0.1):
+                if conn.poll(0.1):
                     continue
                 proc.join()
                 return None, _classify_death(proc.exitcode)
@@ -241,9 +288,44 @@ def run_supervised(
                 ),
                 exitcode=proc.exitcode,
             )
-    finally:
-        _reap(proc)
-        parent.close()
+
+    def close(self) -> None:
+        """Retire the child: ask it to stop, then make sure it has.
+
+        The explicit stop message matters: a sibling forked later holds
+        a copy of this pipe's parent end, so closing it here alone would
+        not deliver EOF.
+        """
+        if not self._conn.closed:
+            try:
+                self._conn.send(None)
+            except OSError:
+                pass  # already gone
+            self._conn.close()
+        self.proc.join(timeout=_RETIRE_GRACE)
+        _reap(self.proc)
+
+    def __enter__(self) -> "SupervisedWorker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def run_supervised(
+    fn: Callable,
+    payload,
+    wall_limit: float | None = None,
+    memory_limit: int | None = None,
+) -> "tuple[Any, FaultRecord | None]":
+    """Run ``fn(payload)`` in a single-use :class:`SupervisedWorker`.
+
+    ``wall_limit`` is the watchdog deadline in seconds and
+    ``memory_limit`` the child's ``RLIMIT_AS`` in bytes; returns
+    :meth:`SupervisedWorker.run`'s ``(result, fault)`` pair.
+    """
+    with SupervisedWorker(memory_limit) as worker:
+        return worker.run(fn, payload, wall_limit)
 
 
 def _classify_fault_message(tb_text: str, exitcode: int | None) -> FaultRecord:

@@ -14,9 +14,12 @@ going through campaign bookkeeping:
 * a :class:`WorkResult` is how it ended: the worker's return value, or a
   classified :class:`~repro.batch.supervise.FaultRecord` once retries
   are exhausted, plus the attempt count;
-* :class:`LocalPoolTransport` is today's local path, unchanged in
-  behavior: serial / pool / supervised execution with deterministic
-  seeded retry backoff and escalation of pool failures to supervision.
+* :class:`LocalPoolTransport` is the local path: serial / pool /
+  supervised execution with deterministic seeded retry backoff and
+  escalation of pool failures to supervision.  Its supervised children
+  are reused across items — a child that answered cleanly takes the
+  next item; a child is recycled after any fault or a fixed number of
+  items, and every retry runs in a fresh child.
 
 Workers are invoked as ``fn(payload, attempt)`` with a 0-based attempt
 number so fault-injection hooks (chaos) can salt their draws per
@@ -28,12 +31,13 @@ be module-level / plain data (the R4 pickle-safety contract).
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import Any, Protocol, runtime_checkable
 
-from repro.batch.supervise import DEFAULT_GRACE, FaultRecord, run_supervised
+from repro.batch.supervise import DEFAULT_GRACE, FaultRecord, SupervisedWorker
 
 __all__ = [
     "WorkItem",
@@ -45,6 +49,10 @@ __all__ = [
 
 #: deterministic seed salt for the retry-backoff jitter
 _BACKOFF_SALT = "repro-batch-backoff"
+
+#: items a supervised worker answers before it is recycled, bounding
+#: what a long-lived child can accumulate (heap growth, module caches)
+_WORKER_MAX_ITEMS = 200
 
 
 def backoff_delay(backoff: float, key: str, attempt: int) -> float:
@@ -140,16 +148,25 @@ class LocalPoolTransport:
 
     Three strategies, selected exactly as ``run_batch`` always has:
 
-    * ``supervised=True`` — every item runs in its own watched child
-      (:func:`~repro.batch.supervise.run_supervised`) with bounded
+    * ``supervised=True`` — every item runs in a watched child
+      (:class:`~repro.batch.supervise.SupervisedWorker`) with bounded
       deterministic retries; ``jobs`` watcher threads wait in parallel;
     * ``jobs == 1`` — in-process execution (no pool, no pickling,
       bit-compatible with the historical serial runner); a raising item
       escalates to the supervised retry loop;
     * ``jobs > 1`` — a ``ProcessPoolExecutor`` fast path; any failed
       future (including a pool-breaking worker death) escalates to
-      supervised one-shot children in original item order, so a batch
-      *always completes*.
+      supervised children in original item order, so a batch *always
+      completes*.
+
+    Supervised children are reused: a child that answered cleanly goes
+    back to a lock-protected idle list and takes the next item, so a
+    stream of items pays one fork per worker rather than one per item.
+    A child is recycled (closed, never reused) after any fault and after
+    :data:`_WORKER_MAX_ITEMS` items, and every retry runs in a freshly
+    spawned child.  :meth:`close` (or leaving a ``with`` block) retires
+    the idle children; a child handed back after that is retired too.
+    ``workers_spawned`` counts the children this transport has started.
     """
 
     def __init__(
@@ -171,10 +188,58 @@ class LocalPoolTransport:
         self.memory_limit = memory_limit
         self.grace = grace
         self.backoff = backoff
+        #: supervised children started so far (warm reuse keeps it low)
+        self.workers_spawned = 0
+        self._idle: list[SupervisedWorker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    # -- warm workers -------------------------------------------------------
+    def _spawn(self) -> SupervisedWorker:
+        with self._lock:
+            self.workers_spawned += 1
+        return SupervisedWorker(self.memory_limit)
+
+    def _checkout(self) -> SupervisedWorker:
+        """An idle live worker, or a freshly spawned one."""
+        while True:
+            with self._lock:
+                worker = self._idle.pop() if self._idle else None
+            if worker is None:
+                return self._spawn()
+            if worker.proc.is_alive():
+                return worker
+            worker.close()  # died while idle: retire, try the next
+
+    def _checkin(self, worker: SupervisedWorker) -> None:
+        """Return a worker that answered cleanly, unless it is spent."""
+        if worker.items < _WORKER_MAX_ITEMS:
+            with self._lock:
+                if not self._closed:
+                    self._idle.append(worker)
+                    return
+        worker.close()
+
+    def close(self) -> None:
+        """Retire every idle supervised child (idempotent)."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.close()
+
+    def __enter__(self) -> "LocalPoolTransport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- supervised path ----------------------------------------------------
     def _run_with_retries(self, item: WorkItem, base_attempts: int = 0) -> WorkResult:
         """One item in watched children until it answers or retries run out.
+
+        The first attempt may run in a warm worker; a worker that faults
+        is closed, and each retry runs in a freshly spawned child.
 
         ``base_attempts`` counts executions already burned elsewhere (a
         failed pool attempt); it rides into ``WorkResult.attempts`` but
@@ -188,18 +253,24 @@ class LocalPoolTransport:
                 delay = backoff_delay(self.backoff, item.key, attempt)
                 if delay > 0.0:
                     time.sleep(delay)
-            value, fault = run_supervised(
-                _supervised_call,
-                (item.fn, item.payload, attempt),
-                wall_limit=wall,
-                memory_limit=self.memory_limit,
-            )
+            worker = self._spawn() if attempt else self._checkout()
+            try:
+                value, fault = worker.run(
+                    _supervised_call,
+                    (item.fn, item.payload, attempt),
+                    wall_limit=wall,
+                )
+            except BaseException:
+                worker.close()
+                raise
             if fault is None:
+                self._checkin(worker)
                 return WorkResult(
                     key=item.key,
                     value=value,
                     attempts=base_attempts + attempt + 1,
                 )
+            worker.close()
             last_fault = fault
         assert last_fault is not None
         return WorkResult(
@@ -218,8 +289,8 @@ class LocalPoolTransport:
             return
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
-        # threads only *wait* on supervised children; the work runs in
-        # one watched process per attempt
+        # threads only *wait* on supervised children; each thread holds
+        # its own checked-out worker, so no two items share a child
         with ThreadPoolExecutor(max_workers=self.jobs) as waiters:
             tasks = [
                 waiters.submit(self._run_with_retries, item, base_attempts)

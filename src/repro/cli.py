@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--resume", action="store_true",
                    help="skip cells already completed in --output")
     b.add_argument("--supervised", action="store_true",
-                   help="run every cell in its own watched child process "
+                   help="run every cell in a watched child process "
                    "(watchdog, fault classification, optional rlimit)")
     b.add_argument("--retries", type=int, default=1,
                    help="extra supervised attempts for a faulted cell "
@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="serve one session over stdin/stdout instead of "
                     "TCP (stdout becomes the protocol channel)")
     sv.add_argument("--jobs", "-j", type=int, default=2,
-                    help="solves in flight at once (one watched child each)")
+                    help="solves in flight at once (each in a watched child)")
     sv.add_argument("--max-pending", type=int, default=64,
                     help="admission window; the next request is answered "
                     "with a structured 'busy' error")

@@ -7,6 +7,10 @@ streams request lines and the server streams response lines, each tagged
 with the request's ``id``, so responses may interleave freely with
 requests (and with each other — completion order is not request order).
 
+A request line may be at most ``max_line_bytes`` long (advertised in
+hello, :data:`MAX_LINE_BYTES`); a longer one is answered ``bad-request``
+and the server resumes reading at the next newline.
+
 Request lines (client -> server)::
 
     {"id": <any>, "type": "solve", "problem": {Problem.to_dict...},
@@ -51,6 +55,7 @@ from repro.solvers.spec import SolverSpec
 
 __all__ = [
     "PROTOCOL",
+    "MAX_LINE_BYTES",
     "ERR_BUSY",
     "ERR_BAD_REQUEST",
     "ERR_UNKNOWN_SOLVER",
@@ -70,6 +75,10 @@ __all__ = [
 
 #: protocol identifier sent in the hello line; bump on breaking changes
 PROTOCOL = "repro-service/v1"
+
+#: longest request line the server reads, newline included (advertised
+#: in hello); a longer line is answered ``bad-request`` and skipped
+MAX_LINE_BYTES = 1 << 20
 
 #: admission window full; the request was not enqueued — resubmit later
 ERR_BUSY = "busy"
@@ -277,6 +286,7 @@ def hello_line(
             "solvers": list(solvers),
             "caps": caps.to_dict(),
             "max_pending": max_pending,
+            "max_line_bytes": MAX_LINE_BYTES,
         }
     )
 

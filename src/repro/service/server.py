@@ -4,10 +4,12 @@
 ends: *listening* happens over TCP (:meth:`~SolverService.serve_tcp`)
 or the process's own stdin/stdout (:meth:`~SolverService.serve_stdio`),
 and *executing* happens on the batch layer's
-:class:`~repro.batch.transport.Transport` seam (by default a
-single-item supervised :class:`~repro.batch.transport.LocalPoolTransport`
-per request — one watched child each, so a crashing or hanging solve
-faults that request, never the daemon).
+:class:`~repro.batch.transport.Transport` seam (by default a supervised
+:class:`~repro.batch.transport.LocalPoolTransport` whose warm watched
+children are reused across requests: a child that answered cleanly takes
+the next request, a child is recycled after any fault or a fixed number
+of requests, and a retry always runs in a fresh child — so a crashing or
+hanging solve faults that request, never the daemon).
 
 Request lifecycle:
 
@@ -29,9 +31,13 @@ Request lifecycle:
    reopen) *before* its response line is written, so a daemon killed
    mid-reply never loses a solved result.
 
-``stats`` requests are answered inline from the counters; ``shutdown``
-(when enabled) acknowledges, drains in-flight solves, then stops the
-server.  Responses carry the request's ``id`` and interleave in
+``stats`` requests are answered inline from the counters (including
+``workers_spawned``, the supervised children started so far);
+``shutdown`` (when enabled) acknowledges, drains in-flight solves, then
+stops the server and retires its warm children.  A request line longer
+than :data:`~repro.service.protocol.MAX_LINE_BYTES` is answered
+``bad-request`` and skipped through its newline; the connection keeps
+serving.  Responses carry the request's ``id`` and interleave in
 completion order.
 """
 
@@ -52,6 +58,7 @@ from repro.service.protocol import (
     ERR_BAD_REQUEST,
     ERR_BUSY,
     ERR_INTERNAL,
+    MAX_LINE_BYTES,
     ProtocolError,
     ServiceCaps,
     SolveRequest,
@@ -81,6 +88,30 @@ def _solve_request_worker(payload, attempt: int):
     return solve_problem(problem, solver, **options)
 
 
+async def _read_request_line(reader) -> "bytes | None":
+    """The next request line; ``b""`` at EOF, ``None`` if over-long.
+
+    The reader's limit is :data:`~repro.service.protocol.MAX_LINE_BYTES`.
+    An over-long line is discarded through its newline (or to EOF), so
+    the stream resyncs at the next request.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF, possibly after an unterminated line
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything a :class:`SolverService` is configured by.
@@ -88,8 +119,10 @@ class ServiceConfig:
     Attributes
     ----------
     jobs:
-        Solves allowed in flight at once (each runs in its own watched
-        child under the default transport).
+        Solves allowed in flight at once (each in a watched child under
+        the default transport, which keeps clean children warm for the
+        next request and recycles them after a fault or a fixed number
+        of requests).
     max_pending:
         Admission window: admitted-but-unfinished solve requests across
         all connections; the next one is answered ``busy``.
@@ -106,8 +139,10 @@ class ServiceConfig:
         "report": ...}`` lines); ``None`` disables journaling.
     supervised:
         Run each solve in a watched child (fault classification, wall
-        watchdog, optional rlimit).  Turning it off executes in-process
-        — faster for tests, but a crashing solve takes the daemon down.
+        watchdog, optional rlimit); children are reused across requests
+        until one faults or reaches its item limit.  Turning it off
+        executes in-process — faster for tests, but a crashing solve
+        takes the daemon down.
     retries:
         Extra supervised attempts before a request is answered
         ``fault:*``.
@@ -146,10 +181,14 @@ class SolverService:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.config.max_pending}"
             )
+        #: the transport this service built (and so retires on shutdown);
+        #: a transport passed in belongs to the caller
+        self._owned_transport: LocalPoolTransport | None = None
         if transport is None:
-            # one watched child per request: concurrency comes from the
-            # service's own semaphore, so the transport itself is serial
-            transport = LocalPoolTransport(
+            # concurrency comes from the service's own semaphore, so the
+            # transport itself is serial; its warm children are shared
+            # by the executor threads
+            transport = self._owned_transport = LocalPoolTransport(
                 jobs=1,
                 supervised=self.config.supervised,
                 retries=self.config.retries,
@@ -193,6 +232,7 @@ class SolverService:
         snap["in_flight"] = self._pending
         snap["max_pending"] = self.config.max_pending
         snap["jobs"] = self.config.jobs
+        snap["workers_spawned"] = getattr(self.transport, "workers_spawned", 0)
         if self.cache is not None:
             snap["cache_entries"] = len(self.cache)
         return snap
@@ -339,6 +379,11 @@ class SolverService:
         )
         return True, None
 
+    def close(self) -> None:
+        """Retire the warm children of the transport this service built."""
+        if self._owned_transport is not None:
+            self._owned_transport.close()
+
     async def _handle_conn(self, reader, writer) -> None:
         """One client connection: hello, then request lines until EOF."""
         wlock = asyncio.Lock()
@@ -351,7 +396,17 @@ class SolverService:
                 ),
             )
             while not self._stop.is_set():
-                raw = await reader.readline()
+                raw = await _read_request_line(reader)
+                if raw is None:
+                    self._bump("errors")
+                    await self._send(
+                        writer, wlock,
+                        error_line(
+                            None, ERR_BAD_REQUEST,
+                            f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        ),
+                    )
+                    continue
                 if not raw:
                     break  # EOF: client finished sending
                 line = raw.strip()
@@ -447,7 +502,9 @@ class SolverService:
             finally:
                 self._conn_tasks.pop(id(task), None)
 
-        server = await asyncio.start_server(handler, host=host, port=port)
+        server = await asyncio.start_server(
+            handler, host=host, port=port, limit=MAX_LINE_BYTES
+        )
         try:
             addr = server.sockets[0].getsockname()
             if ready is not None:
@@ -457,6 +514,7 @@ class SolverService:
             server.close()
             await server.wait_closed()
             await self._drain()
+            self.close()
             self._close_journal()
 
     async def serve_stdio(self) -> None:
@@ -466,7 +524,7 @@ class SolverService:
         self._bind_loop()
         self._open_journal()
         loop = self._loop
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
         )
@@ -480,6 +538,7 @@ class SolverService:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
+            self.close()
             self._close_journal()
 
     def request_stop(self) -> None:
@@ -530,11 +589,12 @@ class ServiceHandle:
         return self._addr
 
     def stop(self) -> None:
-        """Stop the daemon and join its thread."""
+        """Stop the daemon, join its thread and retire its children."""
         self.service.request_stop()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
+        self.service.close()
 
     def __enter__(self) -> "ServiceHandle":
         self.start()

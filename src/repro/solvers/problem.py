@@ -452,8 +452,11 @@ def solve_problem(
     )
 
 
-def _solve_entry(entry) -> SolveReport:
-    """Pool worker: one (index, problem, solver, check, options) cell."""
+def _solve_entry(entry, attempt: int = 0) -> SolveReport:
+    """Pool and transport worker: one (index, problem, solver, ...) cell.
+
+    ``attempt`` is the transport's retry number; a cell ignores it.
+    """
     index, problem, solver, check, options = entry
     report = solve_problem(problem, solver, check=check, **options)
     return replace(report, index=index)
@@ -543,8 +546,7 @@ def solve_iter(
         fault-tolerant: a cell whose execution raises or whose worker
         dies (even a pool-breaking SIGKILL) yields a ``fault:*`` report
         instead of aborting the stream; pool-breakage victims are
-        re-run once in supervised one-shot children before being
-        classified.
+        re-run once in supervised children before being classified.
 
     Yields
     ------
@@ -603,23 +605,24 @@ def solve_iter(
             tick()
             yield report
     # recovery pass: each failed cell re-runs once in a supervised
-    # one-shot child — a broken pool's innocent victims succeed here,
-    # repeat offenders classify into fault reports
+    # child — a broken pool's innocent victims succeed here, repeat
+    # offenders classify into fault reports
     if failed:
-        from repro.batch.supervise import DEFAULT_GRACE, run_supervised
+        from repro.batch.transport import LocalPoolTransport, WorkItem
 
-        for entry in sorted(failed, key=lambda e: e[0]):
-            wall = entry[1].time_limit
-            result, fault = run_supervised(
-                _solve_entry, entry,
-                wall_limit=None if wall is None else wall + DEFAULT_GRACE,
-            )
-            if fault is None:
-                report = result
-            else:
-                report = _fault_report(
-                    entry, fault.kind, fault.detail, attempts=2
-                )
-            done += 1
-            tick()
-            yield report
+        failed.sort(key=lambda e: e[0])
+        items = [
+            WorkItem(str(entry[0]), _solve_entry, entry, entry[1].time_limit)
+            for entry in failed
+        ]
+        with LocalPoolTransport(supervised=True, retries=0) as transport:
+            for entry, res in zip(failed, transport.execute(items)):
+                if res.fault is None:
+                    report = res.value
+                else:
+                    report = _fault_report(
+                        entry, res.fault.kind, res.fault.detail, attempts=2
+                    )
+                done += 1
+                tick()
+                yield report

@@ -354,6 +354,26 @@ class TestFaultTolerantCampaign:
         assert reports[0].decided_by == "supervisor:error"
         assert "deliberate solver explosion" in reports[0].fault["detail"]
 
+    def test_solve_iter_pool_recovery_keeps_cell_order(self, bomb):
+        """Pool failures re-run once, supervised, in matrix order."""
+        from repro.solvers.problem import solve_iter
+
+        problems = [feasible_problem()] * 3
+        reports = list(solve_iter(
+            problems, [bomb, "csp2+dc"], jobs=2, on_fault="record"
+        ))
+        assert sorted(r.index for r in reports) == list(range(6))
+        faults = [r for r in reports if r.fault is not None]
+        # the recovery pass yields after the pool, in cell order
+        assert [r.index for r in faults] == [0, 2, 4]
+        assert reports[-3:] == faults
+        assert all(r.status_label == "fault:error" for r in faults)
+        # one pool attempt + one supervised attempt
+        assert all(r.fault["attempts"] == 2 for r in faults)
+        assert all(
+            r.status_label == "feasible" for r in reports if r.fault is None
+        )
+
     def test_solve_iter_on_fault_raise_still_propagates(self, bomb):
         from repro.solvers.problem import solve_iter
 

@@ -19,6 +19,7 @@ from repro.service import (
     ServiceHandle,
 )
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL,
     ProtocolError,
     clamp_problem,
@@ -303,6 +304,40 @@ class TestStructuredErrors:
             client.solve(uniform)
 
 
+class TestLongLines:
+    def test_line_cap_is_advertised(self, service):
+        _handle, client = service
+        assert client.hello["max_line_bytes"] == MAX_LINE_BYTES
+
+    def test_line_past_the_asyncio_default_limit_is_served(self, service):
+        # 70 KB: past asyncio's 64 KiB StreamReader default, under the cap
+        _handle, client = service
+        client._write({"id": 1, "type": "stats", "pad": "x" * 70_000})
+        entry = client.recv(1)
+        assert entry["type"] == "stats"
+
+    def test_over_cap_line_is_refused_then_the_next_line_served(self, service):
+        _handle, client = service
+        long_line = json.dumps(
+            {"id": 1, "type": "stats", "pad": "x" * MAX_LINE_BYTES}
+        )
+        # the over-long line and a good one in a single write: the
+        # server must resync exactly at the newline between them
+        client._wfile.write(long_line + "\n" + json.dumps(
+            {"id": 2, "type": "stats"}
+        ) + "\n")
+        client._wfile.flush()
+        refused = json.loads(client._rfile.readline())
+        assert refused["type"] == "error"
+        assert refused["code"] == "bad-request"
+        assert str(MAX_LINE_BYTES) in refused["detail"]
+        entry = client.recv(2)
+        assert entry["type"] == "stats"
+        assert entry["stats"]["errors"] == 1
+        # the connection keeps serving
+        assert client.solve(make_problems(1)[0]) is not None
+
+
 class _GatedTransport:
     """Blocks every execution until the test releases the gate."""
 
@@ -415,6 +450,25 @@ class TestShutdown:
                     client.shutdown()
                 # still serving
                 assert client.stats()["errors"] == 1
+
+
+class TestWarmWorkers:
+    def test_supervised_requests_reuse_one_worker(self, tmp_path):
+        config = unsupervised_config(tmp_path, jobs=1, supervised=True)
+        with ServiceHandle(config) as handle:
+            host, port = handle._addr
+            with ServiceClient.connect(host, port) as client:
+                reports = client.solve_many(make_problems(3))
+                assert all(not r.status_label.startswith("fault") for r in reports)
+                assert client.stats()["workers_spawned"] == 1
+            workers = list(handle.service.transport._idle)
+        # stopping the daemon retires its warm children
+        assert workers and not any(w.proc.is_alive() for w in workers)
+
+    def test_unsupervised_service_spawns_nothing(self, service):
+        _handle, client = service
+        client.solve_many(make_problems(2))
+        assert client.stats()["workers_spawned"] == 0
 
 
 class TestStdio:

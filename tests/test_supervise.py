@@ -12,6 +12,7 @@ from repro.batch.supervise import (
     FAULT_OOM,
     FAULT_TIMEOUT,
     FaultRecord,
+    SupervisedWorker,
     run_supervised,
 )
 
@@ -44,6 +45,10 @@ def _sleep_forever(_):
 
 def _allocate_3gb(_):
     return len(bytearray(3 << 30))
+
+
+def _pid(_):
+    return os.getpid()
 
 
 class TestCleanRuns:
@@ -114,6 +119,42 @@ class TestMemoryLimit:
     def test_modest_work_fits_under_the_limit(self):
         result, fault = run_supervised(_double, 5, memory_limit=8 << 30)
         assert result == 10 and fault is None
+
+
+class TestSupervisedWorker:
+    def test_one_child_answers_many_items(self):
+        with SupervisedWorker() as worker:
+            first, fault1 = worker.run(_pid, None)
+            second, fault2 = worker.run(_pid, None)
+            assert fault1 is None and fault2 is None
+            assert first == second == worker.pid
+            assert worker.items == 2
+
+    def test_reported_error_retires_the_child(self):
+        with SupervisedWorker() as worker:
+            _, fault = worker.run(_raise_value_error, None)
+            assert fault.kind == FAULT_ERROR and fault.exitcode == 0
+            assert not worker.proc.is_alive()
+
+    def test_timeout_terminates_the_child(self):
+        with SupervisedWorker() as worker:
+            _, fault = worker.run(_sleep_forever, None, wall_limit=0.3)
+            assert fault.kind == FAULT_TIMEOUT
+            assert fault.exitcode == -signal.SIGTERM
+
+    def test_death_while_idle_is_the_next_items_verdict(self):
+        with SupervisedWorker() as worker:
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.proc.join(timeout=5.0)
+            _, fault = worker.run(_double, 1)
+            assert fault.kind == FAULT_OOM and fault.exitcode == -signal.SIGKILL
+
+    def test_close_stops_the_child(self):
+        worker = SupervisedWorker()
+        assert worker.run(_double, 2) == (4, None)
+        worker.close()
+        assert not worker.proc.is_alive() and worker.proc.exitcode == 0
+        worker.close()  # idempotent
 
 
 class TestFaultRecord:

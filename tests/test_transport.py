@@ -1,6 +1,13 @@
 """Tests for the execution-transport seam (``repro.batch.transport``)."""
 
+import json
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +19,14 @@ from repro.batch import (
     cells_for_matrix,
     run_batch,
 )
-from repro.batch.supervise import FAULT_ERROR
+from repro.batch import transport as transport_mod
+from repro.batch.supervise import (
+    FAULT_CRASH,
+    FAULT_ERROR,
+    FAULT_OOM,
+    FAULT_TIMEOUT,
+    SupervisedWorker,
+)
 from repro.batch.transport import backoff_delay
 from repro.generator.random_systems import GeneratorConfig, generate_instances
 
@@ -42,6 +56,42 @@ def _fails_in_pid(payload, attempt):
     if os.getpid() == payload:
         raise RuntimeError("failing in the original process")
     return "recovered"
+
+
+def _pid(payload, attempt):
+    return os.getpid()
+
+
+def _slow_echo(payload, attempt):
+    time.sleep(0.01)
+    return payload
+
+
+def _die(payload, attempt):
+    os.kill(os.getpid(), signal.SIGABRT)
+
+
+def _hang(payload, attempt):
+    time.sleep(3600.0)
+
+
+def _balloon(payload, attempt):
+    return len(bytearray(3 << 30))
+
+
+def _fail_first_attempt(payload, attempt):
+    if attempt == 0:
+        raise RuntimeError("first attempt fails")
+    return os.getpid()
+
+
+def _alive(pid):
+    """True iff ``pid`` is a running (not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestBackoffDelay:
@@ -157,6 +207,142 @@ class TestPoolPath:
         assert not bad.ok and bad.fault.kind == FAULT_ERROR
         # one pool attempt + one supervised recovery attempt
         assert bad.attempts == 2 and bad.fault.attempts == 1
+
+
+class TestWarmPool:
+    def test_consecutive_items_share_one_child(self):
+        items = [WorkItem(f"k{i}", _pid, None) for i in range(2)]
+        with LocalPoolTransport(supervised=True) as transport:
+            first, second = transport.execute(items)
+            assert first.value == second.value != os.getpid()
+            assert transport.workers_spawned == 1
+
+    @pytest.mark.parametrize(
+        "fn, kind",
+        [
+            (_always_raises, FAULT_ERROR),
+            (_die, FAULT_CRASH),
+            (_hang, FAULT_TIMEOUT),
+            (_balloon, FAULT_OOM),
+        ],
+    )
+    def test_every_fault_kind_recycles_the_child(self, fn, kind):
+        transport = LocalPoolTransport(
+            supervised=True, retries=0, grace=0.3, memory_limit=2 << 30,
+        )
+        with transport:
+            (warm,) = transport.execute([WorkItem("a", _pid, None)])
+            (bad,) = transport.execute(
+                [WorkItem("b", fn, None, wall_limit=0.0)]
+            )
+            assert bad.fault.kind == kind
+            assert not _alive(warm.value)  # the faulted child is gone
+            (after,) = transport.execute([WorkItem("c", _pid, None)])
+            assert after.ok and after.value != warm.value
+            assert transport.workers_spawned == 2
+
+    def test_retry_never_runs_in_the_faulted_child(self):
+        with LocalPoolTransport(supervised=True, retries=1) as transport:
+            (warm,) = transport.execute([WorkItem("a", _pid, None)])
+            (res,) = transport.execute(
+                [WorkItem("b", _fail_first_attempt, None)]
+            )
+            # attempt 0 faulted in the warm child; attempt 1 ran fresh
+            assert res.ok and res.attempts == 2
+            assert res.value != warm.value
+            assert transport.workers_spawned == 2
+
+    def test_child_is_recycled_after_max_items(self, monkeypatch):
+        monkeypatch.setattr(transport_mod, "_WORKER_MAX_ITEMS", 3)
+        items = [WorkItem(f"k{i}", _pid, None) for i in range(7)]
+        with LocalPoolTransport(supervised=True) as transport:
+            pids = [r.value for r in transport.execute(items)]
+            assert transport.workers_spawned == 3
+        assert pids[0:3] == [pids[0]] * 3
+        assert pids[3:6] == [pids[3]] * 3
+        assert len({pids[0], pids[3], pids[6]}) == 3
+
+    def test_concurrent_executes_never_share_a_child(self, monkeypatch):
+        lock = threading.Lock()
+        busy, shared = set(), []
+
+        class TrackedWorker(SupervisedWorker):
+            def run(self, *args, **kwargs):
+                with lock:
+                    if self.pid in busy:
+                        shared.append(self.pid)
+                    busy.add(self.pid)
+                try:
+                    return super().run(*args, **kwargs)
+                finally:
+                    with lock:
+                        busy.discard(self.pid)
+
+        monkeypatch.setattr(transport_mod, "SupervisedWorker", TrackedWorker)
+        transport = LocalPoolTransport(supervised=True)
+        start = threading.Barrier(2)
+        results = {}
+
+        def stream(name):
+            start.wait()
+            items = [WorkItem(f"{name}{i}", _slow_echo, (name, i))
+                     for i in range(8)]
+            results[name] = [r.value for r in transport.execute(items)]
+
+        threads = [threading.Thread(target=stream, args=(n,)) for n in "ab"]
+        with transport:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        assert shared == []
+        assert results == {
+            n: [(n, i) for i in range(8)] for n in "ab"
+        }
+        assert 1 <= transport.workers_spawned <= 2
+
+    def test_close_leaves_no_live_children(self):
+        items = [WorkItem(f"k{i}", _slow_echo, i) for i in range(6)]
+        transport = LocalPoolTransport(jobs=3, supervised=True)
+        list(transport.execute(items))
+        pids = [w.pid for w in transport._idle]
+        assert pids and all(_alive(pid) for pid in pids)
+        transport.close()
+        assert not any(_alive(pid) for pid in pids)
+        # a transport used after close still answers, without pooling
+        (res,) = transport.execute([WorkItem("late", _pid, None)])
+        assert res.ok and transport._idle == []
+
+    def test_killed_parent_leaves_no_orphan_children(self, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(
+            "import json, os, sys, time\n"
+            "from repro.batch.transport import LocalPoolTransport, WorkItem\n"
+            "def pid(payload, attempt):\n"
+            "    time.sleep(0.2)\n"
+            "    return os.getpid()\n"
+            "transport = LocalPoolTransport(jobs=2, supervised=True)\n"
+            "items = [WorkItem(str(i), pid, i) for i in range(2)]\n"
+            "print(json.dumps([r.value for r in transport.execute(items)]))\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(120)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        try:
+            pids = json.loads(proc.stdout.readline())
+            assert len(set(pids)) == 2 and all(_alive(p) for p in pids)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30.0)
+            proc.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(_alive(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(p) for p in pids)
 
 
 class _RecordingTransport:
