@@ -1,7 +1,7 @@
 #!/bin/sh
 # Minimal CI: contract lint first (fastest, most specific), then the
-# docstring guard, registry-docs drift guard, perf smokes and the
-# tier-1 test suite.
+# docstring guard, registry-docs drift guard, perf smokes, the repo
+# benchmark's own tests and the tier-1 test suite.
 # Usage: sh scripts/ci.sh   (from the repo root; no install required)
 set -eu
 cd "$(dirname "$0")/.."
@@ -72,6 +72,9 @@ python scripts/chaos_smoke.py
 
 echo "== serve-smoke: daemon byte-equivalent to solve_iter, warm cache hits, shard merge canonical =="
 python scripts/serve_smoke.py
+
+echo "== perfbench: repo benchmark harness tests (outside tier-1's testpaths) =="
+python -m pytest -q perfbench/tests
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q

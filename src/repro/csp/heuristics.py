@@ -3,8 +3,9 @@
 A *variable order* is a callable ``(state, context) -> Variable | None``
 returning the next unassigned variable to branch on (None = all assigned).
 A *value order* is a callable ``(state, var) -> list[int]`` returning the
-values to try, best first.  ``context`` carries static search data
-(variable degrees, an optional ``random.Random``).
+values to try, best first.  ``context`` carries the search data the
+orders share (variable degrees, an optional ``random.Random``, conflict
+statistics, and min-domain's incremental index of binary domains).
 
 The generic CSP1 solver uses ``min_domain`` (+ optional random tie-break,
 reproducing Choco's randomized default-search behaviour observed in
@@ -31,6 +32,7 @@ search (``Solver(learn=True)``) maintains in the shared
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -55,11 +57,13 @@ __all__ = [
 
 @dataclass
 class SearchContext:
-    """Static data shared by heuristics during one solve.
+    """Data shared by heuristics during one solve.
 
-    The last three fields are *conflict statistics* maintained by the
-    learning search (``Solver(learn=True)``) and consumed by the
-    adaptive heuristics; they stay ``None``/empty on non-learning runs.
+    ``weights``, ``phases`` and ``last_conflicts`` are *conflict
+    statistics* maintained by the learning search (``Solver(learn=True)``)
+    and consumed by the adaptive heuristics; they stay ``None``/empty on
+    non-learning runs.  ``binary`` is :func:`var_order_min_domain`'s
+    index of binary domains, built on its first call for a state.
     """
 
     degrees: Sequence[int]
@@ -74,6 +78,66 @@ class SearchContext:
     #: variables of the most recent conflicts, most recent first
     #: (last-conflict reasoning reads the head)
     last_conflicts: list = field(default_factory=list)
+    #: binary-domain index of the state being searched (min-domain order);
+    #: replaced whenever the order is called with a different state
+    binary: _BinaryIndex | None = field(default=None, repr=False)
+
+
+class _BinaryIndex:
+    """Sorted indices of one state's binary-domain variables (size 2).
+
+    Every mask write appends a fresh ``(idx, old, new, ev)`` tuple to
+    ``state.events`` and backtracking only truncates that list, so the
+    index catches up from the log alone: :meth:`sync` unwinds the tuples
+    it applied that are no longer the tuples at the same positions of
+    ``state.events`` (an identity test; ``applied`` keeps them alive, so
+    no id is reused), then applies the new tail.  A variable named by an
+    unwound or new event enters or leaves ``ids`` as its current mask
+    crosses size 2.  Cost per call: O(events since the last call), not
+    O(variables)."""
+
+    __slots__ = ("state", "ids", "applied")
+
+    def __init__(self, state: DomainState) -> None:
+        self.state = state
+        #: ascending indices of the variables whose domain has size 2
+        self.ids: list[int] = [
+            i for i, m in enumerate(state.masks)
+            if (t := m & (m - 1)) and not t & (t - 1)
+        ]
+        #: the event tuples :attr:`ids` reflects, in log order
+        self.applied: list[tuple[int, int, int, int]] = list(state.events)
+
+    def sync(self) -> list[int]:
+        """Bring :attr:`ids` up to the state's current masks; return it."""
+        events = self.state.events
+        applied = self.applied
+        n = len(events)
+        k = len(applied)
+        if k == n and (not k or applied[-1] is events[-1]):
+            return self.ids
+        if k > n:
+            k = n
+        while k and applied[k - 1] is not events[k - 1]:
+            k -= 1
+        changed = applied[k:]
+        del applied[k:]
+        fresh = events[k:]
+        applied.extend(fresh)
+        changed.extend(fresh)
+        masks = self.state.masks
+        ids = self.ids
+        for e in changed:
+            i = e[0]
+            m = masks[i]
+            t = m & (m - 1)
+            j = bisect_left(ids, i)
+            if t and not t & (t - 1):
+                if j == len(ids) or ids[j] != i:
+                    ids.insert(j, i)
+            elif j < len(ids) and ids[j] == i:
+                del ids[j]
+        return ids
 
 
 # -- variable orders ----------------------------------------------------------
@@ -97,57 +161,43 @@ def var_order_min_domain(state: DomainState, ctx: SearchContext) -> Variable | N
     """Smallest current domain ("most constrained variable" fail-first);
     ties broken by index, or uniformly at random when ``ctx.rng`` is set.
 
-    The deterministic path stops scanning at the first binary domain
-    (nothing can beat size 2, and earliest index wins ties anyway); the
-    randomized path must keep scanning to collect every tie."""
+    Size 2 is the floor, so whenever a binary domain exists the answer
+    comes from ``ctx.binary``, the sorted indices of the binary-domain
+    variables kept current from the state's event log
+    (:class:`_BinaryIndex`): the deterministic path takes the
+    smallest index, the randomized path draws from the whole tie list.
+    Only when no binary domain is left does the order scan every
+    variable for the smallest size above 2.  Either way the tie list —
+    and so every ``rng`` draw — is the one a full scan would build."""
+    index = ctx.binary
+    if index is None or index.state is not state:
+        index = ctx.binary = _BinaryIndex(state)
     rng = ctx.rng
-    variables = state.model.variables
-    if rng is None:
-        best_idx = -1
-        best_size = 1 << 62
-        for i, m in enumerate(state.masks):
-            if not m & (m - 1):
-                continue  # assigned
+    ids = index.sync()
+    if not ids:
+        ids = _min_size_ties(state.masks)
+        if not ids:
+            return None
+    if rng is not None and len(ids) > 1:
+        return state.model.variables[rng.choice(ids)]
+    return state.model.variables[ids[0]]
+
+
+def _min_size_ties(masks: Sequence[int]) -> list[int]:
+    """Indices of the unassigned variables of smallest domain size,
+    ascending (empty when every variable is assigned)."""
+    best_size = 1 << 62
+    for m in masks:
+        if m & (m - 1):
             s = m.bit_count()
             if s < best_size:
                 best_size = s
-                best_idx = i
-                if s == 2:
-                    break
-        return None if best_idx < 0 else variables[best_idx]
-    # randomized path: find the best size first (break early at 2, the
-    # floor), then gather the ties in one comprehension pass — same tie
-    # list, same order, same rng stream as the one-pass original, but
-    # the gather runs at C speed (this is the hottest line of CSP1).
-    masks = state.masks
-    best_size = 1 << 62
-    for m in masks:
-        t = m & (m - 1)
-        if not t:
-            continue  # assigned
-        if not t & (t - 1):
-            best_size = 2
-            break
-        s = m.bit_count()
-        if s < best_size:
-            best_size = s
     if best_size == 1 << 62:
-        return None
-    if best_size == 2:
-        ties = [
-            i
-            for i, m in enumerate(masks)
-            if (t := m & (m - 1)) and not t & (t - 1)
-        ]
-    else:
-        ties = [
-            i
-            for i, m in enumerate(masks)
-            if m & (m - 1) and m.bit_count() == best_size
-        ]
-    if len(ties) > 1:
-        return variables[rng.choice(ties)]
-    return variables[ties[0]]
+        return []
+    return [
+        i for i, m in enumerate(masks)
+        if m & (m - 1) and m.bit_count() == best_size
+    ]
 
 
 def var_order_dom_deg(state: DomainState, ctx: SearchContext) -> Variable | None:

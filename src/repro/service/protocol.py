@@ -9,14 +9,18 @@ requests (and with each other — completion order is not request order).
 
 A request line may be at most ``max_line_bytes`` long (advertised in
 hello, :data:`MAX_LINE_BYTES`); a longer one is answered ``bad-request``
-and the server resumes reading at the next newline.
+and the server resumes reading at the next newline.  A line that does
+not decode (bad JSON, bad UTF-8, nesting deeper than the decoder's
+stack), is not an object, or carries an ``id`` that is not a scalar
+(string, number, boolean or null) is answered ``bad-request`` with
+``"id": null``.
 
 Request lines (client -> server)::
 
-    {"id": <any>, "type": "solve", "problem": {Problem.to_dict...},
+    {"id": <scalar>, "type": "solve", "problem": {Problem.to_dict...},
      "solver": "<SolverSpec string>", "options": {...}}
-    {"id": <any>, "type": "stats"}
-    {"id": <any>, "type": "shutdown"}
+    {"id": <scalar>, "type": "stats"}
+    {"id": <scalar>, "type": "shutdown"}
 
 Response lines (server -> client)::
 

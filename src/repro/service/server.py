@@ -37,8 +37,9 @@ Request lifecycle:
 stops the server and retires its warm children.  A request line longer
 than :data:`~repro.service.protocol.MAX_LINE_BYTES` is answered
 ``bad-request`` and skipped through its newline; the connection keeps
-serving.  Responses carry the request's ``id`` and interleave in
-completion order.
+serving, as it does after any line that does not decode to an object
+with a scalar ``id``.  Responses carry the request's ``id`` and
+interleave in completion order.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ def _solve_request_worker(payload, attempt: int):
     problem_dict, solver, options = payload
     problem = Problem.from_dict(problem_dict)
     return solve_problem(problem, solver, **options)
+
+
+#: JSON types a request ``id`` may have (``bool`` is an ``int``): scalars,
+#: echoed back verbatim
+_ID_TYPES = (str, int, float, type(None))
 
 
 async def _read_request_line(reader) -> "bytes | None":
@@ -416,7 +422,15 @@ class SolverService:
                     entry = json.loads(line)
                     if not isinstance(entry, dict):
                         raise ValueError("request line is not an object")
-                except ValueError as exc:
+                    if not isinstance(entry.get("id"), _ID_TYPES):
+                        # a nested id could be too deep to echo back
+                        raise ValueError(
+                            "request id must be a string, number, "
+                            "boolean or null"
+                        )
+                except (ValueError, RecursionError) as exc:
+                    # RecursionError: nesting deeper than the decoder's
+                    # stack, well inside the line cap
                     self._bump("errors")
                     await self._send(
                         writer, wlock,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.csp import Model
+from repro.csp import Model, Solver
 from repro.csp.heuristics import (
     SearchContext,
     make_value_order_phase_saving,
@@ -19,6 +19,11 @@ from repro.csp.heuristics import (
     var_order_min_domain,
 )
 from repro.csp.state import DomainState
+from repro.encodings.csp1 import encode_csp1
+from repro.encodings.csp2 import encode_csp2
+from repro.generator import GeneratorConfig, generate_instance
+from repro.generator.named import running_example, running_example_platform
+from repro.model.platform import Platform
 
 
 @pytest.fixture
@@ -149,3 +154,162 @@ class TestValueOrders:
         s.remove_value(c, 9)
         order = value_order_custom([9, 3])
         assert order(s, c) == [3, 1]
+
+
+# -- incremental min-domain order vs the full scan it replaced ---------------
+
+def _reference_min_domain(state, ctx):
+    """Full-scan min-domain order: one pass over every variable, ties in
+    index order, one ``rng.choice`` when there is more than one tie."""
+    best_size = 1 << 62
+    ties = []
+    for i, m in enumerate(state.masks):
+        if not m & (m - 1):
+            continue  # assigned
+        s = m.bit_count()
+        if s < best_size:
+            best_size = s
+            ties = [i]
+        elif s == best_size:
+            ties.append(i)
+    if not ties:
+        return None
+    if ctx.rng is not None and len(ties) > 1:
+        return state.model.variables[ctx.rng.choice(ties)]
+    return state.model.variables[ties[0]]
+
+
+def _checked_order(order, reference, counts):
+    """Var order running ``order`` and asserting, at every node, that it
+    picks what ``reference`` picks on a private copy of the rng and of
+    the conflict history, and that both rngs end in the same state."""
+
+    def check(state, ctx):
+        ref_rng = None
+        if ctx.rng is not None:
+            ref_rng = random.Random()
+            ref_rng.setstate(ctx.rng.getstate())
+        ref_ctx = SearchContext(
+            degrees=ctx.degrees,
+            rng=ref_rng,
+            last_conflicts=list(ctx.last_conflicts),
+        )
+        expected = reference(state, ref_ctx)
+        got = order(state, ctx)
+        assert got is expected
+        if ref_rng is not None:
+            assert ctx.rng.getstate() == ref_rng.getstate()
+        binary = any(m.bit_count() == 2 for m in state.masks)
+        counts["binary" if binary else "fallback"] += 1
+        return got
+
+    return check
+
+
+def _parity_model(encoding, spec):
+    if spec is None:
+        system, platform = running_example(), running_example_platform()
+    else:
+        n, tmax, m, seed = spec
+        inst = generate_instance(GeneratorConfig(n=n, tmax=tmax, m=m), seed)
+        system, platform = inst.system, Platform.identical(inst.m)
+    encode = encode_csp1 if encoding == "csp1" else encode_csp2
+    return encode(system, platform).model
+
+
+class TestIncrementalMinDomainParity:
+    """The binary-domain index must reproduce the full scan node for node:
+    same variable, same rng draws, under every search that backtracks."""
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("spec", [None, (4, 4, 2, 11), (5, 5, 2, 31)])
+    def test_csp1_chronological(self, spec, seed):
+        counts = {"binary": 0, "fallback": 0}
+        order = _checked_order(
+            var_order_min_domain, _reference_min_domain, counts
+        )
+        model = _parity_model("csp1", spec)
+        Solver(model, var_order=order, seed=seed).solve(node_limit=1500)
+        assert counts["binary"] > 0
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_csp2_integer_domains_reach_fallback(self, seed):
+        counts = {"binary": 0, "fallback": 0}
+        order = _checked_order(
+            var_order_min_domain, _reference_min_domain, counts
+        )
+        model = _parity_model("csp2", (5, 5, 2, 31))
+        Solver(model, var_order=order, seed=seed).solve(node_limit=1500)
+        assert counts["fallback"] > 0
+
+    @pytest.mark.parametrize("last_conflict", [False, True])
+    def test_learning_with_restarts(self, last_conflict):
+        counts = {"binary": 0, "fallback": 0}
+        order, reference = var_order_min_domain, _reference_min_domain
+        if last_conflict:
+            order = make_var_order_last_conflict(order)
+            reference = make_var_order_last_conflict(reference)
+        model = _parity_model("csp1", (4, 4, 2, 11))
+        solver = Solver(
+            model,
+            var_order=_checked_order(order, reference, counts),
+            seed=5,
+            learn=True,
+            restart_nodes=16,
+        )
+        out = solver.solve(node_limit=1500)
+        assert out.stats.backjumps > 0
+        assert out.stats.restarts > 0
+        assert counts["binary"] > 0
+
+    def test_last_conflict_chronological(self):
+        counts = {"binary": 0, "fallback": 0}
+        order = _checked_order(
+            make_var_order_last_conflict(var_order_min_domain),
+            make_var_order_last_conflict(_reference_min_domain),
+            counts,
+        )
+        model = _parity_model("csp1", None)
+        Solver(model, var_order=order, seed=11).solve(node_limit=1500)
+        assert counts["binary"] > 0
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    @pytest.mark.parametrize(
+        "encoding,spec", [("csp1", (4, 4, 2, 12)), ("csp2", None)]
+    )
+    def test_solve_all_enumeration(self, encoding, spec, seed):
+        counts = {"binary": 0, "fallback": 0}
+        order = _checked_order(
+            var_order_min_domain, _reference_min_domain, counts
+        )
+        model = _parity_model(encoding, spec)
+        out = Solver(model, var_order=order, seed=seed).solve_all(
+            node_limit=3000, max_solutions=40
+        )
+        assert len(out.solutions) > 1
+        assert counts["binary"] + counts["fallback"] > len(out.solutions)
+
+    def test_index_rebuilt_for_a_fresh_state(self, setup):
+        m, (a, b, c), ctx = setup
+        s1 = DomainState(m)
+        assert var_order_min_domain(s1, ctx) is b
+        index = ctx.binary
+        s2 = DomainState(m)
+        s2.assign(b, 0)
+        assert var_order_min_domain(s2, ctx) is c
+        assert ctx.binary is not index and ctx.binary.state is s2
+
+    def test_index_follows_backtracking(self, setup):
+        m, (a, b, c), ctx = setup
+        s = DomainState(m)
+        assert var_order_min_domain(s, ctx) is b
+        s.push_level()
+        s.assign(b, 1)
+        s.remove_value(c, 9)  # c becomes binary
+        assert var_order_min_domain(s, ctx) is c
+        s.pop_level()
+        s.push_level()
+        s.remove_value(a, 0)  # same log length, different tuples
+        s.remove_value(a, 1)
+        assert var_order_min_domain(s, ctx) is b
+        assert ctx.binary.ids == [b.index]

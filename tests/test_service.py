@@ -1,9 +1,12 @@
 """Tests for the solver service (protocol, daemon, client, CLI serve)."""
 
 import json
+import random
+import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -267,6 +270,18 @@ class TestStructuredErrors:
         # the connection survived: a real solve still works
         assert client.solve(make_problems(1)[0]) is not None
 
+    def test_deeply_nested_line_keeps_the_connection(self, service):
+        # 100 KB, far under the line cap, but json.loads raises
+        # RecursionError (not a ValueError) on it
+        _handle, client = service
+        client._wfile.write("[" * 100_000 + "\n")
+        client._wfile.flush()
+        entry = json.loads(client._rfile.readline())
+        assert entry["type"] == "error" and entry["code"] == "bad-request"
+        client._write({"id": 2, "type": "stats"})
+        assert client.recv(2)["stats"]["errors"] == 1
+        assert client.solve(make_problems(1)[0]) is not None
+
     def test_unknown_request_type(self, service):
         _handle, client = service
         client._write({"id": 7, "type": "dance"})
@@ -336,6 +351,122 @@ class TestLongLines:
         assert entry["stats"]["errors"] == 1
         # the connection keeps serving
         assert client.solve(make_problems(1)[0]) is not None
+
+
+#: seed of the protocol fuzzer's line mix
+FUZZ_SEED = 2009
+
+
+def _fuzz_lines(rng, count):
+    """``count`` seeded request lines as ``(bytes, expected_id)`` pairs:
+    well-formed ``stats`` requests (expected_id is their id) mixed with
+    malformed lines of every kind the daemon must refuse (expected_id
+    is ``None``: a ``bad-request`` error).  No line contains a newline
+    or is blank."""
+
+    def stats(rid):
+        return json.dumps({"id": rid, "type": "stats"}).encode(), rid
+
+    def truncated(n):
+        full = json.dumps({"id": n, "type": "stats", "pad": "y" * n})
+        return full[: rng.randrange(1, len(full) - 1)].encode(), None
+
+    def non_utf8(n):
+        full = json.dumps({"id": n, "type": "stats"}).encode()
+        cut = rng.randrange(1, len(full))
+        bad = bytes([rng.randrange(0x80, 0x100)])
+        return full[:cut] + bad + full[cut:], None
+
+    def deep(_n):
+        if rng.random() < 0.5:
+            return b"[" * rng.randrange(1_000, 100_000), None
+        depth = rng.randrange(1_000, 20_000)
+        return b'{"id": 1, "type": "stats", "x": ' + b"{\"a\":" * depth, None
+
+    def huge_id(_n):
+        kind = rng.randrange(3)
+        if kind == 0:  # a big but decodable integer: echoed back
+            return stats(int("7" * rng.randrange(100, 4_000)))
+        if kind == 1:  # past the int-from-string digit limit
+            return b'{"id": ' + b"9" * 5_000 + b', "type": "stats"}', None
+        return stats("z" * rng.randrange(1_000, 50_000))
+
+    def non_scalar_id(n):
+        rid = rng.choice(
+            [[n, n], {"n": n}, json.loads("[" * 500 + "]" * 500)]
+        )
+        return json.dumps({"id": rid, "type": "stats"}).encode(), None
+
+    def non_object(n):
+        doc = rng.choice([[n, "stats"], "stats", n, None, True, 1.5])
+        return json.dumps(doc).encode(), None
+
+    def over_cap(n):
+        pad = "x" * (MAX_LINE_BYTES + rng.randrange(1, 1_000))
+        return json.dumps({"id": n, "type": "stats", "pad": pad}).encode(), None
+
+    kinds = [truncated, non_utf8, deep, huge_id, non_scalar_id, non_object]
+    lines = []
+    for n in range(count):
+        if n % 2 == 0:
+            lines.append(stats(n))
+        else:
+            lines.append(rng.choice(kinds)(n))
+    for n in (count, count + 1):  # over-cap lines are slow: exactly two
+        lines.insert(rng.randrange(len(lines) + 1), over_cap(n))
+    return lines
+
+
+class TestProtocolFuzz:
+    def test_every_line_gets_exactly_one_structured_reply(self, service):
+        """A seeded mix of good and malformed lines, some written in
+        pieces, then a final ``stats`` and a half-close: every line is
+        answered once, in order, and the daemon keeps serving."""
+        handle, _client = service
+        rng = random.Random(FUZZ_SEED)
+        lines = _fuzz_lines(rng, 80)
+        lines.append((b'{"id": "final", "type": "stats"}', "final"))
+        sock = socket.create_connection(handle._addr, timeout=10)
+        rfile = sock.makefile("rb")
+        assert json.loads(rfile.readline())["type"] == "hello"
+        replies = []
+        # read concurrently: echoed ids can outgrow the socket buffers
+        reader = threading.Thread(
+            target=lambda: replies.extend(iter(rfile.readline, b""))
+        )
+        reader.start()
+        for raw, _rid in lines:
+            data = raw + b"\n"
+            if rng.random() < 0.1:  # a slow writer: the line in pieces
+                cut = rng.randrange(1, len(data))
+                sock.sendall(data[:cut])
+                time.sleep(0.005)
+                data = data[cut:]
+            sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)  # half-close: replies still flow
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        sock.close()
+
+        assert len(replies) == len(lines)  # one reply per line, in order
+        refused = 0
+        for (raw, rid), reply in zip(lines, replies):
+            entry = json.loads(reply)
+            if rid is None:
+                refused += 1
+                assert entry["type"] == "error", raw[:80]
+                assert entry["code"] == "bad-request"
+                assert entry["id"] is None
+            else:
+                assert entry["type"] == "stats", raw[:80]
+                assert entry["id"] == rid
+        assert entry["id"] == "final"
+        assert entry["stats"]["errors"] == refused > 0
+        # the daemon stayed up: a new connection is served
+        host, port = handle._addr
+        with ServiceClient.connect(host, port) as again:
+            assert again.stats()["errors"] == refused
+            assert again.solve(make_problems(1)[0]) is not None
 
 
 class _GatedTransport:
