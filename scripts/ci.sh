@@ -70,7 +70,7 @@ python -m repro.cli difftest --seed 0 --instances 15 --time-limit 5 --quiet
 echo "== chaos-smoke: fault-injected campaign must lose no cell, deterministically =="
 python scripts/chaos_smoke.py
 
-echo "== serve-smoke: daemon byte-equivalent to solve_iter, warm cache hits, shard merge canonical =="
+echo "== serve-smoke: daemon byte-equivalent to solve_iter on every platform kind, unsolvable pairs refused, warm cache hits, shard merge canonical =="
 python scripts/serve_smoke.py
 
 echo "== perfbench: repo benchmark harness tests (outside tier-1's testpaths) =="

@@ -15,6 +15,11 @@ the library baseline on a seeded 40-problem grid:
 * **journal sharding** — splitting the grid across two daemon runs with
   separate shard journals, then ``merge_journals``-ing them, must
   reproduce the single-daemon journal modulo elapsed.
+* **every platform kind** — the first problems of the grid recast on a
+  uniform and on a heterogeneous platform must be served byte-equal to
+  ``solve_iter`` too, and a solver that does not run on the platform
+  (``sat`` on a uniform one) must be refused ``bad-request`` at
+  admission, before any worker starts.
 
 Usage: ``python scripts/serve_smoke.py`` (from the repo root; exits
 non-zero on any divergence).
@@ -33,7 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.batch.journal import merge_journals
 from repro.generator.random_systems import GeneratorConfig, generate_instances
-from repro.service.client import ServiceClient
+from repro.model.platform import Platform
+from repro.service.client import ServiceClient, ServiceError
 from repro.solvers.problem import Problem, solve_iter
 
 SOLVER = "csp2+dc"
@@ -53,6 +59,21 @@ def make_problems(count, seed):
         )
         for inst in instances
     ]
+
+
+def recast(problems):
+    """Each problem again on a uniform and on a heterogeneous platform."""
+    out = []
+    for problem in problems:
+        rates = [[1 + (i + j) % 2 for j in range(2)]
+                 for i in range(problem.system.n)]
+        for platform in (Platform.uniform([2, 1]),
+                         Platform.heterogeneous(rates)):
+            out.append(Problem(
+                problem.system, platform, time_limit=TIME_LIMIT,
+                variable_limit=VARIABLE_LIMIT, label=problem.label,
+            ))
+    return out
 
 
 def canonical(report_dict):
@@ -229,11 +250,43 @@ def main(argv=None):
                   "single-daemon journal (modulo elapsed)")
             return 1
 
+        # -- uniform and heterogeneous platforms: served, or refused ------
+        recast_problems = recast(problems[:8])
+        want = [
+            canonical(r.to_dict())
+            for r in solve_iter(recast_problems, SOLVER)
+        ]
+        daemon = Daemon(tmp / "platforms.jsonl", tmp / "cache-platforms")
+        with daemon.client() as client:
+            served = client.solve_many(recast_problems, SOLVER)
+            try:
+                client.solve(recast_problems[0], "sat")
+                refused = None
+            except ServiceError as exc:
+                refused = exc.code
+            platform_stats = client.stats()
+        if [canonical(r.to_dict()) for r in served] != want:
+            print("FAIL: uniform/heterogeneous reports diverge from the "
+                  "solve_iter baseline")
+            return 1
+        if refused != "bad-request" or platform_stats["computed"] != len(
+            recast_problems
+        ):
+            print(f"FAIL: sat on a uniform platform was answered "
+                  f"{refused!r} (want bad-request) with "
+                  f"{platform_stats['computed']} solves computed")
+            return 1
+        if daemon.shutdown() != (0, []):
+            print("FAIL: platforms daemon exited non-zero or left workers")
+            return 1
+
     print(
         f"serve smoke OK: {len(problems)} problems cold-equivalent to "
         f"solve_iter on {cold_stats['workers_spawned']} warm worker(s), "
         f"{len(problems)} warm cache hits, 2-shard merge matches the "
-        "single-daemon journal, no worker outlived its daemon"
+        f"single-daemon journal, {len(recast_problems)} uniform/"
+        "heterogeneous problems served like solve_iter and sat-on-uniform "
+        "refused, no worker outlived its daemon"
     )
     return 0
 

@@ -6,16 +6,15 @@ to lose to a crash at cell 4,987 of 5,000.  This package turns such
 campaigns into first-class objects:
 
 * :mod:`repro.batch.cells` — the picklable work unit and the single
-  worker function (:func:`solve_cell`) every execution path shares;
+  worker function (:func:`solve_cell`) every execution path shares; a
+  cell's key is :func:`repro.solvers.problem.solve_key` of the question
+  it asks, the one memo key the solver service uses too;
 * :mod:`repro.batch.cache` — a content-addressed on-disk cache so any
   cell ever solved under the same (system, solver, budget, seed) key is
   never solved again, across campaigns;
 * :mod:`repro.batch.executor` — :func:`run_batch`: process-pool
   execution with one worker per ``--jobs``, streaming JSONL journaling,
   and crash-safe ``--resume``;
-* :mod:`repro.batch.racing` — :func:`race`: the complementary
-  primitive for the ``portfolio:`` meta-solver — several attempts at
-  the *same* cell, first decisive answer wins, losers terminated;
 * :mod:`repro.batch.supervise` — :class:`SupervisedWorker` (and its
   single-use form :func:`run_supervised`): work units in a watched
   child, with wall watchdog, optional address-space rlimit and fault
@@ -27,8 +26,11 @@ campaigns into first-class objects:
   for testing all of the above without real hardware failures;
 * :mod:`repro.batch.transport` — the :class:`Transport` execution seam:
   :class:`LocalPoolTransport` is the serial/pool/supervised local path
-  ``run_batch`` always used, now pluggable so other consumers (the
-  solver service in :mod:`repro.service`) run on the same machinery;
+  and the only code that starts or watches worker processes —
+  ``run_batch``, :func:`~repro.solvers.problem.solve_iter`, the
+  ``portfolio:`` race (a supervised stream closed at the first decisive
+  answer, which terminates the losers) and the solver service in
+  :mod:`repro.service` all run on it;
 * :mod:`repro.batch.journal` — crash-safe JSONL journal primitives:
   :func:`load_journal` (torn-line tolerant, last-line-wins),
   :func:`trim_torn_tail` and :func:`merge_journals` (N shard journals

@@ -8,8 +8,10 @@ the complete new one.
 
 Caches are shared freely between concurrent workers and campaigns:
 entries are immutable once written (content-addressed by
-:func:`repro.batch.cells.cell_key`), so the only race is two processes
-computing the same cell, and either's ``os.replace`` wins harmlessly.
+:func:`repro.solvers.problem.solve_key`, which a campaign cell reaches
+through :func:`repro.batch.cells.cell_key`), so the only race is two
+processes computing the same question, and either's ``os.replace`` wins
+harmlessly.
 
 Two value shapes share the machinery:
 
@@ -18,7 +20,7 @@ Two value shapes share the machinery:
 * :class:`ReportCache` — full :class:`~repro.solvers.problem.SolveReport`
   documents (schedule table included), the solver service's shared memo
   layer.  Point it at a *different* root than a :class:`ResultCache` —
-  both address by cell key, and the value shapes are incompatible.
+  both address by the same key, and the value shapes are incompatible.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class _JsonFileCache:
 
 
 class ResultCache(_JsonFileCache):
-    """Maps :func:`~repro.batch.cells.cell_key` hex digests to records."""
+    """Maps :func:`~repro.batch.cells.cell_key` hex digests (a cell's
+    :func:`~repro.solvers.problem.solve_key`) to records."""
 
     def _encode(self, value) -> dict:
         return asdict(value)
@@ -103,7 +106,8 @@ class ResultCache(_JsonFileCache):
 
 
 class ReportCache(_JsonFileCache):
-    """Maps cell keys to full :class:`~repro.solvers.problem.SolveReport` docs.
+    """Maps :func:`~repro.solvers.problem.solve_key` digests to full
+    :class:`~repro.solvers.problem.SolveReport` docs.
 
     The solver service's memo layer: a report round-trips through its
     own ``to_dict``/``from_dict`` (schedule table, stats and fault

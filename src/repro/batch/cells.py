@@ -3,9 +3,11 @@
 A :class:`Cell` is one (instance, solver) run reduced to plain data:
 task tuples, a processor count, a solver name and the per-cell budgets.
 Cells cross process boundaries (``multiprocessing`` pickles them into the
-workers) and double as cache keys — :func:`cell_key` hashes the canonical
-JSON of everything that can influence the outcome, so two campaigns that
-happen to generate the same system hit the same cache entry.
+workers) and double as cache keys — :func:`cell_key` is the cell's
+:meth:`Cell.problem` keyed by :func:`~repro.solvers.problem.solve_key`,
+the one memo key of the repo, so two campaigns that happen to generate
+the same system (and the solver service asked the same question) hit
+the same cache entry.
 
 :func:`solve_cell` is the single worker function both the serial runner
 and the process pool execute; keeping it here (module level, importable
@@ -14,20 +16,19 @@ by qualified name) is what makes it picklable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
+from repro.solvers.problem import (
+    DEFAULT_VARIABLE_LIMIT,
+    Problem,
+    solve_key,
+    solve_problem,
+)
 
 __all__ = ["Cell", "cell_key", "cells_for_matrix", "solve_cell"]
-
-#: default guard against generic-engine encodings that would not fit in
-#: memory (mirrors ``run_instances``; the paper: CSP1 "runs out of memory
-#: on 'large' instances", Table IV)
-DEFAULT_VARIABLE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -93,29 +94,26 @@ class Cell:
         """Reconstruct the task system."""
         return TaskSystem.from_tuples(self.tasks)
 
+    def problem(self) -> Problem:
+        """The question this cell asks (``instance_seed`` stays out)."""
+        return Problem(
+            system=self.system(),
+            platform=Platform.identical(self.m),
+            time_limit=self.time_limit,
+            node_limit=self.node_limit,
+            seed=self.seed,
+            variable_limit=self.csp1_variable_limit,
+        )
+
 
 def cell_key(cell: Cell) -> str:
-    """Content-addressed cache key: sha256 over the canonical cell JSON.
+    """Content-addressed cache key: :func:`~repro.solvers.problem.solve_key`
+    of the cell's problem and solver name.
 
-    Everything that can change the resulting record — system content,
-    processor count, solver name, budgets, solver seed — is keyed;
-    ``instance_seed`` (bookkeeping only) is not, so identical systems
-    generated under different campaign seeds share cache entries.
+    ``instance_seed`` (bookkeeping only) is not keyed, so identical
+    systems generated under different campaign seeds share cache entries.
     """
-    doc = {
-        "tasks": [list(t) for t in cell.tasks],
-        "m": cell.m,
-        "solver": cell.solver,
-        "time_limit": cell.time_limit,
-        "csp1_variable_limit": cell.csp1_variable_limit,
-        "seed": cell.seed,
-    }
-    if cell.node_limit is not None:
-        # keyed only when set: the default (None) payload stays
-        # byte-identical to pre-node_limit keys, keeping old caches warm
-        doc["node_limit"] = cell.node_limit
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return solve_key(cell.problem(), cell.solver)
 
 
 def cells_for_matrix(
@@ -157,22 +155,14 @@ def solve_cell(cell: Cell, chaos=None, chaos_key: str | None = None):
     """
     from repro.experiments.runner import RunRecord
     from repro.generator.random_systems import Instance
-    from repro.solvers.problem import Problem, solve_problem
 
     if chaos is not None:
         from repro.batch.chaos import inject_worker_fault
 
         inject_worker_fault(chaos, chaos_key or cell_key(cell))
-    system = cell.system()
+    problem = cell.problem()
+    system = problem.system
     instance = Instance(system=system, m=cell.m, seed=cell.instance_seed)
-    problem = Problem(
-        system=system,
-        platform=Platform.identical(cell.m),
-        time_limit=cell.time_limit,
-        node_limit=cell.node_limit,
-        seed=cell.seed,
-        variable_limit=cell.csp1_variable_limit,
-    )
     report = solve_problem(problem, cell.solver, check=False)
     return RunRecord(
         instance_seed=cell.instance_seed,

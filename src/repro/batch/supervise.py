@@ -37,6 +37,7 @@ and race primitives.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import signal
 import threading
@@ -76,6 +77,17 @@ _RETIRE_GRACE = 1.0
 #: child end, and two such children could keep each other's pipes open
 #: after the parent dies
 _SPAWN_LOCK = threading.Lock()
+
+
+def _fresh_spawn_lock() -> None:
+    """Give a forked child an unheld spawn lock: children are forked
+    while the parent holds it, and would otherwise block forever on
+    their first spawn."""
+    global _SPAWN_LOCK
+    _SPAWN_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_spawn_lock)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,17 @@ going through campaign bookkeeping:
   escalation of pool failures to supervision.  Its supervised children
   are reused across items — a child that answered cleanly takes the
   next item; a child is recycled after any fault or a fixed number of
-  items, and every retry runs in a fresh child.
+  items, and every retry runs in a fresh child.  It is the only code in
+  the repo that starts or watches worker processes: ``run_batch``,
+  :func:`~repro.solvers.problem.solve_iter`, the racing portfolio and
+  the solver service all run on it.
+
+Closing a supervised ``execute()`` stream early cancels it: the
+children running its items are terminated and its queued items never
+start.  The thread that owns each killed child still reaps it and
+classifies the death.  That is what a race is built from — the
+``portfolio:`` meta-solver consumes a stream until the first decisive
+member answers, then closes it.
 
 Workers are invoked as ``fn(payload, attempt)`` with a 0-based attempt
 number so fault-injection hooks (chaos) can salt their draws per
@@ -143,6 +153,40 @@ def _supervised_call(packed: tuple) -> Any:
     return fn(payload, attempt)
 
 
+class _Stream:
+    """The children one supervised stream is running, and whether its
+    consumer has closed it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._running: set[SupervisedWorker] = set()
+        self.closed = False
+
+    def enter(self, worker: SupervisedWorker) -> bool:
+        """Register ``worker`` as running an item; False once closed."""
+        with self._lock:
+            if not self.closed:
+                self._running.add(worker)
+            return not self.closed
+
+    def leave(self, worker: SupervisedWorker) -> None:
+        """Unregister ``worker``: its item is over."""
+        with self._lock:
+            self._running.discard(worker)
+
+    def close(self) -> None:
+        """Terminate every running child; no item starts after this.
+
+        Only signals: the thread running each item sees its child die,
+        reaps it and classifies the death like any other.
+        """
+        with self._lock:
+            self.closed = True
+            running = list(self._running)
+        for worker in running:
+            worker.proc.terminate()
+
+
 class LocalPoolTransport:
     """Today's local execution path behind the :class:`Transport` seam.
 
@@ -167,6 +211,7 @@ class LocalPoolTransport:
     spawned child.  :meth:`close` (or leaving a ``with`` block) retires
     the idle children; a child handed back after that is retired too.
     ``workers_spawned`` counts the children this transport has started.
+    Closing a supervised stream early cancels it (see the module notes).
     """
 
     def __init__(
@@ -235,7 +280,10 @@ class LocalPoolTransport:
         self.close()
 
     # -- supervised path ----------------------------------------------------
-    def _run_with_retries(self, item: WorkItem, base_attempts: int = 0) -> WorkResult:
+    def _run_with_retries(
+        self, item: WorkItem, base_attempts: int = 0,
+        stream: _Stream | None = None,
+    ) -> WorkResult | None:
         """One item in watched children until it answers or retries run out.
 
         The first attempt may run in a warm worker; a worker that faults
@@ -245,7 +293,11 @@ class LocalPoolTransport:
         failed pool attempt); it rides into ``WorkResult.attempts`` but
         not into the fault record, whose ``attempts`` is the supervised
         loop's own count (the historical journal-visible convention).
+
+        Returns None, without running anything more, once ``stream`` has
+        been closed: nobody is left to read the result.
         """
+        stream = stream or _Stream()
         wall = None if item.wall_limit is None else item.wall_limit + self.grace
         last_fault: FaultRecord | None = None
         for attempt in range(self.retries + 1):
@@ -254,6 +306,9 @@ class LocalPoolTransport:
                 if delay > 0.0:
                     time.sleep(delay)
             worker = self._spawn() if attempt else self._checkout()
+            if not stream.enter(worker):
+                self._checkin(worker)  # never ran an item: still clean
+                return None
             try:
                 value, fault = worker.run(
                     _supervised_call,
@@ -263,6 +318,11 @@ class LocalPoolTransport:
             except BaseException:
                 worker.close()
                 raise
+            finally:
+                stream.leave(worker)
+            if stream.closed:
+                worker.close()  # it may have been signalled: never reuse
+                return None
             if fault is None:
                 self._checkin(worker)
                 return WorkResult(
@@ -280,24 +340,41 @@ class LocalPoolTransport:
         )
 
     def _execute_supervised(
-        self, items: Sequence[WorkItem], base_attempts: int = 0
+        self, items: Sequence[WorkItem], base_attempts: int = 0,
+        ordered: bool = False,
     ) -> Iterator[WorkResult]:
-        """Run these items in watched children, ``jobs`` wide."""
+        """Run these items in watched children, ``jobs`` wide.
+
+        Results come in completion order, or in item order when
+        ``ordered``.  Closing the generator early cancels the stream.
+        """
         if self.jobs == 1 or len(items) == 1:
+            # one item at a time in this thread: while the consumer holds
+            # a result no child is running, and closing stops the loop
             for item in items:
                 yield self._run_with_retries(item, base_attempts)
             return
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
+        stream = _Stream()
         # threads only *wait* on supervised children; each thread holds
         # its own checked-out worker, so no two items share a child
         with ThreadPoolExecutor(max_workers=self.jobs) as waiters:
             tasks = [
-                waiters.submit(self._run_with_retries, item, base_attempts)
+                waiters.submit(
+                    self._run_with_retries, item, base_attempts, stream
+                )
                 for item in items
             ]
-            for fut in as_completed(tasks):
-                yield fut.result()
+            try:
+                for fut in tasks if ordered else as_completed(tasks):
+                    yield fut.result()
+            finally:
+                # a no-op once every item is done; after an early close
+                # it cancels the rest before the executor waits on them
+                for fut in tasks:
+                    fut.cancel()
+                stream.close()
 
     # -- in-process path ----------------------------------------------------
     def _execute_serial(self, items: Sequence[WorkItem]) -> Iterator[WorkResult]:
@@ -335,7 +412,8 @@ class LocalPoolTransport:
             # recovery pass in original item order: pool-breakage
             # victims simply succeed here, repeat offenders classify
             yield from self._execute_supervised(
-                [it for it in items if id(it) in escalate], base_attempts=1
+                [it for it in items if id(it) in escalate],
+                base_attempts=1, ordered=True,
             )
 
     def execute(self, items: Sequence[WorkItem]) -> Iterator[WorkResult]:

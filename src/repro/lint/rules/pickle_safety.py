@@ -1,20 +1,22 @@
 """R4 — batch/pickle safety: what crosses a process boundary must pickle.
 
-The batch executor, the racing portfolio and the difftest runner all
-ship work into ``multiprocessing`` workers.  Pickle cannot serialize
+The batch executor, ``solve_iter``, the racing portfolio and the solver
+service all ship work into worker processes, and all of it travels as a
+:class:`~repro.batch.transport.WorkItem`.  Pickle cannot serialize
 lambdas, closures, or functions defined inside another function — such a
 callable works under ``jobs=1`` (in-process, no pickling) and then
 explodes (or worse, silently falls back) the first time someone passes
 ``--jobs 4``.  The repo's convention is explicit: worker callables are
-module-level (``batch.cells.solve_cell``, ``racing._race_entry``,
+module-level (``batch.cells.solve_cell``, ``problem._solve_entry``,
 ``portfolio._run_member``) and payloads are plain data.
 
 Two checks:
 
 * the *callable* position of a process primitive (``Process(target=…)``,
-  pool ``submit``/``map``/``apply_async``, :func:`repro.batch.racing.race`'s
-  ``worker``, :func:`repro.batch.supervise.run_supervised`'s ``fn``) must
-  not be a lambda or a locally-defined function;
+  pool ``submit``/``map``/``apply_async``,
+  :class:`~repro.batch.transport.WorkItem`'s ``fn``,
+  :func:`repro.batch.supervise.run_supervised`'s ``fn``) must not be a
+  lambda or a locally-defined function;
 * the *payload* arguments of those same primitives must not contain
   lambdas anywhere (payloads are data, and data pickles).
 """
@@ -64,15 +66,16 @@ def _process_calls(tree: ast.AST) -> Iterator[tuple[ast.Call, list[ast.expr], li
                     callables.append(kw.value)
                 elif kw.arg == "args":
                     payloads.append(kw.value)
-        elif simple == "race":
-            # race(payloads, worker, decisive=..., ...): worker is pickled
-            # into each entry process; payloads too
-            if len(node.args) >= 2:
-                payloads.append(node.args[0])
-                callables.append(node.args[1])
+        elif simple == "WorkItem":
+            # WorkItem(key, fn, payload, ...): fn and payload are pickled
+            # into whichever worker process the transport picks
+            callables.extend(node.args[1:2])
+            payloads.extend(node.args[2:3])
             for kw in node.keywords:
-                if kw.arg == "worker":
+                if kw.arg == "fn":
                     callables.append(kw.value)
+                elif kw.arg == "payload":
+                    payloads.append(kw.value)
         elif simple == "run_supervised":
             # run_supervised(fn, payload, ...): fn is pickled into the
             # supervised child, payload rides along
@@ -126,7 +129,7 @@ def _enclosing_function(tree: ast.Module, target: ast.AST):
     contract="worker callables must be module-level (picklable by qualified name)",
 )
 class ProcessCallableRule(Rule):
-    """The callable handed to Process/pool/race must pickle by name."""
+    """The callable handed to Process/pool/WorkItem must pickle by name."""
 
     scope = PICKLE_SCOPE
 
@@ -160,7 +163,7 @@ class ProcessCallableRule(Rule):
     "R4.process-payload",
     family="pickle-safety",
     description="lambda inside a payload shipped to a worker process",
-    contract="batch cells and race payloads are plain, picklable data",
+    contract="batch cells and work-item payloads are plain, picklable data",
 )
 class ProcessPayloadRule(Rule):
     """Payload arguments of process primitives must contain no lambdas."""

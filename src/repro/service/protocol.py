@@ -24,26 +24,36 @@ Request lines (client -> server)::
 
 Response lines (server -> client)::
 
-    {"id": ..., "type": "report", "key": "<cell key>", "cached": bool,
+    {"id": ..., "type": "report", "key": "<solve key>", "cached": bool,
      "report": {SolveReport.to_dict...}}
     {"id": ..., "type": "stats", "stats": {...counters...}}
     {"id": ..., "type": "ok"}                       (shutdown ack)
     {"id": ..., "type": "error", "code": "...", "detail": "..."}
 
 Error codes: ``busy`` (admission window full — resubmit later),
-``bad-request`` (malformed line, bad problem payload, non-positive or
-non-identical-platform request), ``unknown-solver`` (name does not parse
-or resolve), ``internal`` (a server-side bug; the connection survives).
+``bad-request`` (malformed line, bad problem payload, non-positive
+budget, or a question ``solve_problem`` refuses up front),
+``unknown-solver`` (name does not parse or resolve), ``internal`` (a
+server-side bug; the connection survives).
+
+Every platform kind ``solve_problem`` solves is served: identical,
+uniform and heterogeneous.  Admission refuses, as ``bad-request``, what
+:func:`~repro.solvers.problem.check_solvable` refuses — a solver whose
+registry ``platforms`` lack the request's platform kind (``sat`` on a
+uniform platform), or a heterogeneous platform under arbitrary
+deadlines — so no worker is started for a question that cannot run.
 
 Per-request budgets ride the problem payload — ``time_limit`` (wall),
 ``node_limit`` (search nodes) and ``variable_limit`` (the memory guard)
 — and are validated server-side, then clamped to the server's
 :class:`ServiceCaps` by :func:`clamp_problem`: a missing wall budget
 gets the server default, an over-cap budget is reduced, a non-positive
-budget is rejected.  :func:`request_cell` maps the clamped request onto
-the batch layer's content-addressed key space
-(:func:`~repro.batch.cells.cell_key`), which is what lets the service
-serve identical cells from the shared memo cache without re-solving.
+budget is rejected.  The clamped request is keyed by
+:func:`~repro.solvers.problem.solve_key` over its problem, solver and
+options — the same key a campaign cell gets for the same question — so
+the service serves repeated questions from the shared memo cache
+without re-solving, and requests that differ only in ``label`` share an
+entry while requests that differ in ``options`` do not.
 """
 
 from __future__ import annotations
@@ -52,8 +62,12 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.batch.cells import DEFAULT_VARIABLE_LIMIT, Cell, cell_key
-from repro.solvers.problem import Problem
+from repro.solvers.problem import (
+    DEFAULT_VARIABLE_LIMIT,
+    Problem,
+    check_solvable,
+    solve_key,
+)
 from repro.solvers.registry import is_solver_name, solver_info
 from repro.solvers.spec import SolverSpec
 
@@ -68,7 +82,6 @@ __all__ = [
     "ServiceCaps",
     "clamp_problem",
     "parse_solve_request",
-    "request_cell",
     "encode",
     "hello_line",
     "report_line",
@@ -201,8 +214,8 @@ def parse_solve_request(
     Raises :class:`ProtocolError` (``bad-request`` / ``unknown-solver``)
     on anything the server should refuse: missing fields, a problem
     payload that does not decode, a solver name that does not resolve,
-    options the solver does not accept, bad budgets, or a platform the
-    service's cache-key space cannot address.
+    options the solver does not accept, bad budgets, or a question
+    :func:`~repro.solvers.problem.check_solvable` refuses.
     """
     if "problem" not in entry:
         raise ProtocolError(ERR_BAD_REQUEST, "solve request has no 'problem'")
@@ -234,42 +247,17 @@ def parse_solve_request(
             ERR_BAD_REQUEST, f"bad problem payload: {exc}"
         ) from exc
     problem = clamp_problem(problem, caps)
-    key, _cell = request_cell(problem, spec.canonical)
+    try:
+        check_solvable(problem, spec)
+    except ValueError as exc:
+        raise ProtocolError(ERR_BAD_REQUEST, str(exc)) from exc
     return SolveRequest(
         id=entry.get("id"),
         problem=problem,
         solver=spec.canonical,
         options=dict(options),
-        key=key,
+        key=solve_key(problem, spec.canonical, options),
     )
-
-
-def request_cell(problem: Problem, solver: str) -> tuple[str, Cell]:
-    """Map a clamped request onto the batch layer's cache-key space.
-
-    The memo layer is addressed by :func:`~repro.batch.cells.cell_key`,
-    which keys identical-platform cells by content (system, m, solver,
-    budgets, seed) — request-scoped bookkeeping (``label``) is
-    deliberately outside the key, so two clients asking the same
-    question share one cache entry.  Non-identical platforms have no
-    cell form yet and are refused as ``bad-request``.
-    """
-    if not problem.platform.is_identical:
-        raise ProtocolError(
-            ERR_BAD_REQUEST,
-            "the solver service only accepts identical platforms "
-            f"(got {problem.platform.kind})",
-        )
-    cell = Cell(
-        tasks=tuple(t.as_tuple() for t in problem.system),
-        m=problem.platform.m,
-        solver=solver,
-        time_limit=problem.time_limit,
-        csp1_variable_limit=problem.variable_limit,
-        seed=problem.seed,
-        node_limit=problem.node_limit,
-    )
-    return cell_key(cell), cell
 
 
 # -- envelope builders ------------------------------------------------------

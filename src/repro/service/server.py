@@ -14,12 +14,18 @@ hanging solve faults that request, never the daemon).
 Request lifecycle:
 
 1. **admission** — a ``solve`` line is validated and clamped
-   (:func:`~repro.service.protocol.parse_solve_request`); when the
+   (:func:`~repro.service.protocol.parse_solve_request`), and a question
+   ``solve_problem`` would refuse up front (an unsupported solver /
+   platform pair, a heterogeneous platform under arbitrary deadlines)
+   is answered ``bad-request`` without starting a worker; when the
    number of admitted-but-unfinished requests has reached
    ``max_pending`` the server answers a structured ``busy`` error
    instead — back-pressure is always a protocol message, never a
    dropped connection;
-2. **memo** — the request's cell key is looked up in the shared
+2. **memo** — the request's key
+   (:func:`~repro.solvers.problem.solve_key` over the clamped problem,
+   the solver and the options: what a campaign cell asking the same
+   question is keyed by) is looked up in the shared
    :class:`~repro.batch.cache.ReportCache`; a hit is served without
    re-solving (the response says ``"cached": true``), with only the
    request-scoped ``label`` patched onto the cached report;

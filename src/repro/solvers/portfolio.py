@@ -20,22 +20,32 @@ Semantics:
   UNKNOWN (or INFEASIBLE if some capable member proved it just before
   the budget ran out — that is decisive and wins immediately).
 
-``jobs`` controls concurrency: the default races all members at once in
-worker processes (:mod:`repro.batch.racing`); ``jobs=1`` degrades to
-running members sequentially in declaration order, which is fully
-deterministic and useful for tests and single-core boxes.  With a fixed
-seed the *verdict* is deterministic either way; under true racing the
-reported winner can depend on machine load whenever two members would
-both answer — the first queue message wins.
+``jobs`` controls concurrency: the default races all members at once,
+each in a supervised child of the batch layer's
+:class:`~repro.batch.transport.LocalPoolTransport`; ``jobs=k`` keeps at
+most ``k`` members running and starts the next in declaration order as
+one finishes.  The race reads the transport's result stream until the
+first decisive answer, then closes it, which terminates the losers
+still running and never starts the queued ones.  A member whose child
+dies, raises or overruns its budget plus the watchdog grace is reported
+with an ``error: <fault kind>: ...`` status and the race goes on.  Once
+the wall budget is spent, the first member to report ends the race.
+``jobs=1`` degrades to running members sequentially in declaration
+order, in process, which is fully deterministic and useful for tests
+and single-core boxes.  With a fixed seed the *verdict* is
+deterministic either way; under true racing the reported winner can
+depend on machine load whenever two members would both answer — the
+first to finish wins.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import closing
 
 import numpy as np
 
-from repro.batch.racing import RaceError, race
+from repro.batch.transport import LocalPoolTransport, WorkItem
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
 from repro.schedule.schedule import Schedule
@@ -52,12 +62,13 @@ from repro.solvers.spec import SolverSpec
 __all__ = ["PortfolioSolver"]
 
 
-def _run_member(payload) -> dict:
+def _run_member(payload, attempt: int = 0) -> dict:
     """Worker: solve one member and return a picklable result dict.
 
     The schedule travels as a plain int table (not a ``Schedule``) so the
     payload stays small and version-independent across the process
-    boundary; the parent rebuilds and re-validates it.
+    boundary; the parent rebuilds and re-validates it.  ``attempt`` is
+    the transport's retry number; a race never retries.
     """
     from repro.solvers.registry import create_solver
 
@@ -131,10 +142,8 @@ class PortfolioSolver:
         self.name = "portfolio:" + ",".join(s.canonical for s in specs)
 
     # -- answer classification -------------------------------------------------
-    def _definitive(self, member_index: int, value) -> bool:
+    def _definitive(self, member_index: int, value: dict) -> bool:
         """Whether a member's result ends the race."""
-        if isinstance(value, RaceError) or not isinstance(value, dict):
-            return False
         status = value["status"]
         if status == Feasibility.FEASIBLE.value:
             return True
@@ -183,41 +192,38 @@ class PortfolioSolver:
         """Race the members under a shared budget; losers are cancelled."""
         if self.jobs == 1:
             return self._solve_sequential(time_limit, node_limit)
-        payloads = [
-            (spec.canonical, self.system, self.platform, self.seed,
-             time_limit, node_limit)
-            for spec in self.members
-        ]
-        outcome = race(
-            payloads,
-            _run_member,
-            decisive=self._definitive,
-            jobs=self.jobs,
-            time_limit=time_limit,
-        )
-        statuses = {
-            self.members[i].canonical: (
-                v["status"] if isinstance(v, dict) else f"error: {v.message}"
+        t0 = time.monotonic()
+        items = [
+            WorkItem(
+                str(index), _run_member,
+                self._payload(spec, time_limit, node_limit), time_limit,
             )
-            for i, v in outcome.results.items()
-        }
-        meta = {
-            "members": [s.canonical for s in self.members],
-            "statuses": statuses,
-            "cancelled": [self.members[i].canonical for i in outcome.cancelled],
-            "not_started": [
-                self.members[i].canonical for i in outcome.not_started
-            ],
-            "mode": "race",
-        }
-        if outcome.winner is not None:
-            value = outcome.results[outcome.winner]
-            meta["winner"] = self.members[outcome.winner].canonical
-            meta["winner_proves_infeasibility"] = self._infos[
-                outcome.winner
-            ].proves_infeasibility
-            return self._to_result(value, outcome.elapsed, meta)
-        return self._no_winner(outcome.elapsed, meta)
+            for index, spec in enumerate(self.members)
+        ]
+        jobs = min(self.jobs or len(items), len(items))
+        statuses: dict[str, str] = {}
+        winner, value = None, None
+        with LocalPoolTransport(jobs=jobs, supervised=True, retries=0) as pool:
+            # closed before the pool: losers are terminated, not awaited
+            with closing(pool.execute(items)) as stream:
+                for res in stream:
+                    index = int(res.key)
+                    name = self.members[index].canonical
+                    if res.fault is not None:
+                        cause = res.fault.detail.strip().splitlines()[-1]
+                        statuses[name] = f"error: {res.fault.kind}: {cause}"
+                    else:
+                        statuses[name] = res.value["status"]
+                        if self._definitive(index, res.value):
+                            winner, value = index, res.value
+                            break
+                    if time_limit is not None and (
+                        time.monotonic() - t0 >= time_limit
+                    ):
+                        break  # budget spent: cancel the rest
+        # members start in declaration order, one per freed slot
+        meta = self._meta("race", statuses, started=jobs + len(statuses))
+        return self._finish(meta, t0, winner, value)
 
     def _solve_sequential(
         self, time_limit: float | None, node_limit: int | None
@@ -225,39 +231,55 @@ class PortfolioSolver:
         """jobs=1 fallback: members in order, remaining budget each."""
         t0 = time.monotonic()
         statuses: dict[str, str] = {}
-        meta = {
-            "members": [s.canonical for s in self.members],
-            "statuses": statuses,
-            "cancelled": [],
-            "not_started": [],
-            "mode": "sequential",
-        }
-
-        def finalize() -> None:
-            meta["not_started"] = [
-                s.canonical for s in self.members if s.canonical not in statuses
-            ]
-
+        winner, value = None, None
         for index, spec in enumerate(self.members):
             remaining = None
             if time_limit is not None:
                 remaining = time_limit - (time.monotonic() - t0)
                 if remaining <= 0:
                     break
-            value = _run_member(
-                (spec.canonical, self.system, self.platform, self.seed,
-                 remaining, node_limit)
-            )
+            value = _run_member(self._payload(spec, remaining, node_limit))
             statuses[spec.canonical] = value["status"]
             if self._definitive(index, value):
-                meta["winner"] = spec.canonical
-                meta["winner_proves_infeasibility"] = self._infos[
-                    index
-                ].proves_infeasibility
-                finalize()
-                return self._to_result(value, time.monotonic() - t0, meta)
-        finalize()
-        return self._no_winner(time.monotonic() - t0, meta)
+                winner = index
+                break
+        meta = self._meta("sequential", statuses, started=len(statuses))
+        return self._finish(meta, t0, winner, value)
+
+    def _payload(
+        self, spec: SolverSpec, time_limit: float | None,
+        node_limit: int | None,
+    ) -> tuple:
+        """The picklable :func:`_run_member` payload for one member."""
+        return (spec.canonical, self.system, self.platform, self.seed,
+                time_limit, node_limit)
+
+    def _meta(self, mode: str, statuses: dict, started: int) -> dict:
+        """Race bookkeeping: every member without a status is
+        ``cancelled`` if it was among the first ``started``, else
+        ``not_started``."""
+        names = [s.canonical for s in self.members]
+        unfinished = [i for i, n in enumerate(names) if n not in statuses]
+        return {
+            "members": names,
+            "statuses": statuses,
+            "cancelled": [names[i] for i in unfinished if i < started],
+            "not_started": [names[i] for i in unfinished if i >= started],
+            "mode": mode,
+        }
+
+    def _finish(
+        self, meta: dict, t0: float, winner: int | None, value: dict | None
+    ) -> SolveResult:
+        """The winner's validated result, or the aggregate UNKNOWN."""
+        elapsed = time.monotonic() - t0
+        if winner is None or value is None:
+            return self._no_winner(elapsed, meta)
+        meta["winner"] = self.members[winner].canonical
+        meta["winner_proves_infeasibility"] = self._infos[
+            winner
+        ].proves_infeasibility
+        return self._to_result(value, elapsed, meta)
 
     def _no_winner(self, elapsed: float, meta: dict) -> SolveResult:
         """Aggregate UNKNOWN when no member was definitive in budget."""
@@ -273,8 +295,8 @@ class PortfolioSolver:
 @register_solver(
     "portfolio",
     description=(
-        "Racing meta-solver: runs member solvers concurrently in worker "
-        "processes, keeps the first definitive answer, cancels the rest "
+        "Racing meta-solver: runs member solvers concurrently in supervised "
+        "worker processes, keeps the first definitive answer, cancels the rest "
         "(incomplete members may win FEASIBLE races but never decide "
         "INFEASIBLE)"
     ),

@@ -12,19 +12,27 @@ engine, :func:`solve_problem`:
   :class:`~repro.solvers.base.SolveResult` plus everything the old
   ``MgrtsResult`` carried (clone bookkeeping, merged display schedule)
   and a ``to_dict``/``from_dict`` pair for JSONL streaming;
-* :func:`solve_problem` does the plumbing once: arbitrary-deadline
-  cloning (Section VI-B), the registry lookup, the memory guard for
-  generic-engine encodings, budget accounting (model construction counts
-  against the wall budget; an overrun is charged the full budget), and
-  C1-C4 validation of any returned schedule.
+* :func:`solve_problem` does the plumbing once: the up-front refusals
+  (:func:`check_solvable`), arbitrary-deadline cloning (Section VI-B),
+  the registry lookup, the memory guard for generic-engine encodings,
+  budget accounting (model construction counts against the wall budget;
+  an overrun is charged the full budget), and C1-C4 validation of any
+  returned schedule;
+* :func:`solve_key` is the one memo key: every cache in the repo (the
+  campaign ``ResultCache``, the solver service's ``ReportCache``) is
+  addressed by it.
 
 :func:`solve_iter` fans a ``problems x solvers`` matrix out over worker
-processes and *yields* reports as cells complete, so campaign drivers
-can stream results instead of blocking on the whole matrix.
+processes (the batch layer's
+:class:`~repro.batch.transport.LocalPoolTransport`) and *yields* reports
+as cells complete, so campaign drivers can stream results instead of
+blocking on the whole matrix.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -46,8 +54,11 @@ from repro.solvers.registry import create_solver, solver_info
 from repro.solvers.spec import SolverSpec
 
 __all__ = [
+    "DEFAULT_VARIABLE_LIMIT",
     "Problem",
     "SolveReport",
+    "check_solvable",
+    "solve_key",
     "solve_problem",
     "solve_iter",
     "estimate_generic_variables",
@@ -78,6 +89,12 @@ def fault_label(kind: str) -> str:
 def is_fault_label(status: str) -> bool:
     """True iff ``status`` records an execution fault, not a verdict."""
     return status.startswith(FAULT_PREFIX)
+
+
+#: default guard against generic-engine encodings that would not fit in
+#: memory (the paper: CSP1 "runs out of memory on 'large' instances",
+#: Table IV); campaign cells and the solver service's caps default to it
+DEFAULT_VARIABLE_LIMIT = 2_000_000
 
 
 def estimate_generic_variables(system: TaskSystem, platform: Platform) -> int:
@@ -162,6 +179,72 @@ class Problem:
             seed=data.get("seed"),
             label=data.get("label"),
             variable_limit=data.get("variable_limit"),
+        )
+
+
+def solve_key(
+    problem: Problem,
+    solver: "str | SolverSpec",
+    options: dict[str, Any] | None = None,
+) -> str:
+    """The memo key of one question: sha256 over its canonical JSON.
+
+    Everything that can change the answer is keyed — tasks, platform,
+    budgets, seed, solver name and solver options; ``label``
+    (bookkeeping) is not, so two askers of the same question share one
+    cache entry.  An identical platform is keyed by its processor count
+    ``m``, the memory guard as ``csp1_variable_limit``, and
+    ``node_limit`` / ``options`` only when set: for an identical
+    platform and no options the document is exactly the one campaign
+    cells have always been keyed by, so existing caches stay warm.
+    """
+    platform = problem.platform
+    doc: dict[str, Any] = {
+        "tasks": [list(t.as_tuple()) for t in problem.system],
+        "solver": solver if isinstance(solver, str) else solver.canonical,
+        "time_limit": problem.time_limit,
+        "csp1_variable_limit": problem.variable_limit,
+        "seed": problem.seed,
+    }
+    if platform.is_identical:
+        doc["m"] = platform.m
+    else:
+        doc["platform"] = platform_to_dict(platform)
+    if problem.node_limit is not None:
+        doc["node_limit"] = problem.node_limit
+    if options:
+        doc["options"] = options
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def check_solvable(problem: Problem, solver: "str | SolverSpec") -> None:
+    """Raise ``ValueError`` for a question :func:`solve_problem` refuses.
+
+    Both refusals happen before any model is built: a solver — or a
+    screen's fall-through engine — whose registry ``platforms`` lack the
+    problem's platform kind, and a heterogeneous platform under
+    arbitrary deadlines (its rate matrix is indexed by task, and cloning
+    renumbers the tasks).  Portfolio members are not checked: a member
+    that cannot run faults inside the race while the others race on.
+    Unknown solver names raise too.
+    """
+    kind = problem.platform.kind
+    part: SolverSpec | None = SolverSpec.parse(solver)
+    while part is not None and not part.is_portfolio:
+        supported = solver_info(part).platforms
+        if kind not in supported:
+            raise ValueError(
+                f"solver {part.canonical!r} does not run on {kind} "
+                f"platforms (supported: {', '.join(supported)})"
+            )
+        part = part.screened
+    if kind == "heterogeneous" and any(
+        t.deadline > t.period for t in problem.system
+    ):
+        raise ValueError(
+            "heterogeneous rate matrices are indexed by task; expand the "
+            "matrix for the cloned system and pass the cloned system directly"
         )
 
 
@@ -386,7 +469,8 @@ def solve_problem(
 ) -> SolveReport:
     """Answer one problem with one solver — the single shared engine.
 
-    Clones arbitrary-deadline systems, applies the
+    Refuses what :func:`check_solvable` refuses, clones arbitrary-deadline
+    systems, applies the
     :attr:`Problem.variable_limit` memory guard to memory-bound solver
     families, counts model construction against the wall budget, charges
     a full budget to overruns, and (with ``check``) validates any
@@ -394,13 +478,8 @@ def solve_problem(
     the solver after registry validation.
     """
     spec = SolverSpec.parse(solver)
-    solver_info(spec)  # fail fast on unknown base names
+    check_solvable(problem, spec)
     cloned, cmap = clone_for_arbitrary_deadlines(problem.system)
-    if problem.platform.kind == "heterogeneous" and not cmap.is_identity:
-        raise ValueError(
-            "heterogeneous rate matrices are indexed by task; expand the "
-            "matrix for the cloned system and pass the cloned system directly"
-        )
     requested = spec.canonical
     if problem.variable_limit is not None:
         over_limit = (
@@ -541,8 +620,11 @@ def solve_iter(
     progress:
         Optional ``progress(done, total)`` callback.
     on_fault:
-        ``"raise"`` (default) propagates a failing cell's exception —
-        the historical behavior.  ``"record"`` makes the matrix
+        ``"raise"`` (default) makes a failing cell end the stream: with
+        ``jobs=1`` its own exception propagates; with ``jobs > 1`` the
+        cell is re-run once in a supervised child and, if it fails there
+        too, a ``RuntimeError`` naming the fault's kind and carrying the
+        child's traceback is raised.  ``"record"`` makes the matrix
         fault-tolerant: a cell whose execution raises or whose worker
         dies (even a pool-breaking SIGKILL) yields a ``fault:*`` report
         instead of aborting the stream; pool-breakage victims are
@@ -585,44 +667,30 @@ def solve_iter(
             tick()
             yield report
         return
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from repro.batch.transport import LocalPoolTransport, WorkItem
 
-    failed: list[tuple] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_solve_entry, entry): entry for entry in entries}
-        for fut in as_completed(futures):
-            try:
-                report = fut.result()
-            except Exception:
-                if on_fault == "raise":
-                    raise
-                # a worker exception or a broken pool (a SIGKILLed
-                # worker fails every in-flight future): queue the cell
-                # for the supervised recovery pass below
-                failed.append(futures[fut])
-                continue
+    # the transport's pool path: a failed cell (a raising solver, or an
+    # innocent victim of a SIGKILL that broke the pool) re-runs once in
+    # a supervised child; repeat offenders come back classified
+    items = [
+        WorkItem(str(entry[0]), _solve_entry, entry, entry[1].time_limit)
+        for entry in entries
+    ]
+    with LocalPoolTransport(jobs=jobs, retries=0) as transport:
+        for res in transport.execute(items):
+            entry = entries[int(res.key)]
+            if res.fault is None:
+                report = res.value
+            elif on_fault == "raise":
+                raise RuntimeError(
+                    f"cell {res.key} ({entry[2].canonical}) ended "
+                    f"{fault_label(res.fault.kind)}:\n{res.fault.detail}"
+                )
+            else:
+                report = _fault_report(
+                    entry, res.fault.kind, res.fault.detail,
+                    attempts=res.attempts,
+                )
             done += 1
             tick()
             yield report
-    # recovery pass: each failed cell re-runs once in a supervised
-    # child — a broken pool's innocent victims succeed here, repeat
-    # offenders classify into fault reports
-    if failed:
-        from repro.batch.transport import LocalPoolTransport, WorkItem
-
-        failed.sort(key=lambda e: e[0])
-        items = [
-            WorkItem(str(entry[0]), _solve_entry, entry, entry[1].time_limit)
-            for entry in failed
-        ]
-        with LocalPoolTransport(supervised=True, retries=0) as transport:
-            for entry, res in zip(failed, transport.execute(items)):
-                if res.fault is None:
-                    report = res.value
-                else:
-                    report = _fault_report(
-                        entry, res.fault.kind, res.fault.detail, attempts=2
-                    )
-                done += 1
-                tick()
-                yield report

@@ -1,12 +1,14 @@
 """Bad examples for the R4 pickle-safety rules (lint fixture, never imported).
 
-Expected findings: 3x R4.process-callable (submit lambda, map local
-function, Process target lambda), 1x R4.process-payload (lambda inside
-Process args).
+Expected findings: 4x R4.process-callable (submit lambda, map local
+function, Process target lambda, WorkItem fn lambda), 1x
+R4.process-payload (lambda inside Process args).
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import Process
+
+from repro.batch.transport import WorkItem
 
 
 def run_bad(items):
@@ -20,4 +22,5 @@ def run_bad(items):
     with ProcessPoolExecutor() as pool:
         results = list(pool.map(local_worker, items))
     proc = Process(target=lambda: None, args=(items, lambda x: x))
-    return handles, results, proc
+    work = WorkItem("k", fn=lambda payload, attempt: payload, payload=items)
+    return handles, results, proc, work

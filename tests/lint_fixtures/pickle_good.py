@@ -6,6 +6,8 @@ Module-level worker, plain-data payloads: clean under every rule.
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import Process
 
+from repro.batch.transport import WorkItem
+
 
 def solve_one(payload):
     """Module-level worker: pickles by qualified name."""
@@ -17,4 +19,5 @@ def run_good(items):
     with ProcessPoolExecutor() as pool:
         results = list(pool.map(solve_one, items))
     proc = Process(target=solve_one, args=(items,))
-    return results, proc
+    work = WorkItem("k", solve_one, items)
+    return results, proc, work

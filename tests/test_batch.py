@@ -62,6 +62,34 @@ class TestCells:
         assert cell_key(Cell(**{**c.__dict__, "solver": "csp1"})) != cell_key(c)
         assert cell_key(Cell(**{**c.__dict__, "time_limit": 9.0})) != cell_key(c)
 
+    def test_golden_keys_keep_existing_caches_warm(self):
+        """Digests written by earlier campaigns and daemons must still be
+        found: these values predate the shared ``solve_key``."""
+        plain = Cell(
+            tasks=((0, 1, 2, 2), (0, 1, 3, 3)), m=2, solver="csp2+dc",
+            time_limit=5.0,
+        )
+        seeded = Cell(**{**plain.__dict__, "seed": 7, "node_limit": 100})
+        assert cell_key(plain) == (
+            "88bf4e8bcfb3f4335d35785ea27a05a2af842401010d7c346695dab2f128003d"
+        )
+        assert cell_key(seeded) == (
+            "32b98636dc562e63475bca188243001bce14ba539750158ee890307c2b6df833"
+        )
+        # the daemon keys the same question, clamped, the same way
+        from repro.service.protocol import ServiceCaps, parse_solve_request
+        from repro.solvers.problem import Problem
+
+        asked = Problem.of(
+            seeded.system(), m=2, time_limit=5.0, seed=7, node_limit=100
+        )
+        request = parse_solve_request(
+            {"id": 1, "type": "solve", "problem": asked.to_dict(),
+             "solver": "csp2+dc"},
+            ServiceCaps(),
+        )
+        assert request.key == cell_key(seeded)
+
     def test_solve_cell_matches_serial_runner(self, instances, cells):
         run = run_instances(instances[:2], SOLVERS, TIME_LIMIT)
         records = [solve_cell(c) for c in cells[: 2 * len(SOLVERS)]]

@@ -380,6 +380,18 @@ class TestFaultTolerantCampaign:
         with pytest.raises(RuntimeError, match="deliberate solver explosion"):
             list(solve_iter(feasible_problem(), [bomb]))
 
+    def test_solve_iter_parallel_raise_names_the_fault(self, bomb):
+        """With jobs > 1 the failing cell re-runs once, supervised, and
+        then ends the stream with the fault's kind and traceback."""
+        from repro.solvers.problem import solve_iter
+
+        with pytest.raises(RuntimeError, match="fault:error") as err:
+            list(solve_iter(
+                [feasible_problem()] * 2, [bomb, "csp2+dc"], jobs=2
+            ))
+        assert "Traceback" in str(err.value)
+        assert "deliberate solver explosion" in str(err.value)
+
     def test_solve_iter_rejects_unknown_policy(self):
         from repro.solvers.problem import solve_iter
 

@@ -41,7 +41,7 @@ EXPECTED = {
         "R3.options-signature": 3,
     },
     "pickle": {
-        "R4.process-callable": 3,
+        "R4.process-callable": 4,
         "R4.process-payload": 1,
     },
     "trail": {

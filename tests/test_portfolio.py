@@ -71,6 +71,55 @@ class TestPortfolioRacing:
         assert validate(report.schedule).ok
 
 
+    def test_dead_member_is_reported_and_the_race_goes_on(self):
+        """A member whose child is SIGKILLed faults; csp2+dc still wins."""
+        import os
+        import signal
+
+        from repro.solvers import register_solver
+        from repro.solvers import registry as reg
+
+        @register_solver(
+            "test-sigkill", description="test-only: dies at build",
+            advertise=False,
+        )
+        def _build(system, platform, spec, seed, **options):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        try:
+            report = solve(
+                running_example(), m=2,
+                solver="portfolio:test-sigkill,csp2+dc", time_limit=20,
+            )
+        finally:
+            reg._REGISTRY.pop("test-sigkill", None)
+        assert report.status is Feasibility.FEASIBLE
+        assert report.winner == "csp2+dc"
+        meta = report.stats.extra["portfolio"]
+        status = meta["statuses"].get("test-sigkill")
+        # it died at once, so it normally reports before the winner
+        assert status is None or status.startswith("error: oom:")
+        assert set(meta["statuses"]) | set(meta["cancelled"]) == {
+            "test-sigkill", "csp2+dc"
+        }
+
+    def test_limited_jobs_race_accounts_for_queued_members(self):
+        """jobs=2 of 3 members: the third starts only when a slot frees."""
+        report = solve(
+            infeasible_system(), m=2,
+            solver="portfolio:csp2+dc,csp2-local,sat", time_limit=30, jobs=2,
+        )
+        assert report.status is Feasibility.INFEASIBLE
+        meta = report.stats.extra["portfolio"]
+        assert meta["mode"] == "race" and meta["winner"] == "csp2+dc"
+        accounted = (
+            set(meta["statuses"]) | set(meta["cancelled"])
+            | set(meta["not_started"])
+        )
+        assert accounted == set(meta["members"])
+        assert report.elapsed < 10, "the local search was not cancelled"
+
+
 class TestPortfolioSequential:
     def test_jobs1_is_deterministic_first_decider(self):
         report = solve(

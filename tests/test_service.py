@@ -27,7 +27,6 @@ from repro.service.protocol import (
     ProtocolError,
     clamp_problem,
     parse_solve_request,
-    request_cell,
 )
 from repro.solvers.problem import Problem, solve_problem
 
@@ -112,33 +111,80 @@ class TestClamping:
             )
 
 
+def request_key(problem, solver="csp2+dc", options=None, caps=None):
+    """The memo key the daemon gives one solve request."""
+    envelope = {
+        "id": 1, "type": "solve", "problem": problem.to_dict(),
+        "solver": solver, "options": options or {},
+    }
+    return parse_solve_request(envelope, caps or ServiceCaps()).key
+
+
+def arbitrary_deadline_problem():
+    """A heterogeneous question with ``D > T``: refused up front."""
+    from repro.model.system import TaskSystem
+
+    return Problem.of(
+        TaskSystem.from_tuples([(0, 1, 4, 2), (0, 1, 3, 3)]),
+        platform=Platform.heterogeneous([[1, 2], [2, 1]]),
+        time_limit=TIME_LIMIT,
+    )
+
+
 class TestRequestCell:
+    """The key a clamped request is memoised under, and what admission
+    refuses before any key is needed."""
+
     def test_label_is_outside_the_key(self):
         a, = make_problems(1)
         relabeled = Problem.of(a.system, m=2, time_limit=a.time_limit,
                                label="other")
-        key_a, _ = request_cell(clamp_problem(a, ServiceCaps()), "csp2+dc")
-        key_b, _ = request_cell(
-            clamp_problem(relabeled, ServiceCaps()), "csp2+dc"
-        )
-        assert key_a == key_b
+        assert request_key(a) == request_key(relabeled)
 
     def test_budgets_are_inside_the_key(self):
         a, = make_problems(1)
-        caps = ServiceCaps()
-        key_a, _ = request_cell(clamp_problem(a, caps), "csp2+dc")
         tighter = Problem.of(a.system, m=2, time_limit=1.0)
-        key_b, _ = request_cell(clamp_problem(tighter, caps), "csp2+dc")
-        assert key_a != key_b
+        assert request_key(a) != request_key(tighter)
 
-    def test_non_identical_platform_is_refused(self):
+    def test_options_are_inside_the_key(self):
+        a, = make_problems(1)
+        assert request_key(a, "screen") != request_key(
+            a, "screen", {"simulate": False}
+        )
+        assert request_key(a, "screen", {"simulate": False}) == request_key(
+            a, "screen", {"simulate": False}
+        )
+
+    def test_platform_is_inside_the_key(self):
         a, = make_problems(1)
         uniform = Problem.of(
             a.system, platform=Platform.uniform([2, 1]),
             time_limit=TIME_LIMIT,
         )
-        with pytest.raises(ProtocolError, match="identical platforms"):
-            request_cell(uniform, "csp2+dc")
+        faster = Problem.of(
+            a.system, platform=Platform.uniform([3, 1]),
+            time_limit=TIME_LIMIT,
+        )
+        keys = {request_key(a), request_key(uniform), request_key(faster)}
+        assert len(keys) == 3
+
+    def test_unsupported_platform_is_refused(self):
+        a, = make_problems(1)
+        uniform = Problem.of(
+            a.system, platform=Platform.uniform([2, 1]),
+            time_limit=TIME_LIMIT,
+        )
+        with pytest.raises(ProtocolError, match="uniform") as err:
+            request_key(uniform, "sat")
+        assert err.value.code == "bad-request"
+        # a screen is refused for its fall-through engine; a portfolio
+        # is not for its members (an unfit member faults in the race)
+        with pytest.raises(ProtocolError, match="'sat'"):
+            request_key(uniform, "screen+sat")
+        assert request_key(uniform, "portfolio:sat,csp2+dc")
+        with pytest.raises(ProtocolError, match="indexed by task") as err:
+            request_key(arbitrary_deadline_problem())
+        assert err.value.code == "bad-request"
 
 
 class TestParseSolveRequest:
@@ -248,6 +294,23 @@ class TestMemoCache:
         assert entry["cached"] is True
         assert entry["report"]["problem"]["label"] == "second-client"
 
+    def test_options_do_not_share_a_memo_entry(self, service):
+        # a weaker screen (no simulation tier) abstains on this problem;
+        # that answer must not be served to a request without options
+        _handle, client = service
+        problem, = make_problems(1)
+        weak = client.recv(
+            client.submit(problem, solver="screen",
+                          options={"simulate": False})
+        )
+        assert weak["report"]["status"] == "unknown"
+        full = client.recv(client.submit(problem, solver="screen"))
+        assert full["cached"] is False and full["key"] != weak["key"]
+        local = solve_problem(problem, "screen")
+        assert local.status_label == "feasible"
+        assert full["report"]["status"] == local.status_label
+        assert full["report"]["decided_by"] == local.decided_by
+
     def test_stats_count_the_cache_split(self, service):
         _handle, client = service
         problems = make_problems(2)
@@ -308,15 +371,43 @@ class TestStructuredErrors:
         with pytest.raises(ServiceError, match="must be > 0"):
             client.solve(broke)
 
-    def test_heterogeneous_platform_refused(self, service):
+    def test_non_identical_platforms_are_served(self, service):
         _handle, client = service
+        problem, = make_problems(1)
+        for platform in (
+            Platform.uniform([2, 1]),
+            Platform.heterogeneous([[1, 2], [2, 1], [1, 1]]),
+        ):
+            asked = Problem.of(
+                problem.system, platform=platform, time_limit=TIME_LIMIT,
+            )
+            remote = client.solve(asked).to_dict()
+            local = solve_problem(
+                clamp_problem(asked, ServiceCaps()), "csp2+dc"
+            ).to_dict()
+            for doc in (remote, local):
+                doc.pop("elapsed")
+                doc["stats"].pop("elapsed")
+            assert remote == local
+
+    def test_unsolvable_questions_refused_before_any_worker(self, tmp_path):
+        config = unsupervised_config(tmp_path, jobs=1, supervised=True)
         problem, = make_problems(1)
         uniform = Problem.of(
             problem.system, platform=Platform.uniform([2, 1]),
             time_limit=TIME_LIMIT,
         )
-        with pytest.raises(ServiceError, match="identical platforms"):
-            client.solve(uniform)
+        with ServiceHandle(config) as handle:
+            host, port = handle._addr
+            with ServiceClient.connect(host, port) as client:
+                with pytest.raises(ServiceError, match="uniform") as err:
+                    client.solve(uniform, solver="sat")
+                assert err.value.code == "bad-request"
+                with pytest.raises(ServiceError, match="indexed by task"):
+                    client.solve(arbitrary_deadline_problem())
+                stats = client.stats()
+        assert stats["errors"] == 2
+        assert stats["computed"] == 0 and stats["workers_spawned"] == 0
 
 
 class TestLongLines:

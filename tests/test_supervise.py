@@ -51,6 +51,11 @@ def _pid(_):
     return os.getpid()
 
 
+def _spawn_a_worker(_):
+    with SupervisedWorker() as worker:
+        return worker.run(_double, 1)
+
+
 class TestCleanRuns:
     def test_result_comes_back(self):
         result, fault = run_supervised(_double, 21)
@@ -148,6 +153,17 @@ class TestSupervisedWorker:
             worker.proc.join(timeout=5.0)
             _, fault = worker.run(_double, 1)
             assert fault.kind == FAULT_OOM and fault.exitcode == -signal.SIGKILL
+
+    def test_child_may_start_a_worker_of_its_own(self):
+        """A child is forked while the parent holds the spawn lock; it
+        must not inherit that lock held.  Starting a worker inside one
+        then fails at once (a supervised child is daemonic) instead of
+        blocking on the lock until the watchdog fires."""
+        t0 = time.monotonic()
+        _, fault = run_supervised(_spawn_a_worker, None, wall_limit=30.0)
+        assert time.monotonic() - t0 < 10.0
+        assert fault.kind == FAULT_ERROR
+        assert "daemonic processes are not allowed" in fault.detail
 
     def test_close_stops_the_child(self):
         worker = SupervisedWorker()

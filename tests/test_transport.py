@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,13 @@ def _fail_first_attempt(payload, attempt):
     if attempt == 0:
         raise RuntimeError("first attempt fails")
     return os.getpid()
+
+
+def _pid_then_sleep(payload, attempt):
+    """Record this child's pid under ``payload``'s path, then hang."""
+    Path(payload + ".tmp").write_text(str(os.getpid()))
+    os.replace(payload + ".tmp", payload)  # the path appears complete
+    time.sleep(60.0)
 
 
 def _alive(pid):
@@ -339,6 +347,77 @@ class TestWarmPool:
             proc.kill()
             proc.wait(timeout=30.0)
             proc.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(_alive(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(p) for p in pids)
+
+
+class TestEarlyClose:
+    """Closing a supervised stream early cancels the rest of it."""
+
+    def test_close_kills_running_children_and_skips_queued(self, tmp_path):
+        names = ["slow", "fast", "q1", "q2", "q3"]
+        items = [
+            WorkItem(name, _double, 21) if name == "fast"
+            else WorkItem(name, _pid_then_sleep, str(tmp_path / name))
+            for name in names
+        ]
+        transport = LocalPoolTransport(jobs=2, supervised=True, retries=0)
+        stream = transport.execute(items)
+        first = next(stream)
+        assert first.key == "fast" and first.value == 42
+        # the freed slot may already have taken q1; slow is running
+        deadline = time.monotonic() + 10.0
+        while not (tmp_path / "slow").exists():
+            assert time.monotonic() < deadline, "slow never started"
+            time.sleep(0.01)
+        t0 = time.monotonic()
+        stream.close()
+        assert time.monotonic() - t0 < 5.0
+        pids = [
+            int((tmp_path / name).read_text())
+            for name in ("slow", "q1") if (tmp_path / name).exists()
+        ]
+        deadline = time.monotonic() + 5.0
+        while any(_alive(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(p) for p in pids)
+        # both slots were busy until the close: q2 and q3 never started
+        assert not (tmp_path / "q2").exists()
+        assert not (tmp_path / "q3").exists()
+        # killed children are never handed back for reuse
+        assert not any(w.pid in pids for w in transport._idle)
+        transport.close()
+
+    def test_close_under_contention_leaves_no_child_running(self, tmp_path):
+        """More watcher threads than cores and a short switch interval:
+        every child the closed stream started is dead, none is reused,
+        and no item past the first free slot ever starts."""
+        sleepers = [f"s{i}" for i in range(12)]
+        items = [WorkItem("fast", _double, 1)] + [
+            WorkItem(name, _pid_then_sleep, str(tmp_path / name))
+            for name in sleepers
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LocalPoolTransport(
+                jobs=4, supervised=True, retries=0
+            ) as transport:
+                with closing(transport.execute(items)) as stream:
+                    assert next(stream).key == "fast"
+                    deadline = time.monotonic() + 10.0
+                    while not (tmp_path / "s0").exists():
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                started = [n for n in sleepers if (tmp_path / n).exists()]
+                pids = [int((tmp_path / n).read_text()) for n in started]
+                assert not any(w.pid in pids for w in transport._idle)
+        finally:
+            sys.setswitchinterval(old)
+        # four slots: "fast" and three sleepers, then one freed slot
+        assert set(started) <= {"s0", "s1", "s2", "s3"}
         deadline = time.monotonic() + 5.0
         while any(_alive(p) for p in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
