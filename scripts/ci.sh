@@ -36,8 +36,8 @@ python benchmarks/bench_engine.py --check-schema "${TMPDIR:-/tmp}/bench_engine_s
 python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.before.json
 python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.after.json
 
-echo "== kernel-parity: kernels byte-identical to their references, engine pins hold =="
-python -m pytest -q tests/test_kernel_parity.py tests/test_engine_regression.py
+echo "== kernel-parity: kernels byte-identical to their references, engine, csp2 and certificate pins hold =="
+python -m pytest -q tests/test_kernel_parity.py tests/test_engine_regression.py tests/test_csp2_regression.py
 python benchmarks/bench_kernels.py --smoke --out "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
 python benchmarks/bench_kernels.py --check-schema "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
 python benchmarks/bench_kernels.py --check-schema benchmarks/BENCH_kernels.json
