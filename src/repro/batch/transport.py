@@ -24,9 +24,9 @@ going through campaign bookkeeping:
   :func:`~repro.solvers.problem.solve_iter`, the racing portfolio and
   the solver service all run on it.
 
-Closing a supervised ``execute()`` stream early cancels it: the
-children running its items are terminated and its queued items never
-start.  The thread that owns each killed child still reaps it and
+Closing an ``execute()`` stream early cancels it: its queued items never
+start, and on the supervised path the children running its items are
+terminated (pool workers finish the item in hand in the background).  The thread that owns each killed child still reaps it and
 classifies the death.  That is what a race is built from — the
 ``portfolio:`` meta-solver consumes a stream until the first decisive
 member answers, then closes it.
@@ -41,6 +41,7 @@ be module-level / plain data (the R4 pickle-safety contract).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -211,7 +212,7 @@ class LocalPoolTransport:
     spawned child.  :meth:`close` (or leaving a ``with`` block) retires
     the idle children; a child handed back after that is retired too.
     ``workers_spawned`` counts the children this transport has started.
-    Closing a supervised stream early cancels it (see the module notes).
+    Closing a stream early cancels it (see the module notes).
     """
 
     def __init__(
@@ -389,25 +390,54 @@ class LocalPoolTransport:
 
     # -- pool path ----------------------------------------------------------
     def _execute_pool(self, items: Sequence[WorkItem]) -> Iterator[WorkResult]:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        """Run these items on a process pool, in completion order.
+
+        At most ``jobs`` items are submitted at a time, so the pool never
+        holds a queue of its own: closing the generator early shuts the
+        pool down without waiting, the items already running finish in
+        the background and the rest never start.
+        """
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            wait,
+        )
 
         escalate: set[int] = set()
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(_call, item.fn, item.payload, 0): item
-                for item in items
-            }
-            for fut in as_completed(futures):
-                item = futures[fut]
-                try:
-                    value = fut.result()
-                except Exception:
-                    # a worker exception or a broken pool (one SIGKILLed
-                    # worker fails every in-flight future): never abort —
-                    # escalate those items below
-                    escalate.add(id(item))
-                    continue
-                yield WorkResult(key=item.key, value=value, attempts=1)
+        queued = iter(items)
+        running: dict = {}
+        pool = ProcessPoolExecutor(max_workers=self.jobs)
+
+        def submit(item: WorkItem) -> None:
+            try:
+                running[pool.submit(_call, item.fn, item.payload, 0)] = item
+            except BrokenExecutor:
+                # a worker died: this item and every queued one recover
+                # in supervised children below
+                escalate.update(id(it) for it in (item, *queued))
+
+        try:
+            for item in itertools.islice(queued, self.jobs):
+                submit(item)
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    item = running.pop(fut)
+                    following = next(queued, None)
+                    if following is not None:
+                        submit(following)
+                    try:
+                        value = fut.result()
+                    except Exception:
+                        # a worker exception or a broken pool (one
+                        # SIGKILLed worker fails every in-flight future):
+                        # never abort — escalate those items below
+                        escalate.add(id(item))
+                        continue
+                    yield WorkResult(key=item.key, value=value, attempts=1)
+        finally:
+            pool.shutdown(wait=not running, cancel_futures=True)
         if escalate:
             # recovery pass in original item order: pool-breakage
             # victims simply succeed here, repeat offenders classify

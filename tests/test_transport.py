@@ -356,6 +356,34 @@ class TestWarmPool:
 class TestEarlyClose:
     """Closing a supervised stream early cancels the rest of it."""
 
+    def test_closing_a_pool_stream_never_starts_queued_cells(self):
+        """The pool path: six 2 s cells on two workers, closed after the
+        first report, return at once; the cells still running finish
+        within their budget and the queued ones never start."""
+        import multiprocessing
+
+        from repro.solvers.problem import Problem, solve_iter
+
+        inst = generate_instances(GeneratorConfig(n=5, tmax=5, m=2), 1,
+                                  seed=31)[0]
+        problems = [
+            Problem.of(inst.system, m=2, time_limit=2.0, label=f"p{i}")
+            for i in range(6)
+        ]
+        before = set(multiprocessing.active_children())
+        stream = solve_iter(problems, "csp2-local", jobs=2)
+        assert next(stream).status_label == "unknown"
+        pool = set(multiprocessing.active_children()) - before
+        t0 = time.monotonic()
+        stream.close()
+        assert time.monotonic() - t0 < 1.0
+        # the running cells end within their 2 s budget; had the queued
+        # ones started, the workers would stay busy for 4 s more
+        deadline = time.monotonic() + 3.5
+        while any(p.is_alive() for p in pool):
+            assert time.monotonic() < deadline, "queued cells ran"
+            time.sleep(0.05)
+
     def test_close_kills_running_children_and_skips_queued(self, tmp_path):
         names = ["slow", "fast", "q1", "q2", "q3"]
         items = [
