@@ -32,7 +32,9 @@ with an ``error: <fault kind>: ...`` status and the race goes on.  Once
 the wall budget is spent, the first member to report ends the race.
 ``jobs=1`` degrades to running members sequentially in declaration
 order, in process, which is fully deterministic and useful for tests
-and single-core boxes.  With a fixed seed the *verdict* is
+and single-core boxes.  A portfolio solved inside a daemonic process —
+a supervised child of a campaign or of the solver service — runs the
+same way, because such a process may not start children.  With a fixed seed the *verdict* is
 deterministic either way; under true racing the reported winner can
 depend on machine load whenever two members would both answer — the
 first to finish wins.
@@ -40,6 +42,7 @@ first to finish wins.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from contextlib import closing
 
@@ -190,7 +193,9 @@ class PortfolioSolver:
         self, time_limit: float | None = None, node_limit: int | None = None
     ) -> SolveResult:
         """Race the members under a shared budget; losers are cancelled."""
-        if self.jobs == 1:
+        if self.jobs == 1 or multiprocessing.current_process().daemon:
+            # a daemonic process (a supervised child) may not start
+            # processes of its own: run the members here, in order
             return self._solve_sequential(time_limit, node_limit)
         t0 = time.monotonic()
         items = [

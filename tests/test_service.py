@@ -687,6 +687,19 @@ class TestWarmWorkers:
         # stopping the daemon retires its warm children
         assert workers and not any(w.proc.is_alive() for w in workers)
 
+    def test_portfolio_answers_inside_a_supervised_child(self, tmp_path):
+        """A supervised child is daemonic and may not start processes of
+        its own, so a ``portfolio:`` request must still get a verdict."""
+        config = unsupervised_config(tmp_path, jobs=1, supervised=True)
+        problem, = make_problems(1)
+        with ServiceHandle(config) as handle:
+            host, port = handle._addr
+            with ServiceClient.connect(host, port) as client:
+                report = client.solve(problem, solver="portfolio:csp2+dc,sat")
+                assert report.status_label in ("feasible", "infeasible")
+                assert client.stats()["workers_spawned"] == 1
+        assert report.to_dict()["stats"]["extra"]["portfolio"]["winner"]
+
     def test_unsupervised_service_spawns_nothing(self, service):
         _handle, client = service
         client.solve_many(make_problems(2))
