@@ -9,9 +9,10 @@ scalar references they must stay byte-identical to:
   :func:`repro.baselines.simulator.simulate_priority_policy`, for
   global EDF and global fixed priority on a pinned seeded grid;
 * **demand** — the numpy interval-load kernels of
-  :mod:`repro.kernels.demand` (prefix-sum table, forced-demand scan) vs
-  their pure-Python references (``_*_reference``), called directly on
-  the inputs the necessary-condition tests build.
+  :mod:`repro.kernels.demand` (rolling all-pairs sweeps, first
+  over-demanded pair, forced-demand scan) vs their pure-Python
+  references (``_*_reference``), called directly on the window arrays
+  the necessary-condition tests read (:attr:`TaskSystem.windows`).
 
 Every cell *asserts* result equality before recording a time, so the
 benchmark doubles as a coarse parity check: a speedup obtained by
@@ -112,25 +113,38 @@ def _bench_simulator(count: int) -> dict:
 
 
 def _demand_inputs(system, m):
-    """The kernel arguments the necessary-condition tests would pass."""
+    """The kernel arguments the necessary-condition tests would pass:
+    the system's window arrays."""
     system = necessary._constrained(system)
     T = system.hyperperiod
-    spans = necessary._window_spans(system)
-    frags = necessary._job_fragments(system)
-    starts, ends = sorted(set(frags[0])), sorted(set(frags[1]))
-    if not frags[3] or len(starts) * len(ends) > necessary.MAX_FORCED_PAIRS:
+    windows = system.windows
+    spans = windows.spans()
+    fs, fe, fj = windows.fragments()
+    starts, ends = necessary._distinct(fs, T), necessary._distinct(fe, T)
+    if not len(fs) or len(starts) * len(ends) > necessary.MAX_FORCED_PAIRS:
         forced = None
     else:
-        forced = (*frags, starts, ends, m)
+        forced = (fs, fe, fj, windows.wcet, windows.deadline, starts, ends, m)
     return spans, T, m, forced
 
 
-def _demand_obs(inputs, enclosed, min_procs, forced_witness):
+def _as_lists(inputs):
+    """The same arguments as plain lists, for the pure-Python references."""
+    spans, T, m, forced = inputs
+    if forced is not None:
+        forced = tuple(
+            x.tolist() if hasattr(x, "tolist") else x for x in forced
+        )
+    return spans.tolist(), T, m, forced
+
+
+def _demand_obs(inputs, enclosed, min_procs, first_pair, forced_witness):
     spans, T, m, forced = inputs
     cells = necessary.MAX_TABLE_CELLS
     return (
         enclosed(spans, T, m, cells),
         min_procs(spans, T, cells),
+        first_pair(spans, m),
         None if forced is None else forced_witness(*forced),
     )
 
@@ -138,10 +152,12 @@ def _demand_obs(inputs, enclosed, min_procs, forced_witness):
 def _bench_demand(count: int) -> dict:
     """Interval-load kernels: numpy vs the pure-Python references."""
     cases = [_demand_inputs(s, m) for s, m in _systems(count)]
+    listed = [_as_lists(c) for c in cases]
     t0 = time.perf_counter()
     with_np = [
         _demand_obs(c, demand.enclosed_excess_witness,
                     demand.interval_min_processors,
+                    demand.first_excess_pair,
                     demand.forced_demand_witness)
         for c in cases
     ]
@@ -150,8 +166,9 @@ def _bench_demand(count: int) -> dict:
     reference = [
         _demand_obs(c, demand._enclosed_excess_witness_reference,
                     demand._interval_min_processors_reference,
+                    demand._first_excess_pair_reference,
                     demand._forced_demand_witness_reference)
-        for c in cases
+        for c in listed
     ]
     scalar_s = time.perf_counter() - t0
     assert with_np == reference, "demand kernel diverged from its reference"

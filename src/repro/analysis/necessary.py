@@ -12,7 +12,8 @@ proof of infeasibility when it fires and an abstention otherwise:
   at most one execution unit per slot on identical processors);
 * ``necessary:interval-load`` — some scan interval ``[a, b]`` wholly
   contains job windows demanding more than ``m (b - a + 1)`` units
-  (computed for *all* slot pairs at once via a 2-D prefix-sum table);
+  (computed for *all* slot pairs by one rolling sweep over the
+  system's window arrays, :attr:`TaskSystem.windows`);
 * ``necessary:forced-demand`` — the partial-overlap strengthening: a job
   whose window merely *overlaps* ``[a, b]`` is still forced to execute at
   least ``C - |window \\ [a, b]|`` units inside it, so summing those
@@ -23,7 +24,7 @@ them there) and operate on constrained-deadline systems —
 arbitrary-deadline systems are cloned first, which is exactly
 feasibility-preserving (paper Section VI-B).
 
-The same interval table yields :func:`processor_lower_bound`: the
+The same sweep yields :func:`processor_lower_bound`: the
 smallest ``m`` not excluded by any interval-load argument, which is at
 least ``ceil(U)`` and often strictly better — ``find_min_processors``
 starts there instead of searching counts that are provably too small.
@@ -34,9 +35,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from repro.analysis.certificates import Certificate
 from repro.kernels import demand as demand_kernel
-from repro.model import intervals
 from repro.model.system import TaskSystem
 from repro.model.transform import clone_for_arbitrary_deadlines
 
@@ -52,8 +54,9 @@ __all__ = [
     "demand_over_capacity_witness",
 ]
 
-#: default cap on the interval table size (slots squared); hyperperiods
-#: past ``sqrt(4M) = 2000`` slots make the test abstain rather than churn
+#: default cap on the slot pairs the all-pairs sweep covers (slots
+#: squared); hyperperiods past ``sqrt(4M) = 2000`` slots fall back to the
+#: candidate-pair enumeration or abstain rather than churn
 MAX_TABLE_CELLS = 4_000_000
 
 #: default cap on candidate (start, end) pairs for the forced-demand scan
@@ -132,54 +135,12 @@ def wcet_slack_certificate(system: TaskSystem, m: int) -> Certificate:
 # interval load (enclosed windows, all slot pairs at once)
 # ---------------------------------------------------------------------------
 
-def _window_spans(system: TaskSystem) -> list[tuple[int, int, int]]:
-    """(start, end, wcet) scan-order spans of every non-wrapped window.
-
-    A window wrapping past ``T - 1`` never lies wholly inside a linear
-    scan interval, so wrapped windows are skipped here (the global
-    total-demand check still accounts for them).
-    """
-    spans = []
-    T = system.hyperperiod
-    for i, task in enumerate(system):
-        if task.wcet == 0:
-            continue
-        for job in range(system.n_jobs(i)):
-            r = intervals.job_release(task, job)
-            end = r + task.deadline - 1
-            if end < T:
-                spans.append((r, end, task.wcet))
-    return spans
-
-
-def _enclosed_witness_pairs(
-    system: TaskSystem, m: int, max_pairs: int
-) -> "tuple[int, int, int] | None":
-    """Pair-enumeration fallback for hyperperiods too large to table.
-
-    Enumerates (window start, window end) candidate pairs — where the
-    enclosed-demand bound is tight — accumulating demand per start with
-    a sorted sweep; returns the first violated pair.  Assumes the caller
-    already verified ``len(starts) * len(ends) <= max_pairs``.
-    """
-    spans = _window_spans(system)
-    starts = sorted({s for s, _, _ in spans})
-    ends = sorted({e for _, e, _ in spans})
-    if len(starts) * len(ends) > max_pairs:
-        return None
-    for a in starts:
-        inside = sorted((e, c) for s, e, c in spans if s >= a)
-        demand = 0
-        k = 0
-        for b in ends:
-            if b < a:
-                continue
-            while k < len(inside) and inside[k][0] <= b:
-                demand += inside[k][1]
-                k += 1
-            if demand > m * (b - a + 1):
-                return (a, b, demand)
-    return None
+def _distinct(slots: np.ndarray, T: int) -> np.ndarray:
+    """The distinct values of ``slots`` (all in ``0 .. T-1``), ascending,
+    in ``O(T + len(slots))``."""
+    seen = np.zeros(T, dtype=bool)
+    seen[slots] = True
+    return np.flatnonzero(seen)
 
 
 def _enclosed_over_capacity(
@@ -190,24 +151,26 @@ def _enclosed_over_capacity(
     ``witness`` is ``(a, b, demand)`` of an over-demanded interval (the
     full-cycle total-demand check, wrapped windows included, comes
     first); ``checked`` is False when *both* strategies — the all-pairs
-    prefix-sum table (``T^2 <= max_cells``) and the candidate-pair
-    enumeration (``starts x ends <= max_pairs``) — were over budget, so
-    the caller must abstain rather than conclude "no violation".
+    sweep (``T^2 <= max_cells``) and the candidate-pair enumeration
+    (``starts x ends <= max_pairs``) — were over budget, so the caller
+    must abstain rather than conclude "no violation".
+
+    Only non-wrapped windows enter the scans: a window wrapping past
+    ``T - 1`` never lies wholly inside a linear scan interval.
     """
     T = system.hyperperiod
     total = system.total_demand()
     if total > m * T:
         return (0, T - 1, total), True
-    spans = _window_spans(system)
+    spans = system.windows.spans()
     witness, tabled = demand_kernel.enclosed_excess_witness(
         spans, T, m, max_cells=max_cells
     )
     if not tabled:
-        starts = {s for s, _, _ in spans}
-        ends = {e for _, e, _ in spans}
-        if len(starts) * len(ends) > max_pairs:
+        pairs = len(_distinct(spans[:, 0], T)) * len(_distinct(spans[:, 1], T))
+        if pairs > max_pairs:
             return None, False
-        return _enclosed_witness_pairs(system, m, max_pairs), True
+        return demand_kernel.first_excess_pair(spans, m), True
     return witness, True
 
 
@@ -217,8 +180,8 @@ def demand_over_capacity_witness(
     """A scan interval ``[a, b]`` whose enclosed demand exceeds ``m`` slots
     of capacity, or None.
 
-    Small hyperperiods are checked for *every* slot pair via the
-    prefix-sum table; larger ones fall back to enumerating (window
+    Small hyperperiods are checked for *every* slot pair by the
+    all-pairs sweep; larger ones fall back to enumerating (window
     start, window end) candidate pairs — where the bound is tight — up
     to ``max_pairs``, past which the check degrades to the
     full-hyperperiod test only (equivalent to ``U <= m``).
@@ -243,7 +206,7 @@ def interval_load_certificate(
     units must fall inside the window, hence inside any interval
     enclosing it; the full-cycle check (wrapped windows included) is the
     classical ``total demand <= m T``.  Abstains only when both the
-    table (``max_cells``) and pair-enumeration (``max_pairs``) budgets
+    all-pairs sweep (``max_cells``) and pair-enumeration (``max_pairs``) budgets
     are exceeded.
     """
     _check_m(m)
@@ -275,34 +238,6 @@ def interval_load_certificate(
 # forced demand (partial-overlap strengthening)
 # ---------------------------------------------------------------------------
 
-def _job_fragments(system: TaskSystem):
-    """Per job: linear window fragments plus wcet and window length.
-
-    Returns parallel lists ``(f_start, f_end, f_job)`` over fragments
-    (a wrapped window contributes two) and ``(wcet, wlen)`` over jobs,
-    ready for the overlap arithmetic in :mod:`repro.kernels.demand`.
-    """
-    T = system.hyperperiod
-    f_start, f_end, f_job = [], [], []
-    wcet, wlen = [], []
-    jid = 0
-    for i, task in enumerate(system):
-        if task.wcet == 0:
-            continue
-        for job in range(system.n_jobs(i)):
-            r = intervals.job_release(task, job)
-            end = r + task.deadline - 1
-            if end < T:
-                f_start.append(r), f_end.append(end), f_job.append(jid)
-            else:
-                f_start.append(r), f_end.append(T - 1), f_job.append(jid)
-                f_start.append(0), f_end.append(end - T), f_job.append(jid)
-            wcet.append(task.wcet)
-            wlen.append(task.deadline)
-            jid += 1
-    return f_start, f_end, f_job, wcet, wlen
-
-
 def forced_demand_certificate(
     system: TaskSystem, m: int, max_pairs: int = MAX_FORCED_PAIRS
 ) -> Certificate:
@@ -315,13 +250,14 @@ def forced_demand_certificate(
     """
     _check_m(m)
     system = _constrained(system)
-    fs, fe, fj, wc, wl = _job_fragments(system)
-    if len(wc) == 0:
+    windows = system.windows
+    if len(windows.wcet) == 0:
         return Certificate.abstain(
             "necessary:forced-demand", detail="no positive-wcet jobs"
         )
-    starts = sorted(set(fs))
-    ends = sorted(set(fe))
+    fs, fe, fj = windows.fragments()
+    starts = _distinct(fs, windows.hyperperiod)
+    ends = _distinct(fe, windows.hyperperiod)
     if len(starts) * len(ends) > max_pairs:
         return Certificate.abstain(
             "necessary:forced-demand",
@@ -329,7 +265,7 @@ def forced_demand_certificate(
             f"the pair budget {max_pairs}",
         )
     witness = demand_kernel.forced_demand_witness(
-        fs, fe, fj, wc, wl, starts, ends, m
+        fs, fe, fj, windows.wcet, windows.deadline, starts, ends, m
     )
     if witness is not None:
         a, b, demand = witness
@@ -390,7 +326,7 @@ def processor_lower_bound(
 ) -> int:
     """The smallest ``m`` no interval-load argument excludes.
 
-    At least ``max(1, ceil(U))``; the interval table sharpens it to
+    At least ``max(1, ceil(U))``; the all-pairs sweep sharpens it to
     ``max ceil(demand(a, b) / (b - a + 1))`` over all scan intervals
     (e.g. two synchronous ``D = 1`` jobs force ``m >= 2`` even at tiny
     utilization).  Every count below the returned value is *provably*
@@ -402,7 +338,7 @@ def processor_lower_bound(
     T = system.hyperperiod
     bound = max(bound, math.ceil(system.total_demand() / T))
     need = demand_kernel.interval_min_processors(
-        _window_spans(system), T, max_cells=max_cells
+        system.windows.spans(), T, max_cells=max_cells
     )
     if need is not None:
         bound = max(bound, need)

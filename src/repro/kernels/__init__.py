@@ -1,4 +1,4 @@
-"""Hot-path kernels: batched counting rows, block stepping, demand tables.
+"""Hot-path kernels: batched counting rows, block stepping, demand sweeps.
 
 This package is a *leaf*: it imports nothing from :mod:`repro.csp`,
 :mod:`repro.baselines` or :mod:`repro.analysis`, so any layer can call
@@ -12,8 +12,8 @@ measured faster:
 * :mod:`repro.kernels.simulate` — the block-stepping simulator, pure
   Python with a list-of-rows history (a numpy history buffer measured
   slower);
-* :mod:`repro.kernels.demand` — the all-pairs demand tables, numpy
-  prefix sums over thousands of slots per call, where vectorisation
+* :mod:`repro.kernels.demand` — the all-pairs demand sweeps, numpy
+  prefix sums over thousands of slots per row, where vectorisation
   wins outright.
 
 numpy is a declared dependency of the package, so nothing here is gated

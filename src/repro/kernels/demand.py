@@ -1,63 +1,106 @@
-"""Interval-load demand kernels: all-slot-pairs tables and forced loads.
+"""Interval-load demand kernels: all-slot-pairs sweeps and forced loads.
 
 The necessary-condition tests (:mod:`repro.analysis.necessary`) reason
 about the demand enclosed in — or forced into — every scan interval
 ``[a, b]`` of a hyperperiod.  This module hosts the array arithmetic:
 
-* :func:`enclosed_excess_witness` — the all-pairs enclosed-demand table
-  ``D[a, b]`` (one 2-D prefix sum over a (start, end) histogram) minus
-  capacity ``m (b - a + 1)``, reporting the row-major-first maximal
-  excess when positive;
-* :func:`interval_min_processors` — the same table's
+* :func:`enclosed_excess_witness` — the enclosed demand ``D[a, b]`` of
+  every slot pair minus capacity ``m (b - a + 1)``, reporting the
+  row-major-first maximal excess when positive;
+* :func:`interval_min_processors` — the same demand's
   ``max ceil(D[a, b] / (b - a + 1))``, the processor-count lower bound;
+* :func:`first_excess_pair` — the first over-demanded (start, end)
+  pair in row-major order, the interval-load fallback past the
+  all-pairs budget;
 * :func:`forced_demand_witness` — the partial-overlap strengthening:
   per candidate interval, every job is forced to run
   ``max(0, C - |window outside [a, b]|)`` units inside it.
 
-Each function runs on numpy (``np.cumsum`` prefix sums, vectorised
-overlap clips).  Each also has a private pure-Python reference
-(``_*_reference``) that tests and ``benchmarks/bench_kernels.py`` call
-directly; production code never selects it.  The references trade the
-``O(T^2)`` table for an ``O(T)``-memory rolling row sweep but return
-**identical** results — including the numpy path's
-first-occurrence-in-row-major tie-break for the witness interval, which
-the parity suite pins.
+The first three share one rolling row sweep (:func:`_rows_desc`) over
+the distinct window starts in descending order: adding the windows
+that start at ``a`` to a histogram over the distinct window ends
+(``np.add.at``) and taking its prefix sum yields row ``a`` of the
+demand table, restricted to window ends.  Only those rows and columns
+can hold a maximum: shrinking an interval to its first enclosed start
+and last enclosed end keeps its demand and shortens it.  Memory is
+``O(T)`` — one row at a time, never the ``T x T`` table.
 
-This module is a leaf: inputs are plain sequences of ints, not model
-objects.
+Each sweep also has a private pure-Python reference (``_*_reference``)
+over every slot pair; tests and ``benchmarks/bench_kernels.py`` call the
+references directly, production code never does.  The sweeps return
+**identical** results — including the first-occurrence-in-row-major
+tie-break for the witness interval, which the parity suite pins.
+
+This module is a leaf: inputs are plain sequences or arrays of ints,
+not model objects.  A span is one window's ``(start, end, wcet)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "enclosed_excess_witness",
     "interval_min_processors",
+    "first_excess_pair",
     "forced_demand_witness",
 ]
 
-Span = "tuple[int, int, int]"  # (start, end, wcet) of one job window
+
+def _rows_desc(spans) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(a, ends, row)`` for each distinct window start ``a``,
+    descending: ``ends`` are the distinct window ends ``>= a`` and
+    ``row[k]`` the demand of the windows wholly inside ``[a, ends[k]]``."""
+    start, end, wcet = np.asarray(spans, dtype=np.int64).reshape(-1, 3).T
+    ends, end_col = np.unique(end, return_inverse=True)
+    order = np.argsort(start, kind="stable")
+    starts, first = np.unique(start[order], return_index=True)
+    bounds = np.append(first, len(order))
+    hist = np.zeros(len(ends), dtype=np.int64)  # over ends, starts >= a
+    for k in range(len(starts) - 1, -1, -1):
+        group = order[bounds[k]:bounds[k + 1]]
+        np.add.at(hist, end_col[group], wcet[group])
+        a = int(starts[k])
+        lo = int(np.searchsorted(ends, a))  # every window here ends >= a
+        yield a, ends[lo:], np.cumsum(hist[lo:])
 
 
-def _demand_table(spans, T: int):
-    """``D[a, b]`` = total demand of windows wholly inside ``[a, b]``."""
-    hist = np.zeros((T, T), dtype=np.int64)
-    for s, e, c in spans:
-        hist[s, e] += c
-    # suffix-sum over starts (s >= a), prefix-sum over ends (e <= b)
-    table = np.flip(np.cumsum(np.flip(hist, axis=0), axis=0), axis=0)
-    np.cumsum(table, axis=1, out=table)
-    return table
+def enclosed_excess_witness(
+    spans: Sequence[tuple],
+    T: int,
+    m: int,
+    max_cells: int,
+) -> "tuple[tuple[int, int, int] | None, bool]":
+    """The all-pairs enclosed-demand check: ``(witness, tabled)``.
+
+    ``witness`` is ``(a, b, demand)`` for the interval of *maximal*
+    excess ``D[a, b] - m (b - a + 1)`` when that excess is positive
+    (ties broken by the first row-major ``(a, b)``); None when no
+    interval is over capacity.  ``tabled`` is False when
+    ``T^2 > max_cells`` — the scan was skipped entirely and the caller
+    must fall back to pair enumeration or abstain.
+    """
+    if T * T > max_cells:
+        return None, False
+    best = None  # (excess, a, b, demand)
+    for a, ends, row in _rows_desc(spans):
+        excess = row - m * (ends - a + 1)
+        k = int(np.argmax(excess))
+        # rows come in descending a: on a tie the smaller a wins
+        if best is None or excess[k] >= best[0]:
+            best = (int(excess[k]), a, int(ends[k]), int(row[k]))
+    if best is not None and best[0] > 0:
+        return best[1:], True
+    return None, True
 
 
 def _iter_rows_desc(spans, T: int):
     """Yield ``(a, row)`` for ``a = T-1 .. 0``, where ``row[b]`` is the
-    enclosed demand ``D[a, b]`` — O(T) memory via a rolling histogram."""
+    enclosed demand ``D[a, b]`` — every slot, pure Python."""
     by_start: list[list[tuple[int, int]]] = [[] for _ in range(T)]
-    for s, e, c in spans:
+    for s, e, c in np.asarray(spans, dtype=np.int64).reshape(-1, 3).tolist():
         by_start[s].append((e, c))
     hist = [0] * T  # over ends, for windows with start >= a
     for a in range(T - 1, -1, -1):
@@ -71,42 +114,14 @@ def _iter_rows_desc(spans, T: int):
         yield a, row
 
 
-def enclosed_excess_witness(
-    spans: Sequence[tuple],
-    T: int,
-    m: int,
-    max_cells: int,
-) -> "tuple[tuple[int, int, int] | None, bool]":
-    """The all-pairs enclosed-demand check: ``(witness, tabled)``.
-
-    ``witness`` is ``(a, b, demand)`` for the interval of *maximal*
-    excess ``D[a, b] - m (b - a + 1)`` when that excess is positive
-    (ties broken by the first row-major ``(a, b)``, matching
-    ``np.argmax`` over the flattened table); None when no interval is
-    over capacity.  ``tabled`` is False when ``T^2 > max_cells`` — the
-    scan was skipped entirely and the caller must fall back to pair
-    enumeration or abstain.
-    """
-    if T * T > max_cells:
-        return None, False
-    table = _demand_table(spans, T)
-    lengths = np.arange(T)[None, :] - np.arange(T)[:, None] + 1
-    excess = np.where(lengths > 0, table - m * lengths, np.int64(-1))
-    flat = int(np.argmax(excess))
-    a, b = divmod(flat, T)
-    if excess[a, b] > 0:
-        return (int(a), int(b), int(table[a, b])), True
-    return None, True
-
-
 def _enclosed_excess_witness_reference(
     spans: Sequence[tuple], T: int, m: int, max_cells: int
 ) -> "tuple[tuple[int, int, int] | None, bool]":
     """Pure-Python :func:`enclosed_excess_witness` (parity oracle)."""
     if T * T > max_cells:
         return None, False
-    # rolling sweep: track the maximal excess and, among equal maxima,
-    # the smallest flat index a*T + b — np.argmax's first occurrence
+    # track the maximal excess and, among equal maxima, the smallest
+    # flat index a*T + b — the first occurrence in row-major order
     best = None
     best_flat = -1
     best_demand = 0
@@ -136,11 +151,10 @@ def interval_min_processors(
     interval-load processor lower bound; None when over ``max_cells``."""
     if T * T > max_cells or T == 0:
         return None
-    table = _demand_table(spans, T)
-    lengths = np.arange(T)[None, :] - np.arange(T)[:, None] + 1
-    valid = lengths > 0
-    need = -(-table[valid] // lengths[valid])  # ceil division
-    return int(need.max()) if need.size else None
+    best = 0
+    for a, ends, row in _rows_desc(spans):
+        best = max(best, int((-(-row // (ends - a + 1))).max()))
+    return best
 
 
 def _interval_min_processors_reference(
@@ -156,6 +170,44 @@ def _interval_min_processors_reference(
             if need > best:
                 best = need
     return best
+
+
+def first_excess_pair(
+    spans: Sequence[tuple], m: int
+) -> "tuple[int, int, int] | None":
+    """The first (window start, window end) pair, in row-major order,
+    whose enclosed demand exceeds ``m`` slots of capacity, as
+    ``(a, b, demand)``; None when no such pair exists."""
+    found = None
+    for a, ends, row in _rows_desc(spans):
+        over = row > m * (ends - a + 1)
+        if over.any():
+            # rows come in descending a: the last one found comes first
+            k = int(np.argmax(over))
+            found = (a, int(ends[k]), int(row[k]))
+    return found
+
+
+def _first_excess_pair_reference(
+    spans: Sequence[tuple], m: int
+) -> "tuple[int, int, int] | None":
+    """Pure-Python :func:`first_excess_pair` (parity oracle)."""
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 3).tolist()
+    starts = sorted({s for s, _, _ in spans})
+    ends = sorted({e for _, e, _ in spans})
+    for a in starts:
+        inside = sorted((e, c) for s, e, c in spans if s >= a)
+        demand = 0
+        k = 0
+        for b in ends:
+            if b < a:
+                continue
+            while k < len(inside) and inside[k][0] <= b:
+                demand += inside[k][1]
+                k += 1
+            if demand > m * (b - a + 1):
+                return (a, b, demand)
+    return None
 
 
 def forced_demand_witness(

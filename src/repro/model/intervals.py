@@ -21,13 +21,25 @@ satisfies) a task's windows are pairwise disjoint, so each slot belongs to
 at most one window per task — :func:`active_job` exploits this to run in
 O(1) without materializing interval objects (Table IV instances would need
 ~10M of them otherwise).
+
+:class:`JobWindows` is the batch view for analyses that need every
+window at once: one set of numpy arrays per task system, built with one
+``np.arange`` per task.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
 from repro.model.task import Task
 
-__all__ = ["active_job", "job_release", "window_slots", "slots_after", "n_jobs"]
+__all__ = [
+    "active_job", "job_release", "window_slots", "slots_after", "n_jobs",
+    "JobWindows",
+]
 
 
 def n_jobs(task: Task, hyperperiod: int) -> int:
@@ -101,3 +113,65 @@ def slots_after(task: Task, hyperperiod: int, job: int, slot: int) -> int:
         if slot < tail_end:
             count += tail_end - slot
     return count
+
+
+@dataclass(frozen=True, eq=False)
+class JobWindows:
+    """Every window with work to place (``C_i > 0``) in one hyperperiod,
+    as parallel read-only int64 arrays in task-then-job order.
+
+    ``end`` is the last slot ``release + D_i - 1`` and may reach past
+    ``T - 1``: such a window wraps, its head ``[release, T - 1]`` and its
+    tail ``[0, end - T]`` lying at opposite ends of the scan.
+    """
+
+    hyperperiod: int
+    release: np.ndarray
+    end: np.ndarray
+    wcet: np.ndarray
+    deadline: np.ndarray
+
+    @classmethod
+    def of(cls, tasks: Sequence[Task], hyperperiod: int) -> "JobWindows":
+        """The windows of ``tasks`` over ``hyperperiod`` slots."""
+        busy = [t for t in tasks if t.wcet > 0]
+        releases = [
+            np.arange(t.phase, hyperperiod, t.period, dtype=np.int64)
+            for t in busy
+        ]
+        counts = [len(r) for r in releases]
+
+        def per_job(values) -> np.ndarray:
+            return np.repeat(np.asarray(values, dtype=np.int64), counts)
+
+        release = np.concatenate(releases) if releases else np.zeros(0, np.int64)
+        deadline = per_job([t.deadline for t in busy])
+        arrays = {
+            "release": release,
+            "end": release + deadline - 1,
+            "wcet": per_job([t.wcet for t in busy]),
+            "deadline": deadline,
+        }
+        for a in arrays.values():
+            a.flags.writeable = False
+        return cls(hyperperiod, **arrays)
+
+    def spans(self) -> np.ndarray:
+        """``(k, 3)`` rows ``(start, end, wcet)`` of the windows that do
+        not wrap — the only ones a linear scan interval can enclose."""
+        inside = self.end < self.hyperperiod
+        return np.column_stack(
+            (self.release[inside], self.end[inside], self.wcet[inside])
+        )
+
+    def fragments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, end, job)`` of every linear window piece: one per
+        window, plus the tail ``[0, end - T]`` of each wrapped one."""
+        T = self.hyperperiod
+        jobs = np.arange(len(self.release), dtype=np.int64)
+        wrapped = np.flatnonzero(self.end >= T)
+        return (
+            np.concatenate((self.release, np.zeros(len(wrapped), np.int64))),
+            np.concatenate((np.minimum(self.end, T - 1), self.end[wrapped] - T)),
+            np.concatenate((jobs, wrapped)),
+        )

@@ -25,7 +25,7 @@ class TaskSystem:
     1.9166666666666667
     """
 
-    __slots__ = ("_tasks", "_hyperperiod")
+    __slots__ = ("_tasks", "_hyperperiod", "_windows")
 
     def __init__(self, tasks: Iterable[Task]) -> None:
         tasks = list(tasks)
@@ -38,6 +38,11 @@ class TaskSystem:
             named.append(t if t.name is not None else t.with_name(f"tau{i + 1}"))
         self._tasks: tuple[Task, ...] = tuple(named)
         self._hyperperiod: int = lcm_all(t.period for t in self._tasks)
+        self._windows: intervals.JobWindows | None = None
+
+    def __reduce__(self):
+        # rebuilt from the tasks: the cached window arrays stay behind
+        return (TaskSystem, (self._tasks,))
 
     # -- construction helpers ----------------------------------------------
     @classmethod
@@ -138,6 +143,14 @@ class TaskSystem:
     def total_demand(self) -> int:
         """Total execution units to place per hyperperiod, ``sum_i (T/T_i) C_i``."""
         return sum(self.n_jobs(i) * t.wcet for i, t in enumerate(self._tasks))
+
+    @property
+    def windows(self) -> intervals.JobWindows:
+        """Every window with work in one hyperperiod, as numpy arrays
+        (built on first use, then shared: the system is immutable)."""
+        if self._windows is None:
+            self._windows = intervals.JobWindows.of(self._tasks, self._hyperperiod)
+        return self._windows
 
     def active_job(self, i: int, slot: int) -> int | None:
         """Job of task ``i`` whose window contains ``slot`` (None if idle)."""

@@ -34,10 +34,16 @@ idle rule is dropped (idling can beat running on a slow processor, so the
 exchange argument fails), and symmetry rule (13) applies within maximal
 groups of identical processors only.
 
-All per-slot state (active window, remaining slots) is computed in O(1)
-from the task parameters; remaining demands live in a sparse dict — so an
-n=256, T=360360 Table IV instance costs memory proportional to the slots
-actually *visited*, not to ``sum_i T/T_i`` windows.
+The set of active windows is stepped by release events.  Each slot
+carries the window *fragments* active at it, as ``(task, job key, wcet,
+fragment end, slots in later fragments)`` (a window wrapping past
+``T - 1`` is two fragments: its tail at the start of the scan, then its
+head).  The next slot's list is this one minus the fragments that ended,
+plus those released at the next slot, computed when the search first
+reaches it; "slots left" is one subtraction.  Slots and remaining
+demands (a sparse dict) are created only as the search visits them — so
+an n=256, T=360360 Table IV instance costs memory proportional to the
+slots actually *visited*, not to ``sum_i T/T_i`` windows.
 """
 
 from __future__ import annotations
@@ -57,15 +63,35 @@ from repro.util.timer import Deadline
 __all__ = ["Csp2DedicatedSolver"]
 
 
+class _Slot:
+    """The window fragments active at slot ``t``.
+
+    ``active`` holds ``(task, key, wcet, end, later)`` per fragment: the
+    window's demand key ``(task, job)``, the fragment's last slot and the
+    window's slots in later fragments, so the window has
+    ``end - t + 1 + later`` slots left at ``t``; ``keys`` maps each
+    active task to its key.  The next slot is built once, on first use.
+    """
+
+    __slots__ = ("t", "active", "keys", "following")
+
+    def __init__(self, t: int, active: list) -> None:
+        self.t = t
+        self.active = active
+        self.keys = {frag[0]: frag[1] for frag in active}
+        self.following: _Slot | None = None
+
+
 class _Frame:
     """One search node (a slot, or a (slot, processor) pair)."""
 
-    __slots__ = ("t", "j", "pos", "choices", "applied", "chosen")
+    __slots__ = ("t", "j", "pos", "slot", "choices", "applied", "chosen")
 
-    def __init__(self, t: int, j: int, pos: int, choices) -> None:
-        self.t = t
+    def __init__(self, slot: _Slot, j: int, pos: int, choices) -> None:
+        self.t = slot.t
         self.j = j          # actual processor id (general mode)
         self.pos = pos      # position in the processor visit order
+        self.slot = slot
         self.choices = choices
         self.applied: list | None = None  # undo log of the active choice
         self.chosen = None
@@ -121,6 +147,12 @@ class Csp2DedicatedSolver:
         self._period = [t.period for t in system]
         self._deadline = [t.deadline for t in system]
         self._wcet = [t.wcet for t in system]
+        #: tasks with work to place; windows of the others never matter
+        self._busy = [i for i in range(n) if self._wcet[i] > 0]
+        #: slot 0 of the stepped window fragments, and the release
+        #: calendar (slot -> tasks releasing there) of the slots not built
+        self._root: _Slot | None = None
+        self._calendar: dict[int, list[int]] = {}
         # heuristic rank: lower = try first
         order = task_order(system, heuristic)
         self._rank = [0] * n
@@ -151,29 +183,52 @@ class Csp2DedicatedSolver:
                 (int(eligible_count[i]), self._rank[i]) for i in range(n)
             ]
 
-    # -- O(1) window helpers ----------------------------------------------------
-    def _active_job(self, i: int, t: int) -> int | None:
-        delta = (t - self._phase[i]) % self._T
-        job, within = divmod(delta, self._period[i])
-        return job if within < self._deadline[i] else None
+    # -- window fragments, stepped by release events ----------------------------
+    def _first_slot(self) -> _Slot:
+        """Slot 0: the tails of the wrapped windows, then its releases.
 
-    def _slots_left(self, i: int, job: int, t: int) -> int:
-        """Scan-order window slots of (i, job) at position >= t (inclusive)."""
+        Built once per solver; every later slot hangs off it, so a slot
+        is built once however often the search comes back to it.
+        """
+        if self._root is None:
+            T = self._T
+            tails = []
+            for i in self._busy:
+                self._calendar.setdefault(self._phase[i], []).append(i)
+                last = T // self._period[i] - 1
+                release = self._phase[i] + last * self._period[i]
+                end = release + self._deadline[i] - 1
+                if end >= T:
+                    tails.append(
+                        (i, (i, last), self._wcet[i], end - T, T - release)
+                    )
+            self._root = _Slot(0, tails + self._released(0))
+        return self._root
+
+    def _released(self, t: int) -> list[tuple]:
+        """Fragments of the windows released at slot ``t`` (a window
+        wrapping past ``T - 1`` contributes its head); books each
+        releasing task's next release in the calendar."""
         T = self._T
-        r = self._phase[i] + job * self._period[i]
-        end = r + self._deadline[i] - 1
-        slot = t - 1  # count slots strictly after t-1
-        count = 0
-        if end < T:
-            if slot < end:
-                count = end - max(slot, r - 1)
-        else:
-            tail_end = end - T
-            if slot < T - 1:
-                count += (T - 1) - max(slot, r - 1)
-            if slot < tail_end:
-                count += tail_end - slot
-        return count
+        calendar = self._calendar
+        frags = []
+        for i in calendar.pop(t, ()):
+            period = self._period[i]
+            if t + period < T:
+                calendar.setdefault(t + period, []).append(i)
+            key = (i, (t - self._phase[i]) // period)
+            end = t + self._deadline[i] - 1
+            frags.append((i, key, self._wcet[i], end if end < T else T - 1, 0))
+        return frags
+
+    def _next_slot(self, slot: _Slot) -> _Slot:
+        """The slot after ``slot`` (built on the first visit, then kept)."""
+        nxt = slot.following
+        if nxt is None:
+            t = slot.t
+            active = [f for f in slot.active if f[3] > t]
+            nxt = slot.following = _Slot(t + 1, active + self._released(t + 1))
+        return nxt
 
     # -- public API -----------------------------------------------------------
     def solve(
@@ -204,19 +259,18 @@ class Csp2DedicatedSolver:
         return self._search_general(deadline, stats, node_limit, result)
 
     # -- identical platforms: one frame per slot, choices are task sets --------
-    def _slot_candidates(self, t: int, dem: dict) -> tuple[list[int], list[int]] | None:
-        """(required, optional) candidate tasks at slot ``t``; None = dead end."""
+    def _slot_candidates(
+        self, slot: _Slot, dem: dict
+    ) -> tuple[list[int], list[int]] | None:
+        """(required, optional) candidate tasks at ``slot``; None = dead end."""
         required: list[int] = []
         optional: list[int] = []
-        wcet = self._wcet
-        for i in range(self.system.n):
-            job = self._active_job(i, t)
-            if job is None:
-                continue
-            rem = dem.get((i, job), wcet[i])
+        t = slot.t
+        for i, key, wcet, end, later in slot.active:
+            rem = dem.get(key, wcet)
             if rem == 0:
                 continue
-            left = self._slots_left(i, job, t)  # includes slot t
+            left = end - t + 1 + later  # includes slot t
             if self.demand_pruning:
                 if rem > left:
                     return None
@@ -262,15 +316,15 @@ class Csp2DedicatedSolver:
         wcet = self._wcet
         total_rem = self.system.total_demand()
 
-        def expand(t: int) -> _Frame | None:
-            if self.energetic_pruning and total_rem > m * (T - t):
+        def expand(slot: _Slot) -> _Frame | None:
+            if self.energetic_pruning and total_rem > m * (T - slot.t):
                 return None
-            cands = self._slot_candidates(t, dem)
+            cands = self._slot_candidates(slot, dem)
             if cands is None:
                 return None
-            return _Frame(t, 0, 0, self._slot_choices(*cands))
+            return _Frame(slot, 0, 0, self._slot_choices(*cands))
 
-        root = expand(0)
+        root = expand(self._first_slot())
         if root is None:
             return result(Feasibility.INFEASIBLE)
         frames = [root]
@@ -297,19 +351,18 @@ class Csp2DedicatedSolver:
             if len(frames) > stats.max_depth:
                 stats.max_depth = len(frames)
             undo = []
+            keys = f.slot.keys
             for i in choice:
-                job = self._active_job(i, f.t)
-                key = (i, job)
+                key = keys[i]
                 rem = dem.get(key, wcet[i])
                 undo.append((key, rem))
                 dem[key] = rem - 1
             total_rem -= len(undo)
             f.applied = undo
             f.chosen = choice
-            t_next = f.t + 1
-            if t_next == T:
+            if f.t + 1 == T:
                 return result(Feasibility.FEASIBLE, self._build_identical(frames))
-            nxt = expand(t_next)
+            nxt = expand(self._next_slot(f.slot))
             if nxt is None:
                 stats.fails += 1
                 continue
@@ -335,23 +388,20 @@ class Csp2DedicatedSolver:
 
     # -- uniform/heterogeneous: one frame per (slot, processor) ----------------
     def _proc_candidates(
-        self, t: int, j: int, dem: dict, running: set[int], prev_val: int | None
+        self, slot: _Slot, j: int, dem: dict, running: set[int],
+        prev_val: int | None,
     ) -> list[int]:
-        """Ordered values for processor ``j`` at slot ``t`` (idle == n)."""
+        """Ordered values for processor ``j`` at ``slot`` (idle == n)."""
         n = self.system.n
-        wcet = self._wcet
         rates = self._rates
         cands = []
-        for i in range(n):
+        for i, key, wcet, _end, _later in slot.active:
             if i in running:
                 continue
             rate = int(rates[i, j])
             if rate == 0:
                 continue
-            job = self._active_job(i, t)
-            if job is None:
-                continue
-            rem = dem.get((i, job), wcet[i])
+            rem = dem.get(key, wcet)
             if rem == 0 or rate > rem:  # exactness: never overshoot
                 continue
             cands.append(i)
@@ -366,29 +416,17 @@ class Csp2DedicatedSolver:
         cands.append(n)  # idle, always tried last (no idle rule here)
         return cands
 
-    def _slot_entry_ok(self, t: int, dem: dict) -> bool:
-        """Pruning checks when the search reaches the start of slot ``t``."""
-        wcet = self._wcet
-        max_rate = self._max_rate
-        for i in range(self.system.n):
-            job = self._active_job(i, t)
-            # window that ended at t-1 must be exactly complete
-            if t > 0:
-                prev_job = self._active_job(i, t - 1)
-                if (
-                    prev_job is not None
-                    and self._slots_left(i, prev_job, t - 1) == 1
-                    and dem.get((i, prev_job), wcet[i]) != 0
-                ):
-                    return False
-            if job is None:
-                continue
-            rem = dem.get((i, job), wcet[i])
-            if rem == 0:
-                continue
-            if self.demand_pruning:
-                left = self._slots_left(i, job, t)
-                if rem > left * max_rate[i]:
+    def _slot_entry_ok(
+        self, slot: _Slot, prev: _Slot | None, dem: dict
+    ) -> bool:
+        """Pruning checks when the search reaches ``slot`` from ``prev``."""
+        if prev is not None and not self._ends_complete(prev, dem):
+            return False  # a window that ended at t-1 is incomplete
+        t = slot.t
+        if self.demand_pruning:
+            max_rate = self._max_rate
+            for i, key, wcet, end, later in slot.active:
+                if dem.get(key, wcet) > (end - t + 1 + later) * max_rate[i]:
                     return False
         return True
 
@@ -403,9 +441,12 @@ class Csp2DedicatedSolver:
         frames: list[_Frame] = []
         total_rem = self.system.total_demand()
 
-        def expand(t: int, pos: int) -> _Frame | None:
+        def expand(
+            slot: _Slot, pos: int, prev: _Slot | None = None
+        ) -> _Frame | None:
+            t = slot.t
             if pos == 0:
-                if not self._slot_entry_ok(t, dem):
+                if not self._slot_entry_ok(slot, prev, dem):
                     return None
                 if self.energetic_pruning and total_rem > self._slot_capacity * (T - t):
                     return None
@@ -419,10 +460,10 @@ class Csp2DedicatedSolver:
             prev_val: int | None = None
             if self.symmetry_breaking and pos > 0 and self._same_as_prev[j]:
                 prev_val = frames[-1].chosen
-            cands = self._proc_candidates(t, j, dem, running, prev_val)
-            return _Frame(t, j, pos, iter(cands))
+            cands = self._proc_candidates(slot, j, dem, running, prev_val)
+            return _Frame(slot, j, pos, iter(cands))
 
-        root = expand(0, 0)
+        root = expand(self._first_slot(), 0)
         if root is None:
             return result(Feasibility.INFEASIBLE)
         frames.append(root)
@@ -449,8 +490,7 @@ class Csp2DedicatedSolver:
             f.chosen = val
             f.applied = []
             if val < n:
-                job = self._active_job(val, f.t)
-                key = (val, job)
+                key = f.slot.keys[val]
                 rem = dem.get(key, wcet[val])
                 f.applied.append((key, rem))
                 rate = int(rates[val, f.j])
@@ -458,13 +498,13 @@ class Csp2DedicatedSolver:
                 total_rem -= rate
             # advance to the next processor, or the next slot
             if f.pos + 1 < m:
-                nxt = expand(f.t, f.pos + 1)
+                nxt = expand(f.slot, f.pos + 1)
             elif f.t + 1 < T:
-                nxt = expand(f.t + 1, 0)
+                nxt = expand(self._next_slot(f.slot), 0, f.slot)
             else:
                 # all slots assigned: windows ending at T-1 must be complete
                 # (earlier windows were checked at their own end slot)
-                if self._final_ok(dem):
+                if self._ends_complete(f.slot, dem):
                     return result(Feasibility.FEASIBLE, self._build_general(frames))
                 stats.fails += 1
                 continue
@@ -474,23 +514,18 @@ class Csp2DedicatedSolver:
             frames.append(nxt)
         return result(Feasibility.INFEASIBLE)
 
-    def _final_ok(self, dem: dict) -> bool:
-        """After slot T-1: every window ending at T-1 must be complete.
+    def _ends_complete(self, slot: _Slot, dem: dict) -> bool:
+        """Every window whose last slot is ``slot`` must be complete.
 
-        Windows ending earlier were checked at their end slot; combined
-        with per-window accounting this means all demand is met.
+        Checked as the search leaves each slot, and after slot T-1; with
+        per-window accounting this means all demand is met.
         """
-        wcet = self._wcet
-        t = self._T - 1
-        for i in range(self.system.n):
-            job = self._active_job(i, t)
-            if (
-                job is not None
-                and self._slots_left(i, job, t) == 1
-                and dem.get((i, job), wcet[i]) != 0
-            ):
-                return False
-        return True
+        t = slot.t
+        return all(
+            dem.get(key, wcet) == 0
+            for _i, key, wcet, end, later in slot.active
+            if end == t and later == 0
+        )
 
     def _build_general(self, frames: list[_Frame]) -> Schedule:
         n = self.system.n

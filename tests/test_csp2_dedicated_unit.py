@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import Platform, Task, TaskSystem, slots_after
+from repro.model import Platform, Task, TaskSystem, intervals, slots_after
 from repro.solvers.csp2_dedicated import Csp2DedicatedSolver
 
 from tests.helpers import running_example
@@ -14,32 +14,55 @@ def make_solver(system, m=2, **kw):
     return Csp2DedicatedSolver(system, Platform.identical(m), **kw)
 
 
+def slot_at(solver, t):
+    """The solver's slot ``t``, stepped from slot 0 by release events."""
+    slot = solver._first_slot()
+    while slot.t < t:
+        slot = solver._next_slot(slot)
+    return slot
+
+
 class TestWindowHelpers:
     @given(
         st.integers(0, 8),
         st.sampled_from([1, 2, 3, 4, 6]),
         st.integers(1, 6),
         st.integers(1, 4),
-        st.integers(0, 23),
     )
-    def test_slots_left_matches_intervals_module(self, o, t, d, mult, slot):
+    def test_stepped_fragments_match_intervals_module(self, o, t, d, mult):
+        """At every slot, the stepped fragments name each active job and
+        its slots left exactly as the per-slot formulas do."""
         d = min(d, t)
         task = Task(o % t, min(1, d), d, t)
-        system = TaskSystem([task])
+        other = Task(0, 1, 1, t * mult)  # stretches the hyperperiod
+        system = TaskSystem([task, other])
         solver = make_solver(system, m=1)
-        T = system.hyperperiod * 1  # the solver's own T
-        slot = slot % solver._T
-        for job in range(solver._T // t):
-            # solver counts slots >= t; intervals counts strictly > t
-            expected = slots_after(task, solver._T, job, slot - 1)
-            assert solver._slots_left(0, job, slot) == expected
+        T = solver._T
+        slot = solver._first_slot()
+        for slot_t in range(T):
+            assert slot.t == slot_t
+            frags = {f[0]: f for f in slot.active}
+            for i, tk in enumerate(system):
+                job = intervals.active_job(tk, T, slot_t)
+                if job is None:
+                    assert i not in frags
+                    continue
+                _, key, _, end, later = frags[i]
+                assert key == (i, job)
+                # stepped slots left include slot_t; slots_after excludes it
+                expected = slots_after(tk, T, job, slot_t - 1)
+                assert end - slot_t + 1 + later == expected
+            if slot_t + 1 < T:
+                slot = solver._next_slot(slot)
 
-    def test_active_job_consistency(self):
+    def test_stepped_keys_match_system(self):
         system = running_example()
         solver = make_solver(system)
-        for i in range(system.n):
-            for t in range(system.hyperperiod):
-                assert solver._active_job(i, t) == system.active_job(i, t)
+        for t in range(system.hyperperiod):
+            keys = slot_at(solver, t).keys
+            for i in range(system.n):
+                job = system.active_job(i, t)
+                assert keys.get(i) == (None if job is None else (i, job))
 
 
 class TestSlotCandidates:
@@ -47,7 +70,7 @@ class TestSlotCandidates:
         # tau3 = (0,2,2,3): C == D -> required at every window slot
         system = running_example()
         solver = make_solver(system)
-        required, optional = solver._slot_candidates(0, {})
+        required, optional = solver._slot_candidates(slot_at(solver, 0), {})
         assert required == [2]          # tau3 must run at slot 0
         assert 0 in optional            # tau1 has slack 1
         # tau2's *wrapped* third window [9..12] covers slot 0 (Figure 1),
@@ -58,10 +81,10 @@ class TestSlotCandidates:
         # give tau2 no wrap: O=1, D=3 < T=4 -> windows [1..3],[5..7],[9..11]
         system = TaskSystem.from_tuples([(0, 1, 2, 2), (1, 3, 3, 4)])
         solver = make_solver(system)
-        required, optional = solver._slot_candidates(0, {})
+        required, optional = solver._slot_candidates(slot_at(solver, 0), {})
         assert 1 not in required and 1 not in optional
         # required: tau2 has C == D, so inside its window it is forced
-        required1, _ = solver._slot_candidates(1, {})
+        required1, _ = solver._slot_candidates(slot_at(solver, 1), {})
         assert 1 in required1
 
     def test_dead_end_detected(self):
@@ -69,23 +92,23 @@ class TestSlotCandidates:
         system = TaskSystem.from_tuples([(0, 2, 2, 2)])
         solver = make_solver(system, m=1)
         # at slot 1 with untouched demand (2 units, 1 slot left)
-        assert solver._slot_candidates(1, {}) is None
+        assert solver._slot_candidates(slot_at(solver, 1), {}) is None
 
     def test_completed_tasks_skipped(self):
         system = running_example()
         solver = make_solver(system)
         dem = {(2, 0): 0}  # tau3's first window already complete
-        required, optional = solver._slot_candidates(0, dem)
+        required, optional = solver._slot_candidates(slot_at(solver, 0), dem)
         assert 2 not in required and 2 not in optional
 
     def test_without_demand_pruning_only_window_end(self):
         system = TaskSystem.from_tuples([(0, 2, 3, 3)])
         solver = make_solver(system, m=1, demand_pruning=False)
         # slot 0: 3 slots left, C=2: without pruning it's optional
-        required, optional = solver._slot_candidates(0, {})
+        required, optional = solver._slot_candidates(slot_at(solver, 0), {})
         assert required == [] and optional == [0]
         # slot 2 (last window slot), demand still 2 -> dead end even here
-        assert solver._slot_candidates(2, {}) is None
+        assert solver._slot_candidates(slot_at(solver, 2), {}) is None
 
 
 class TestSlotChoices:
@@ -188,7 +211,7 @@ class TestGeneralModeInternals:
         p = Platform.uniform([2, 1])
         solver = Csp2DedicatedSolver(s, p)
         j_fast = solver._proc_order.index(0)
-        cands = solver._proc_candidates(0, 0, {}, set(), None)
+        cands = solver._proc_candidates(slot_at(solver, 0), 0, {}, set(), None)
         assert 0 not in cands[:-1]  # only idle available on the fast proc
-        cands_slow = solver._proc_candidates(0, 1, {}, set(), None)
+        cands_slow = solver._proc_candidates(slot_at(solver, 0), 1, {}, set(), None)
         assert 0 in cands_slow

@@ -133,6 +133,7 @@ class TestSimulatorParity:
 _DEMAND_REFERENCES = {
     "enclosed_excess_witness": demand_kernel._enclosed_excess_witness_reference,
     "interval_min_processors": demand_kernel._interval_min_processors_reference,
+    "first_excess_pair": demand_kernel._first_excess_pair_reference,
     "forced_demand_witness": demand_kernel._forced_demand_witness_reference,
 }
 
@@ -179,6 +180,49 @@ class TestDemandParity:
         assert demand_kernel.interval_min_processors(
             spans, T, 10_000
         ) == demand_kernel._interval_min_processors_reference(spans, T, 10_000)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        T=st.integers(1, 60),
+        raw=st.lists(
+            st.tuples(st.integers(0, 59), st.integers(0, 59),
+                      st.integers(1, 5)),
+            max_size=20,
+        ),
+        m=st.integers(1, 4),
+    )
+    def test_rolling_sweeps_match_references(self, T, raw, m):
+        """Every sweep equals its every-slot-pair reference, T <= 60."""
+        spans = [(min(s, e) % T, max(s, e) % T, c) for s, e, c in raw]
+        spans = [(s, e, c) for s, e, c in spans if s <= e]
+        for kernel, reference, args in [
+            ("enclosed_excess_witness", "_enclosed_excess_witness_reference",
+             (spans, T, m, 10_000)),
+            ("interval_min_processors", "_interval_min_processors_reference",
+             (spans, T, 10_000)),
+            ("first_excess_pair", "_first_excess_pair_reference",
+             (spans, m)),
+        ]:
+            got = getattr(demand_kernel, kernel)(*args)
+            assert got == getattr(demand_kernel, reference)(*args), kernel
+
+    @pytest.mark.parametrize("spans,m,witness", [
+        # equal excess 1 in rows 3 and 7: the smaller start wins
+        ([(3, 3, 2), (7, 7, 2)], 1, (3, 3, 2)),
+        # equal excess 1 at (2, 2) and (2, 4) in one row: the smaller end
+        ([(2, 2, 2), (2, 4, 2)], 1, (2, 2, 2)),
+        # the later row holds the strict maximum: it wins over row 0
+        ([(0, 0, 2), (5, 6, 5)], 1, (5, 6, 5)),
+        # excess 0 everywhere at best: no witness
+        ([(1, 2, 2), (4, 4, 1)], 1, None),
+    ])
+    def test_ties_keep_the_row_major_first(self, spans, m, witness):
+        T = 10
+        got = demand_kernel.enclosed_excess_witness(spans, T, m, 10_000)
+        assert got == (witness, True)
+        assert got == demand_kernel._enclosed_excess_witness_reference(
+            spans, T, m, 10_000
+        )
 
 
 # ---------------------------------------------------------------------------
