@@ -16,14 +16,15 @@ about the demand enclosed in — or forced into — every scan interval
   per candidate interval, every job is forced to run
   ``max(0, C - |window outside [a, b]|)`` units inside it.
 
-The first three share one rolling row sweep (:func:`_rows_desc`) over
-the distinct window starts in descending order: adding the windows
-that start at ``a`` to a histogram over the distinct window ends
-(``np.add.at``) and taking its prefix sum yields row ``a`` of the
-demand table, restricted to window ends.  Only those rows and columns
-can hold a maximum: shrinking an interval to its first enclosed start
-and last enclosed end keeps its demand and shortens it.  Memory is
-``O(T)`` — one row at a time, never the ``T x T`` table.
+The first three share one rolling sweep (:func:`_row_blocks`) over the
+rows of the demand table, restricted to the distinct window starts and
+ends: only those rows and columns can hold a maximum, because shrinking
+an interval to its first enclosed start and last enclosed end keeps its
+demand and shortens it.  Rows come in blocks, in descending order of
+start: a block's (start, end) histogram (``np.add.at``), summed over
+later starts and then over ends, is its rows.  A block holds at most
+:data:`_BLOCK_CELLS` cells, or one row: memory is ``O(T)``, never the
+``T x T`` table, while a small system takes one vectorised step.
 
 Each sweep also has a private pure-Python reference (``_*_reference``)
 over every slot pair; tests and ``benchmarks/bench_kernels.py`` call the
@@ -49,22 +50,41 @@ __all__ = [
 ]
 
 
-def _rows_desc(spans) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(a, ends, row)`` for each distinct window start ``a``,
-    descending: ``ends`` are the distinct window ends ``>= a`` and
-    ``row[k]`` the demand of the windows wholly inside ``[a, ends[k]]``."""
+#: the excess of a cell that is no interval (its end precedes its start)
+_NO_INTERVAL = np.iinfo(np.int64).min
+
+#: demand-table cells one block of the sweep holds (at least one row)
+_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(spans) -> Iterator[tuple]:
+    """Yield ``(a, ends, lengths, rows)`` for blocks of the distinct
+    window starts, blocks in descending order: ``a`` are the block's
+    starts (ascending), ``ends`` every distinct window end,
+    ``rows[k, j]`` the demand of the windows wholly inside
+    ``[a[k], ends[j]]`` and ``lengths[k, j] = ends[j] - a[k] + 1``
+    (``<= 0`` where the end precedes the start: no interval)."""
     start, end, wcet = np.asarray(spans, dtype=np.int64).reshape(-1, 3).T
+    starts, start_row = np.unique(start, return_inverse=True)
     ends, end_col = np.unique(end, return_inverse=True)
-    order = np.argsort(start, kind="stable")
-    starts, first = np.unique(start[order], return_index=True)
-    bounds = np.append(first, len(order))
-    hist = np.zeros(len(ends), dtype=np.int64)  # over ends, starts >= a
-    for k in range(len(starts) - 1, -1, -1):
-        group = order[bounds[k]:bounds[k + 1]]
-        np.add.at(hist, end_col[group], wcet[group])
-        a = int(starts[k])
-        lo = int(np.searchsorted(ends, a))  # every window here ends >= a
-        yield a, ends[lo:], np.cumsum(hist[lo:])
+    order = np.argsort(start_row, kind="stable")
+    start_row, end_col, wcet = start_row[order], end_col[order], wcet[order]
+    step = max(1, _BLOCK_CELLS // max(1, len(ends)))
+    later = np.zeros(len(ends), dtype=np.int64)  # by end, starts past block
+    for hi in range(len(starts), 0, -step):
+        lo = max(0, hi - step)
+        first, past = np.searchsorted(start_row, (lo, hi))
+        hist = np.zeros((hi - lo, len(ends)), dtype=np.int64)
+        np.add.at(
+            hist, (start_row[first:past] - lo, end_col[first:past]),
+            wcet[first:past],
+        )
+        # suffix sum over starts (start >= a), then prefix sum over ends
+        rows = np.cumsum(hist[::-1], axis=0)[::-1] + later
+        later = rows[0].copy()
+        np.cumsum(rows, axis=1, out=rows)
+        a = starts[lo:hi]
+        yield a, ends, ends[None, :] - a[:, None] + 1, rows
 
 
 def enclosed_excess_witness(
@@ -85,12 +105,12 @@ def enclosed_excess_witness(
     if T * T > max_cells:
         return None, False
     best = None  # (excess, a, b, demand)
-    for a, ends, row in _rows_desc(spans):
-        excess = row - m * (ends - a + 1)
-        k = int(np.argmax(excess))
-        # rows come in descending a: on a tie the smaller a wins
-        if best is None or excess[k] >= best[0]:
-            best = (int(excess[k]), a, int(ends[k]), int(row[k]))
+    for a, ends, lengths, rows in _row_blocks(spans):
+        excess = np.where(lengths > 0, rows - m * lengths, _NO_INTERVAL)
+        k, j = np.unravel_index(np.argmax(excess), excess.shape)
+        # blocks come in descending a: on a tie the smaller a wins
+        if best is None or excess[k, j] >= best[0]:
+            best = (int(excess[k, j]), int(a[k]), int(ends[j]), int(rows[k, j]))
     if best is not None and best[0] > 0:
         return best[1:], True
     return None, True
@@ -152,8 +172,9 @@ def interval_min_processors(
     if T * T > max_cells or T == 0:
         return None
     best = 0
-    for a, ends, row in _rows_desc(spans):
-        best = max(best, int((-(-row // (ends - a + 1))).max()))
+    for _a, _ends, lengths, rows in _row_blocks(spans):
+        need = -(-rows // np.maximum(lengths, 1))  # 0 where no interval
+        best = max(best, int(need.max()))
     return best
 
 
@@ -179,12 +200,12 @@ def first_excess_pair(
     whose enclosed demand exceeds ``m`` slots of capacity, as
     ``(a, b, demand)``; None when no such pair exists."""
     found = None
-    for a, ends, row in _rows_desc(spans):
-        over = row > m * (ends - a + 1)
+    for a, ends, lengths, rows in _row_blocks(spans):
+        over = (lengths > 0) & (rows > m * lengths)
         if over.any():
-            # rows come in descending a: the last one found comes first
-            k = int(np.argmax(over))
-            found = (a, int(ends[k]), int(row[k]))
+            # blocks come in descending a: the last one found comes first
+            k, j = np.unravel_index(np.argmax(over), over.shape)
+            found = (int(a[k]), int(ends[j]), int(rows[k, j]))
     return found
 
 

@@ -16,6 +16,7 @@ same engine status/nodes/fails on the pinned regression grid, same
 counting-row aggregates.
 """
 
+import itertools
 import random
 
 import pytest
@@ -192,19 +193,35 @@ class TestDemandParity:
         m=st.integers(1, 4),
     )
     def test_rolling_sweeps_match_references(self, T, raw, m):
-        """Every sweep equals its every-slot-pair reference, T <= 60."""
+        """Every sweep equals its every-slot-pair reference, T <= 60,
+        in one block, in blocks of a few rows and in one row per block."""
         spans = [(min(s, e) % T, max(s, e) % T, c) for s, e, c in raw]
         spans = [(s, e, c) for s, e, c in spans if s <= e]
-        for kernel, reference, args in [
+        for block, (kernel, reference, args) in itertools.product(
+            (1, 40, demand_kernel._BLOCK_CELLS), [
             ("enclosed_excess_witness", "_enclosed_excess_witness_reference",
              (spans, T, m, 10_000)),
             ("interval_min_processors", "_interval_min_processors_reference",
              (spans, T, 10_000)),
             ("first_excess_pair", "_first_excess_pair_reference",
              (spans, m)),
-        ]:
-            got = getattr(demand_kernel, kernel)(*args)
+        ]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(demand_kernel, "_BLOCK_CELLS", block)
+                got = getattr(demand_kernel, kernel)(*args)
             assert got == getattr(demand_kernel, reference)(*args), kernel
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 16])
+    def test_blocks_carry_the_later_windows(self, block, monkeypatch):
+        """Nested windows: each row's demand includes every window that
+        starts later, whichever block that start fell in."""
+        monkeypatch.setattr(demand_kernel, "_BLOCK_CELLS", block)
+        spans = [(a, 9, 5) for a in range(6)]
+        assert demand_kernel.enclosed_excess_witness(
+            spans, 10, 2, 10_000
+        ) == ((0, 9, 30), True)
+        assert demand_kernel.interval_min_processors(spans, 10, 10_000) == 3
+        assert demand_kernel.first_excess_pair(spans, 2) == (0, 9, 30)
 
     @pytest.mark.parametrize("spans,m,witness", [
         # equal excess 1 in rows 3 and 7: the smaller start wins
@@ -216,7 +233,12 @@ class TestDemandParity:
         # excess 0 everywhere at best: no witness
         ([(1, 2, 2), (4, 4, 1)], 1, None),
     ])
-    def test_ties_keep_the_row_major_first(self, spans, m, witness):
+    @pytest.mark.parametrize("block", [1, 4, 1 << 16])
+    def test_ties_keep_the_row_major_first(
+        self, spans, m, witness, block, monkeypatch
+    ):
+        """Within a block and across blocks (one row each, or a few)."""
+        monkeypatch.setattr(demand_kernel, "_BLOCK_CELLS", block)
         T = 10
         got = demand_kernel.enclosed_excess_witness(spans, T, m, 10_000)
         assert got == (witness, True)
