@@ -69,16 +69,19 @@ class _Slot:
     ``active`` holds ``(task, key, wcet, end, later)`` per fragment: the
     window's demand key ``(task, job)``, the fragment's last slot and the
     window's slots in later fragments, so the window has
-    ``end - t + 1 + later`` slots left at ``t``; ``keys`` maps each
-    active task to its key.  The next slot is built once, on first use.
+    ``end - t + 1 + later`` slots left at ``t``.  ``keys[i]`` is the key
+    of task ``i``'s latest window, right for every active task.  Both are
+    tuples of ints, which the cyclic GC stops tracking: the slots a long
+    search keeps cost it nothing.  The next slot is built once, on first
+    use.
     """
 
     __slots__ = ("t", "active", "keys", "following")
 
-    def __init__(self, t: int, active: list) -> None:
+    def __init__(self, t: int, active: tuple, keys: tuple) -> None:
         self.t = t
         self.active = active
-        self.keys = {frag[0]: frag[1] for frag in active}
+        self.keys = keys
         self.following: _Slot | None = None
 
 
@@ -202,7 +205,11 @@ class Csp2DedicatedSolver:
                     tails.append(
                         (i, (i, last), self._wcet[i], end - T, T - release)
                     )
-            self._root = _Slot(0, tails + self._released(0))
+            active = tuple(tails + self._released(0))
+            keys = [None] * self.system.n
+            for frag in active:
+                keys[frag[0]] = frag[1]
+            self._root = _Slot(0, active, tuple(keys))
         return self._root
 
     def _released(self, t: int) -> list[tuple]:
@@ -226,8 +233,15 @@ class Csp2DedicatedSolver:
         nxt = slot.following
         if nxt is None:
             t = slot.t
-            active = [f for f in slot.active if f[3] > t]
-            nxt = slot.following = _Slot(t + 1, active + self._released(t + 1))
+            released = self._released(t + 1)
+            keys = slot.keys
+            if released:
+                keys = list(keys)
+                for frag in released:
+                    keys[frag[0]] = frag[1]
+                keys = tuple(keys)
+            active = tuple([f for f in slot.active if f[3] > t] + released)
+            nxt = slot.following = _Slot(t + 1, active, keys)
         return nxt
 
     # -- public API -----------------------------------------------------------

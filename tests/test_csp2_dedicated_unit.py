@@ -59,10 +59,13 @@ class TestWindowHelpers:
         system = running_example()
         solver = make_solver(system)
         for t in range(system.hyperperiod):
-            keys = slot_at(solver, t).keys
+            slot = slot_at(solver, t)
+            active = {frag[0] for frag in slot.active}
             for i in range(system.n):
                 job = system.active_job(i, t)
-                assert keys.get(i) == (None if job is None else (i, job))
+                assert (i in active) == (job is not None)
+                if job is not None:
+                    assert slot.keys[i] == (i, job)
 
 
 class TestSlotCandidates:
