@@ -206,8 +206,8 @@ def interval_load_certificate(
     units must fall inside the window, hence inside any interval
     enclosing it; the full-cycle check (wrapped windows included) is the
     classical ``total demand <= m T``.  Abstains only when both the
-    all-pairs sweep (``max_cells``) and pair-enumeration (``max_pairs``) budgets
-    are exceeded.
+    all-pairs sweep (``max_cells``) and the pair-enumeration
+    (``max_pairs``) budgets are exceeded.
     """
     _check_m(m)
     system = _constrained(system)

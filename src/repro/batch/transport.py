@@ -26,10 +26,11 @@ going through campaign bookkeeping:
 
 Closing an ``execute()`` stream early cancels it: its queued items never
 start, and on the supervised path the children running its items are
-terminated (pool workers finish the item in hand in the background).  The thread that owns each killed child still reaps it and
-classifies the death.  That is what a race is built from — the
-``portfolio:`` meta-solver consumes a stream until the first decisive
-member answers, then closes it.
+terminated (pool workers finish the item in hand in the background).
+The thread that owns each killed child still reaps it and classifies
+the death.  That is what a race is built from — the ``portfolio:``
+meta-solver consumes a stream until the first decisive member answers,
+then closes it.
 
 Workers are invoked as ``fn(payload, attempt)`` with a 0-based attempt
 number so fault-injection hooks (chaos) can salt their draws per
