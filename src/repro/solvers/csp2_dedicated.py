@@ -34,21 +34,30 @@ idle rule is dropped (idling can beat running on a slow processor, so the
 exchange argument fails), and symmetry rule (13) applies within maximal
 groups of identical processors only.
 
-The set of active windows is stepped by release events.  Each slot
-carries the window *fragments* active at it, as ``(task, job key, wcet,
-fragment end, slots in later fragments)`` (a window wrapping past
-``T - 1`` is two fragments: its tail at the start of the scan, then its
-head).  The next slot's list is this one minus the fragments that ended,
-plus those released at the next slot, computed when the search first
-reaches it; "slots left" is one subtraction.  Slots and remaining
-demands (a sparse dict) are created only as the search visits them — so
-an n=256, T=360360 Table IV instance costs memory proportional to the
-slots actually *visited*, not to ``sum_i T/T_i`` windows.
+The active windows are stepped by release events into a slot table,
+``_slots[t] = (t, active, keys)``.  ``active`` holds the window
+*fragments* active at ``t`` as ``(task, job key, wcet, fragment end,
+slots in later fragments)`` (a window wrapping past ``T - 1`` is two
+fragments: its tail at the start of the scan, then its head);
+``keys[i]`` is the key of task ``i``'s latest window.  Slot
+``t + 1`` is slot ``t`` minus the fragments that ended plus those a
+release calendar books at ``t + 1``; "slots left" is one subtraction.
+The table grows by a slot when the search first reaches its end and is
+kept for later solves, and remaining demands are a sparse dict — so an
+n=256, T=360360 Table IV instance costs memory proportional to the slots
+actually *visited*, not to ``sum_i T/T_i`` windows.
+
+The search keeps no node objects: it holds flat per-depth stacks of the
+choice applied at each depth and of what is left to try there, and
+undoes a choice by arithmetic (each chosen task's window gets back the
+units it took).  Everything a deep dive keeps alive is a few tuples of
+ints per depth, which the cyclic GC stops tracking; docs/ARCHITECTURE.md
+("Design notes") has the measurements.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 
 import numpy as np
 
@@ -61,43 +70,6 @@ from repro.solvers.registry import EXACT, PROVES_INFEASIBILITY, register_solver
 from repro.util.timer import Deadline
 
 __all__ = ["Csp2DedicatedSolver"]
-
-
-class _Slot:
-    """The window fragments active at slot ``t``.
-
-    ``active`` holds ``(task, key, wcet, end, later)`` per fragment: the
-    window's demand key ``(task, job)``, the fragment's last slot and the
-    window's slots in later fragments, so the window has
-    ``end - t + 1 + later`` slots left at ``t``.  ``keys[i]`` is the key
-    of task ``i``'s latest window, right for every active task.  Both are
-    tuples of ints, which the cyclic GC stops tracking: the slots a long
-    search keeps cost it nothing.  The next slot is built once, on first
-    use.
-    """
-
-    __slots__ = ("t", "active", "keys", "following")
-
-    def __init__(self, t: int, active: tuple, keys: tuple) -> None:
-        self.t = t
-        self.active = active
-        self.keys = keys
-        self.following: _Slot | None = None
-
-
-class _Frame:
-    """One search node (a slot, or a (slot, processor) pair)."""
-
-    __slots__ = ("t", "j", "pos", "slot", "choices", "applied", "chosen")
-
-    def __init__(self, slot: _Slot, j: int, pos: int, choices) -> None:
-        self.t = slot.t
-        self.j = j          # actual processor id (general mode)
-        self.pos = pos      # position in the processor visit order
-        self.slot = slot
-        self.choices = choices
-        self.applied: list | None = None  # undo log of the active choice
-        self.chosen = None
 
 
 class Csp2DedicatedSolver:
@@ -152,97 +124,81 @@ class Csp2DedicatedSolver:
         self._wcet = [t.wcet for t in system]
         #: tasks with work to place; windows of the others never matter
         self._busy = [i for i in range(n) if self._wcet[i] > 0]
-        #: slot 0 of the stepped window fragments, and the release
-        #: calendar (slot -> tasks releasing there) of the slots not built
-        self._root: _Slot | None = None
+        #: the slots built so far, and the release calendar (slot ->
+        #: tasks releasing there) of the slots not built yet
+        self._slots: list[tuple] = []
         self._calendar: dict[int, list[int]] = {}
         # heuristic rank: lower = try first
         order = task_order(system, heuristic)
         self._rank = [0] * n
         for pos, i in enumerate(order):
             self._rank[i] = pos
-        self._rates = platform.rate_matrix(n)
-        self._max_rate = [int(r) for r in self._rates.max(axis=1)]
+        rates = platform.rate_matrix(n)
+        self._max_rate = [int(r) for r in rates.max(axis=1)]
         #: loose per-slot platform capacity for the energetic check
-        self._slot_capacity = int(self._rates.max(axis=0).sum())
+        self._slot_capacity = int(rates.max(axis=0).sum())
         self._identical = platform.is_identical
         if not self._identical:
+            #: ``_rate_cols[j][i]``: task ``i``'s rate on processor ``j``
+            self._rate_cols = rates.T.tolist()
             # processor visit order: least capable first, groups adjacent
             quality = platform.quality(system)
             self._proc_order = sorted(
                 range(self._m),
-                key=lambda j: (quality[j], self._rates[:, j].tobytes(), j),
+                key=lambda j: (quality[j], rates[:, j].tobytes(), j),
             )
             # previous processor in visit order iff identical rate column
             self._same_as_prev = [False] * self._m
             for pos in range(1, self._m):
                 a, b = self._proc_order[pos - 1], self._proc_order[pos]
                 self._same_as_prev[b] = bool(
-                    np.array_equal(self._rates[:, a], self._rates[:, b])
+                    np.array_equal(rates[:, a], rates[:, b])
                 )
             # tasks runnable on few processors get priority (Section VI-A)
-            eligible_count = (self._rates > 0).sum(axis=1)
+            eligible_count = (rates > 0).sum(axis=1)
             self._rank = [
                 (int(eligible_count[i]), self._rank[i]) for i in range(n)
             ]
 
     # -- window fragments, stepped by release events ----------------------------
-    def _first_slot(self) -> _Slot:
-        """Slot 0: the tails of the wrapped windows, then its releases.
+    def _grow_slots(self) -> None:
+        """Append the next slot to the table.
 
-        Built once per solver; every later slot hangs off it, so a slot
-        is built once however often the search comes back to it.
+        Slot 0 holds the tails of the wrapped windows; every slot then
+        keeps the previous one's open fragments and adds the heads of the
+        windows released there, booking each releasing task's next
+        release in the calendar.
         """
-        if self._root is None:
-            T = self._T
-            tails = []
-            for i in self._busy:
-                self._calendar.setdefault(self._phase[i], []).append(i)
-                last = T // self._period[i] - 1
-                release = self._phase[i] + last * self._period[i]
-                end = release + self._deadline[i] - 1
-                if end >= T:
-                    tails.append(
-                        (i, (i, last), self._wcet[i], end - T, T - release)
-                    )
-            active = tuple(tails + self._released(0))
-            keys = [None] * self.system.n
-            for frag in active:
-                keys[frag[0]] = frag[1]
-            self._root = _Slot(0, active, tuple(keys))
-        return self._root
-
-    def _released(self, t: int) -> list[tuple]:
-        """Fragments of the windows released at slot ``t`` (a window
-        wrapping past ``T - 1`` contributes its head); books each
-        releasing task's next release in the calendar."""
+        slots = self._slots
+        t = len(slots)
         T = self._T
+        period, phase = self._period, self._phase
+        deadline, wcet = self._deadline, self._wcet
         calendar = self._calendar
-        frags = []
-        for i in calendar.pop(t, ()):
-            period = self._period[i]
-            if t + period < T:
-                calendar.setdefault(t + period, []).append(i)
-            key = (i, (t - self._phase[i]) // period)
-            end = t + self._deadline[i] - 1
-            frags.append((i, key, self._wcet[i], end if end < T else T - 1, 0))
-        return frags
-
-    def _next_slot(self, slot: _Slot) -> _Slot:
-        """The slot after ``slot`` (built on the first visit, then kept)."""
-        nxt = slot.following
-        if nxt is None:
-            t = slot.t
-            released = self._released(t + 1)
-            keys = slot.keys
-            if released:
-                keys = list(keys)
-                for frag in released:
-                    keys[frag[0]] = frag[1]
-                keys = tuple(keys)
-            active = tuple([f for f in slot.active if f[3] > t] + released)
-            nxt = slot.following = _Slot(t + 1, active, keys)
-        return nxt
+        if t == 0:
+            keys: tuple | list = [None] * self.system.n
+            frags = []
+            for i in self._busy:
+                calendar.setdefault(phase[i], []).append(i)
+                last = T // period[i] - 1
+                release = phase[i] + last * period[i]
+                end = release + deadline[i] - 1
+                if end >= T:
+                    keys[i] = (i, last)
+                    frags.append((i, keys[i], wcet[i], end - T, T - release))
+        else:
+            _, active, keys = slots[t - 1]
+            frags = [f for f in active if f[3] >= t]
+        released = calendar.pop(t, None)
+        if released:
+            keys = list(keys)
+            for i in released:
+                if t + period[i] < T:
+                    calendar.setdefault(t + period[i], []).append(i)
+                keys[i] = (i, (t - phase[i]) // period[i])
+                end = min(t + deadline[i], T) - 1
+                frags.append((i, keys[i], wcet[i], end, 0))
+        slots.append((t, tuple(frags), tuple(keys)))
 
     # -- public API -----------------------------------------------------------
     def solve(
@@ -272,174 +228,163 @@ class Csp2DedicatedSolver:
             return self._search_identical(deadline, stats, node_limit, result)
         return self._search_general(deadline, stats, node_limit, result)
 
-    # -- identical platforms: one frame per slot, choices are task sets --------
-    def _slot_candidates(
-        self, slot: _Slot, dem: dict
-    ) -> tuple[list[int], list[int]] | None:
-        """(required, optional) candidate tasks at ``slot``; None = dead end."""
+    # -- identical platforms: one depth per slot, choices are task sets --------
+    def _scan(self, t: int, dem: dict) -> tuple[list[int], list[int]] | None:
+        """(required, optional) tasks at slot ``t``, from one pass over its
+        fragments; None = dead end."""
+        pruning = self.demand_pruning
         required: list[int] = []
         optional: list[int] = []
-        t = slot.t
-        for i, key, wcet, end, later in slot.active:
+        for i, key, wcet, end, later in self._slots[t][1]:
             rem = dem.get(key, wcet)
-            if rem == 0:
-                continue
-            left = end - t + 1 + later  # includes slot t
-            if self.demand_pruning:
-                if rem > left:
-                    return None
-                (required if rem == left else optional).append(i)
-            else:
-                # only window-end exactness (constraint (9) itself)
-                if left == 1:
-                    if rem > 1:
-                        return None
+            if rem:
+                left = end - t + 1 + later  # includes slot t
+                if rem < left or not (pruning or left == 1):
+                    # without demand pruning only the window's last slot
+                    # decides (constraint (9) itself)
+                    optional.append(i)
+                elif rem == left:
                     required.append(i)
                 else:
-                    optional.append(i)
+                    return None
         return required, optional
 
-    def _slot_choices(self, required: list[int], optional: list[int]):
-        """Iterator over per-slot task selections (tuples, processor-ordered)."""
-        m = self._m
-        if len(required) > m:
-            return iter(())
-        key = self._rank.__getitem__
-        required = sorted(required, key=key)
-        optional = sorted(optional, key=key)
-        free = m - len(required)
+    def _selections(self, required: list[int], optional: list[int]):
+        """What a slot with this scan can run: None if nothing (more
+        required tasks than processors), the one selection as a tuple when
+        there is only one, else a lazy iterator of selections.
 
-        def subsets():
-            if self.idle_rule:
-                take = min(free, len(optional))
-                sizes = [take]
-            else:
-                sizes = range(min(free, len(optional)), -1, -1)
-            for size in sizes:
-                for combo in combinations(optional, size):
-                    yield tuple(sorted(required + list(combo)))
-
+        With symmetry breaking a selection is a task set, in no particular
+        order (the schedule puts it on processors in ascending task
+        order); without it, every processor order of each set in turn.
+        """
+        free = self._m - len(required)
+        if free < 0:
+            return None
         if self.symmetry_breaking:
-            return subsets()
-        return (perm for s in subsets() for perm in permutations(s))
+            if free == 0 or not optional:
+                return tuple(required)
+            if self.idle_rule and free >= len(optional):
+                return tuple(required + optional)
+        optional = sorted(optional, key=self._rank.__getitem__)
+        take = min(free, len(optional))
+        if self.idle_rule:
+            combos = combinations(optional, take)
+        else:
+            combos = chain.from_iterable(
+                map(combinations, repeat(optional), range(take, -1, -1))
+            )
+        sets = map(tuple(required).__add__, combos)
+        if self.symmetry_breaking:
+            return sets
+        return chain.from_iterable(map(permutations, map(sorted, sets)))
 
     def _search_identical(self, deadline, stats, node_limit, result) -> SolveResult:
         T = self._T
         m = self._m
-        dem: dict[tuple[int, int], int] = {}
         wcet = self._wcet
+        slots = self._slots
+        energetic = self.energetic_pruning
+        dem: dict[tuple[int, int], int] = {}
         total_rem = self.system.total_demand()
-
-        def expand(slot: _Slot) -> _Frame | None:
-            if self.energetic_pruning and total_rem > m * (T - slot.t):
-                return None
-            cands = self._slot_candidates(slot, dem)
-            if cands is None:
-                return None
-            return _Frame(slot, 0, 0, self._slot_choices(*cands))
-
-        root = expand(self._first_slot())
-        if root is None:
-            return result(Feasibility.INFEASIBLE)
-        frames = [root]
+        path: list = []     # the selection applied at slot d, or None
+        pending: list = []  # what slot d has left to try (see _selections)
         check_tick = 0
-        while frames:
-            check_tick += 1
-            if check_tick >= 64:
-                check_tick = 0
-                if deadline.expired() or (
-                    node_limit is not None and stats.nodes >= node_limit
-                ):
-                    return result(Feasibility.UNKNOWN)
-            f = frames[-1]
-            if f.applied is not None:
-                for key, old in f.applied:
-                    dem[key] = old
-                total_rem += len(f.applied)
-                f.applied = None
-            choice = next(f.choices, None)
-            if choice is None:
-                frames.pop()
-                continue
-            stats.nodes += 1
-            if len(frames) > stats.max_depth:
-                stats.max_depth = len(frames)
-            undo = []
-            keys = f.slot.keys
-            for i in choice:
-                key = keys[i]
-                rem = dem.get(key, wcet[i])
-                undo.append((key, rem))
-                dem[key] = rem - 1
-            total_rem -= len(undo)
-            f.applied = undo
-            f.chosen = choice
-            if f.t + 1 == T:
-                return result(Feasibility.FEASIBLE, self._build_identical(frames))
-            nxt = expand(self._next_slot(f.slot))
-            if nxt is None:
+        t = 0  # the slot to expand
+        while True:
+            if t == len(slots):
+                self._grow_slots()
+            if energetic and total_rem > m * (T - t):
+                scan = None
+            else:
+                scan = self._scan(t, dem)
+            if scan is not None:
+                path.append(None)
+                pending.append(self._selections(*scan))
+            elif path:
                 stats.fails += 1
-                continue
-            frames.append(nxt)
-        return result(Feasibility.INFEASIBLE)
+            # take the next choice at the deepest slot that has one
+            while path:
+                check_tick += 1
+                if check_tick >= 64:
+                    check_tick = 0
+                    if deadline.expired() or (
+                        node_limit is not None and stats.nodes >= node_limit
+                    ):
+                        return result(Feasibility.UNKNOWN)
+                top = len(path) - 1
+                keys = slots[top][2]
+                applied = path[top]
+                if applied is not None:
+                    for i in applied:
+                        dem[keys[i]] += 1
+                    total_rem += len(applied)
+                todo = pending[top]
+                if todo.__class__ is tuple:
+                    choice = todo
+                    pending[top] = None
+                else:
+                    choice = None if todo is None else next(todo, None)
+                if choice is None:
+                    path.pop()
+                    pending.pop()
+                    continue
+                stats.nodes += 1
+                if top >= stats.max_depth:
+                    stats.max_depth = top + 1
+                for i in choice:
+                    key = keys[i]
+                    dem[key] = dem.get(key, wcet[i]) - 1
+                total_rem -= len(choice)
+                path[top] = choice
+                t = top + 1
+                if t == T:
+                    return result(Feasibility.FEASIBLE, self._build_identical(path))
+                break
+            else:
+                return result(Feasibility.INFEASIBLE)
 
-    def _build_identical(self, frames: list[_Frame]) -> Schedule:
+    def _build_identical(self, path: list[tuple]) -> Schedule:
         table = np.full((self._m, self._T), IDLE, dtype=np.int32)
-        for f in frames:
-            for pos, i in enumerate(f.chosen):
-                table[pos, f.t] = i
+        for t, chosen in enumerate(path):
+            if self.symmetry_breaking:
+                chosen = sorted(chosen)
+            for pos, i in enumerate(chosen):
+                table[pos, t] = i
         return Schedule(self.system, self.platform, table)
 
-    @staticmethod
-    def _restore(dem: dict, f: _Frame) -> int:
-        """Undo a frame's applied choice; returns the demand units restored."""
-        restored = 0
-        for key, old in f.applied:
-            restored += old - dem[key]
-            dem[key] = old
-        f.applied = None
-        return restored
-
-    # -- uniform/heterogeneous: one frame per (slot, processor) ----------------
+    # -- uniform/heterogeneous: one depth per (slot, processor) ----------------
     def _proc_candidates(
-        self, slot: _Slot, j: int, dem: dict, running: set[int],
-        prev_val: int | None,
+        self, t: int, j: int, dem: dict, running, prev_val: int | None,
     ) -> list[int]:
-        """Ordered values for processor ``j`` at ``slot`` (idle == n)."""
+        """Values to try for processor ``j`` at slot ``t``, in value
+        order, idle (``n``) last; ``running`` holds the tasks already on
+        a processor at ``t``."""
         n = self.system.n
-        rates = self._rates
-        cands = []
-        for i, key, wcet, _end, _later in slot.active:
-            if i in running:
-                continue
-            rate = int(rates[i, j])
-            if rate == 0:
-                continue
-            rem = dem.get(key, wcet)
-            if rem == 0 or rate > rem:  # exactness: never overshoot
-                continue
-            cands.append(i)
-        cands.sort(key=self._rank.__getitem__)
         # symmetry rule (13): within an identical group, ascending task ids
         # (idle ranks last); prev_val == n means the previous proc idled.
-        if prev_val is not None:
-            if prev_val >= n:
-                cands = []
-            else:
-                cands = [i for i in cands if i > prev_val]
+        if prev_val is None:
+            prev_val = -1
+        elif prev_val >= n:
+            return [n]
+        rate = self._rate_cols[j]
+        cands = [
+            i for i, key, wcet, _end, _later in self._slots[t][1]
+            # exactness: never overshoot the window's remaining demand
+            if i > prev_val and 0 < rate[i] <= dem.get(key, wcet)
+            and i not in running
+        ]
+        cands.sort(key=self._rank.__getitem__)
         cands.append(n)  # idle, always tried last (no idle rule here)
         return cands
 
-    def _slot_entry_ok(
-        self, slot: _Slot, prev: _Slot | None, dem: dict
-    ) -> bool:
-        """Pruning checks when the search reaches ``slot`` from ``prev``."""
-        if prev is not None and not self._ends_complete(prev, dem):
+    def _slot_entry_ok(self, t: int, dem: dict) -> bool:
+        """Pruning checks when the search reaches slot ``t``."""
+        if t > 0 and not self._ends_complete(t - 1, dem):
             return False  # a window that ended at t-1 is incomplete
-        t = slot.t
         if self.demand_pruning:
             max_rate = self._max_rate
-            for i, key, wcet, end, later in slot.active:
+            for i, key, wcet, end, later in self._slots[t][1]:
                 if dem.get(key, wcet) > (end - t + 1 + later) * max_rate[i]:
                     return False
         return True
@@ -448,105 +393,101 @@ class Csp2DedicatedSolver:
         T = self._T
         m = self._m
         n = self.system.n
-        dem: dict[tuple[int, int], int] = {}
         wcet = self._wcet
-        rates = self._rates
+        slots = self._slots
         proc_order = self._proc_order
-        frames: list[_Frame] = []
+        rate_cols = self._rate_cols
+        dem: dict[tuple[int, int], int] = {}
         total_rem = self.system.total_demand()
-
-        def expand(
-            slot: _Slot, pos: int, prev: _Slot | None = None
-        ) -> _Frame | None:
-            t = slot.t
-            if pos == 0:
-                if not self._slot_entry_ok(slot, prev, dem):
-                    return None
-                if self.energetic_pruning and total_rem > self._slot_capacity * (T - t):
-                    return None
-            j = proc_order[pos]
-            running = set()
-            for f in reversed(frames):
-                if f.t != t:
-                    break
-                if f.chosen is not None and f.chosen < n:
-                    running.add(f.chosen)
-            prev_val: int | None = None
-            if self.symmetry_breaking and pos > 0 and self._same_as_prev[j]:
-                prev_val = frames[-1].chosen
-            cands = self._proc_candidates(slot, j, dem, running, prev_val)
-            return _Frame(slot, j, pos, iter(cands))
-
-        root = expand(self._first_slot(), 0)
-        if root is None:
-            return result(Feasibility.INFEASIBLE)
-        frames.append(root)
+        # depth d is processor proc_order[d % m] at slot d // m
+        path: list = []     # the value applied there (n = idle), or None
+        pending: list = []  # the values left to try there, last first
         check_tick = 0
-        while frames:
-            check_tick += 1
-            if check_tick >= 64:
-                check_tick = 0
-                if deadline.expired() or (
-                    node_limit is not None and stats.nodes >= node_limit
-                ):
-                    return result(Feasibility.UNKNOWN)
-            f = frames[-1]
-            if f.applied is not None:
-                total_rem += self._restore(dem, f)
-                f.chosen = None
-            val = next(f.choices, None)
-            if val is None:
-                frames.pop()
-                continue
-            stats.nodes += 1
-            if len(frames) > stats.max_depth:
-                stats.max_depth = len(frames)
-            f.chosen = val
-            f.applied = []
-            if val < n:
-                key = f.slot.keys[val]
-                rem = dem.get(key, wcet[val])
-                f.applied.append((key, rem))
-                rate = int(rates[val, f.j])
-                dem[key] = rem - rate
-                total_rem -= rate
-            # advance to the next processor, or the next slot
-            if f.pos + 1 < m:
-                nxt = expand(f.slot, f.pos + 1)
-            elif f.t + 1 < T:
-                nxt = expand(self._next_slot(f.slot), 0, f.slot)
-            else:
+        d = 0  # the depth to expand
+        while True:
+            t, pos = divmod(d, m)
+            ok = True
+            if pos == 0:
+                if t == len(slots):
+                    self._grow_slots()
+                ok = self._slot_entry_ok(t, dem) and not (
+                    self.energetic_pruning
+                    and total_rem > self._slot_capacity * (T - t)
+                )
+            if ok:
+                j = proc_order[pos]
+                prev_val = None
+                if self.symmetry_breaking and pos > 0 and self._same_as_prev[j]:
+                    prev_val = path[d - 1]
+                cands = self._proc_candidates(
+                    t, j, dem, path[d - pos:d], prev_val
+                )
+                cands.reverse()
+                path.append(None)
+                pending.append(cands)
+            elif path:
+                stats.fails += 1
+            # take the next value at the deepest depth that has one
+            while path:
+                check_tick += 1
+                if check_tick >= 64:
+                    check_tick = 0
+                    if deadline.expired() or (
+                        node_limit is not None and stats.nodes >= node_limit
+                    ):
+                        return result(Feasibility.UNKNOWN)
+                top = len(path) - 1
+                t, pos = divmod(top, m)
+                rate = rate_cols[proc_order[pos]]
+                keys = slots[t][2]
+                val = path[top]
+                if val is not None and val < n:
+                    dem[keys[val]] += rate[val]
+                    total_rem += rate[val]
+                todo = pending[top]
+                if not todo:
+                    path.pop()
+                    pending.pop()
+                    continue
+                val = path[top] = todo.pop()
+                stats.nodes += 1
+                if top >= stats.max_depth:
+                    stats.max_depth = top + 1
+                if val < n:
+                    key = keys[val]
+                    dem[key] = dem.get(key, wcet[val]) - rate[val]
+                    total_rem -= rate[val]
+                d = top + 1
+                if d < T * m:
+                    break
                 # all slots assigned: windows ending at T-1 must be complete
                 # (earlier windows were checked at their own end slot)
-                if self._ends_complete(f.slot, dem):
-                    return result(Feasibility.FEASIBLE, self._build_general(frames))
+                if self._ends_complete(T - 1, dem):
+                    return result(Feasibility.FEASIBLE, self._build_general(path))
                 stats.fails += 1
-                continue
-            if nxt is None:
-                stats.fails += 1
-                continue
-            frames.append(nxt)
-        return result(Feasibility.INFEASIBLE)
+            else:
+                return result(Feasibility.INFEASIBLE)
 
-    def _ends_complete(self, slot: _Slot, dem: dict) -> bool:
-        """Every window whose last slot is ``slot`` must be complete.
+    def _ends_complete(self, t: int, dem: dict) -> bool:
+        """Every window whose last slot is ``t`` must be complete.
 
         Checked as the search leaves each slot, and after slot T-1; with
         per-window accounting this means all demand is met.
         """
-        t = slot.t
         return all(
             dem.get(key, wcet) == 0
-            for _i, key, wcet, end, later in slot.active
+            for _i, key, wcet, end, later in self._slots[t][1]
             if end == t and later == 0
         )
 
-    def _build_general(self, frames: list[_Frame]) -> Schedule:
+    def _build_general(self, path: list[int]) -> Schedule:
         n = self.system.n
-        table = np.full((self._m, self._T), IDLE, dtype=np.int32)
-        for f in frames:
-            if f.chosen is not None and f.chosen < n:
-                table[f.j, f.t] = f.chosen
+        m = self._m
+        table = np.full((m, self._T), IDLE, dtype=np.int32)
+        for d, val in enumerate(path):
+            if val < n:
+                t, pos = divmod(d, m)
+                table[self._proc_order[pos], t] = val
         return Schedule(self.system, self.platform, table)
 
 

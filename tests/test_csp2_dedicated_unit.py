@@ -1,10 +1,16 @@
 """White-box unit tests for the dedicated CSP2 solver's internals."""
 
+from collections import namedtuple
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.generator import GeneratorConfig, generate_instance
 from repro.model import Platform, Task, TaskSystem, intervals, slots_after
+from repro.schedule.schedule import IDLE
+from repro.schedule.validate import validate
 from repro.solvers.csp2_dedicated import Csp2DedicatedSolver
 
 from tests.helpers import running_example
@@ -14,12 +20,32 @@ def make_solver(system, m=2, **kw):
     return Csp2DedicatedSolver(system, Platform.identical(m), **kw)
 
 
+Slot = namedtuple("Slot", "t active keys")
+
+
 def slot_at(solver, t):
     """The solver's slot ``t``, stepped from slot 0 by release events."""
-    slot = solver._first_slot()
-    while slot.t < t:
-        slot = solver._next_slot(slot)
-    return slot
+    while len(solver._slots) <= t:
+        solver._grow_slots()
+    return Slot(*solver._slots[t])
+
+
+def scan(solver, t, dem):
+    """``(required, optional)`` at slot ``t`` (None = dead end)."""
+    slot_at(solver, t)
+    return solver._scan(t, dem)
+
+
+def selections(solver, required, optional):
+    """Every selection ``_selections`` yields, in order; a symmetric
+    selection (a task set) in the ascending order the schedule uses."""
+    todo = solver._selections(required, optional)
+    if todo is None:
+        return []
+    found = [todo] if isinstance(todo, tuple) else list(todo)
+    if solver.symmetry_breaking:
+        found = [tuple(sorted(c)) for c in found]
+    return found
 
 
 class TestWindowHelpers:
@@ -38,8 +64,8 @@ class TestWindowHelpers:
         system = TaskSystem([task, other])
         solver = make_solver(system, m=1)
         T = solver._T
-        slot = solver._first_slot()
         for slot_t in range(T):
+            slot = slot_at(solver, slot_t)
             assert slot.t == slot_t
             frags = {f[0]: f for f in slot.active}
             for i, tk in enumerate(system):
@@ -52,8 +78,6 @@ class TestWindowHelpers:
                 # stepped slots left include slot_t; slots_after excludes it
                 expected = slots_after(tk, T, job, slot_t - 1)
                 assert end - slot_t + 1 + later == expected
-            if slot_t + 1 < T:
-                slot = solver._next_slot(slot)
 
     def test_stepped_keys_match_system(self):
         system = running_example()
@@ -73,7 +97,7 @@ class TestSlotCandidates:
         # tau3 = (0,2,2,3): C == D -> required at every window slot
         system = running_example()
         solver = make_solver(system)
-        required, optional = solver._slot_candidates(slot_at(solver, 0), {})
+        required, optional = scan(solver, 0, {})
         assert required == [2]          # tau3 must run at slot 0
         assert 0 in optional            # tau1 has slack 1
         # tau2's *wrapped* third window [9..12] covers slot 0 (Figure 1),
@@ -84,10 +108,10 @@ class TestSlotCandidates:
         # give tau2 no wrap: O=1, D=3 < T=4 -> windows [1..3],[5..7],[9..11]
         system = TaskSystem.from_tuples([(0, 1, 2, 2), (1, 3, 3, 4)])
         solver = make_solver(system)
-        required, optional = solver._slot_candidates(slot_at(solver, 0), {})
+        required, optional = scan(solver, 0, {})
         assert 1 not in required and 1 not in optional
         # required: tau2 has C == D, so inside its window it is forced
-        required1, _ = solver._slot_candidates(slot_at(solver, 1), {})
+        required1, _ = scan(solver, 1, {})
         assert 1 in required1
 
     def test_dead_end_detected(self):
@@ -95,37 +119,37 @@ class TestSlotCandidates:
         system = TaskSystem.from_tuples([(0, 2, 2, 2)])
         solver = make_solver(system, m=1)
         # at slot 1 with untouched demand (2 units, 1 slot left)
-        assert solver._slot_candidates(slot_at(solver, 1), {}) is None
+        assert scan(solver, 1, {}) is None
 
     def test_completed_tasks_skipped(self):
         system = running_example()
         solver = make_solver(system)
         dem = {(2, 0): 0}  # tau3's first window already complete
-        required, optional = solver._slot_candidates(slot_at(solver, 0), dem)
+        required, optional = scan(solver, 0, dem)
         assert 2 not in required and 2 not in optional
 
     def test_without_demand_pruning_only_window_end(self):
         system = TaskSystem.from_tuples([(0, 2, 3, 3)])
         solver = make_solver(system, m=1, demand_pruning=False)
         # slot 0: 3 slots left, C=2: without pruning it's optional
-        required, optional = solver._slot_candidates(slot_at(solver, 0), {})
+        required, optional = scan(solver, 0, {})
         assert required == [] and optional == [0]
         # slot 2 (last window slot), demand still 2 -> dead end even here
-        assert solver._slot_candidates(slot_at(solver, 2), {}) is None
+        assert scan(solver, 2, {}) is None
 
 
 class TestSlotChoices:
     def test_idle_rule_fixes_size(self):
         system = running_example()
         solver = make_solver(system, m=2)
-        choices = list(solver._slot_choices([2], [0]))
+        choices = selections(solver, [2], [0])
         # k = min(2, 2 candidates) = 2: single maximal set {0, 2}
         assert choices == [(0, 2)]
 
     def test_without_idle_rule_smaller_sets_enumerated(self):
         system = running_example()
         solver = make_solver(system, m=2, idle_rule=False)
-        choices = list(solver._slot_choices([2], [0]))
+        choices = selections(solver, [2], [0])
         # sizes 1..0 of optionals, required always kept
         assert (0, 2) in choices and (2,) in choices
         assert choices.index((0, 2)) < choices.index((2,))  # busier first
@@ -133,19 +157,19 @@ class TestSlotChoices:
     def test_without_symmetry_permutations(self):
         system = running_example()
         solver = make_solver(system, m=2, symmetry_breaking=False)
-        choices = list(solver._slot_choices([2], [0]))
+        choices = selections(solver, [2], [0])
         assert (0, 2) in choices and (2, 0) in choices
 
     def test_too_many_required_is_dead(self):
         system = running_example()
         solver = make_solver(system, m=1)
-        assert list(solver._slot_choices([0, 2], [])) == []
+        assert selections(solver, [0, 2], []) == []
 
     def test_heuristic_orders_optionals(self):
         # dc ranks tau3 (laxity 0) before tau1 (laxity 1) before tau2
         system = running_example()
         solver = make_solver(system, m=1, heuristic="dc")
-        choices = list(solver._slot_choices([], [0, 1, 2]))
+        choices = selections(solver, [], [0, 1, 2])
         assert choices[0] == (2,)  # tau3 tried first
 
 
@@ -214,7 +238,95 @@ class TestGeneralModeInternals:
         p = Platform.uniform([2, 1])
         solver = Csp2DedicatedSolver(s, p)
         j_fast = solver._proc_order.index(0)
-        cands = solver._proc_candidates(slot_at(solver, 0), 0, {}, set(), None)
+        slot_at(solver, 0)
+        cands = solver._proc_candidates(0, 0, {}, set(), None)
         assert 0 not in cands[:-1]  # only idle available on the fast proc
-        cands_slow = solver._proc_candidates(slot_at(solver, 0), 1, {}, set(), None)
+        cands_slow = solver._proc_candidates(0, 1, {}, set(), None)
         assert 0 in cands_slow
+
+
+def edge_platform(kind, n, m):
+    """``m`` unit processors: identical, or an all-ones rate matrix,
+    which takes the per-processor (general) search."""
+    if kind == "identical":
+        return Platform.identical(m)
+    return Platform.heterogeneous([[1] * m for _ in range(n)])
+
+
+def edge_solve(tuples, m, kind, **kw):
+    system = TaskSystem.from_tuples(tuples)
+    solver = Csp2DedicatedSolver(system, edge_platform(kind, system.n, m), **kw)
+    return solver, solver.solve(node_limit=5_000)
+
+
+def counters(result):
+    s = result.stats
+    return result.status.value, s.nodes, s.fails, s.max_depth
+
+
+@pytest.mark.parametrize("kind", ["identical", "general"])
+class TestFlatStacks:
+    """Edge cases of the per-depth stacks: depth ``d`` is slot ``d`` on
+    identical platforms and (slot ``d // m``, ``d % m``-th processor)
+    otherwise."""
+
+    def test_one_slot_hyperperiod(self, kind):
+        # T == 1: the root is the last slot
+        _, result = edge_solve([(0, 1, 1, 1), (0, 1, 1, 1)], 2, kind)
+        depth = 1 if kind == "identical" else 2
+        assert counters(result) == ("feasible", depth, 0, depth)
+        assert sorted(result.schedule.table[:, 0]) == [0, 1]
+        assert validate(result.schedule).ok
+
+    def test_one_slot_hyperperiod_overloaded(self, kind):
+        _, result = edge_solve([(0, 1, 1, 1)] * 3, 2, kind)
+        assert result.status.value == "infeasible"
+        if kind == "identical":
+            # three required tasks, two processors: the root has no choice
+            assert counters(result) == ("infeasible", 0, 0, 0)
+
+    def test_root_requires_more_tasks_than_processors(self, kind):
+        _, result = edge_solve([(0, 2, 2, 4)] * 3, 2, kind)
+        assert result.status.value == "infeasible"
+        if kind == "identical":
+            assert counters(result) == ("infeasible", 0, 0, 0)
+
+    def test_every_wcet_zero(self, kind):
+        _, result = edge_solve([(0, 0, 2, 2), (1, 0, 3, 3)], 2, kind)
+        T = 6
+        depth = T if kind == "identical" else 2 * T
+        assert counters(result) == ("feasible", depth, 0, depth)
+        assert (result.schedule.table == IDLE).all()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_at_least_as_many_processors_as_tasks(self, kind, m):
+        _, result = edge_solve([(0, 1, 2, 2), (1, 2, 3, 3)], m, kind)
+        assert result.status.value == "feasible"
+        assert validate(result.schedule).ok
+        if kind == "identical":
+            # every slot runs all its live tasks: one choice, no backtrack
+            assert counters(result) == ("feasible", 6, 0, 6)
+
+    @pytest.mark.parametrize("spec", [None, (5, 4, 2, 23), (6, 6, 3, 7)])
+    def test_solving_twice_reuses_the_slot_table(self, kind, spec):
+        if spec is None:
+            system, m = running_example(), 2
+        else:
+            n, tmax, m, seed = spec
+            inst = generate_instance(GeneratorConfig(n=n, tmax=tmax, m=m), seed)
+            system, m = inst.system, inst.m
+        platform = edge_platform(kind, system.n, m)
+        solver = Csp2DedicatedSolver(system, platform, heuristic="dc")
+        first = solver.solve(node_limit=5_000)
+        grown = len(solver._slots)
+        second = solver.solve(node_limit=5_000)
+        assert len(solver._slots) == grown
+        assert counters(second) == counters(first)
+        if first.schedule is None:
+            assert second.schedule is None
+        else:
+            assert np.array_equal(second.schedule.table, first.schedule.table)
+        # a budget-cut first solve leaves a partial table the next one extends
+        cut = Csp2DedicatedSolver(system, platform, heuristic="dc")
+        cut.solve(node_limit=1)
+        assert counters(cut.solve(node_limit=5_000)) == counters(first)
