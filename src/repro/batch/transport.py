@@ -25,12 +25,12 @@ going through campaign bookkeeping:
   the solver service all run on it.
 
 Closing an ``execute()`` stream early cancels it: its queued items never
-start, and on the supervised path the children running its items are
-terminated (pool workers finish the item in hand in the background).
-The thread that owns each killed child still reaps it and classifies
-the death.  That is what a race is built from — the ``portfolio:``
-meta-solver consumes a stream until the first decisive member answers,
-then closes it.
+start, and the processes running its items are terminated — supervised
+children and pool workers alike.  The thread that owns each killed
+child (for pool workers, the pool's manager thread) still reaps it.
+That is what a race is built from — the ``portfolio:`` meta-solver
+consumes a stream until the first decisive member answers, then closes
+it.
 
 Workers are invoked as ``fn(payload, attempt)`` with a 0-based attempt
 number so fault-injection hooks (chaos) can salt their draws per
@@ -153,6 +153,17 @@ def _supervised_call(packed: tuple) -> Any:
     """Supervised-child shim: unpack ``(fn, payload, attempt)`` and run."""
     fn, payload, attempt = packed
     return fn(payload, attempt)
+
+
+def _terminate_workers(pool) -> None:
+    """Terminate a process pool's workers; its manager thread reaps them
+    and fails their futures, which nobody reads any more."""
+    terminate = getattr(pool, "terminate_workers", None)  # Python 3.14+
+    if terminate is not None:
+        terminate()
+        return
+    for proc in list((pool._processes or {}).values()):
+        proc.terminate()
 
 
 class _Stream:
@@ -394,9 +405,9 @@ class LocalPoolTransport:
         """Run these items on a process pool, in completion order.
 
         At most ``jobs`` items are submitted at a time, so the pool never
-        holds a queue of its own: closing the generator early shuts the
-        pool down without waiting, the items already running finish in
-        the background and the rest never start.
+        holds a queue of its own: closing the generator early terminates
+        the workers still running items and shuts the pool down without
+        waiting, so the rest never start.
         """
         from concurrent.futures import (
             FIRST_COMPLETED,
@@ -438,6 +449,8 @@ class LocalPoolTransport:
                         continue
                     yield WorkResult(key=item.key, value=value, attempts=1)
         finally:
+            if running:
+                _terminate_workers(pool)
             pool.shutdown(wait=not running, cancel_futures=True)
         if escalate:
             # recovery pass in original item order: pool-breakage

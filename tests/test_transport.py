@@ -384,6 +384,32 @@ class TestEarlyClose:
             assert time.monotonic() < deadline, "queued cells ran"
             time.sleep(0.05)
 
+    def test_closing_a_pool_stream_terminates_its_running_workers(self, capfd):
+        """Six 2 s cells on two pool workers, closed after the first
+        report: the workers still running cells are gone within 1 s,
+        without a traceback on stderr."""
+        import multiprocessing
+
+        from repro.solvers.problem import Problem, solve_iter
+
+        inst = generate_instances(GeneratorConfig(n=5, tmax=5, m=2), 1,
+                                  seed=31)[0]
+        problems = [
+            Problem.of(inst.system, m=2, time_limit=2.0, label=f"p{i}")
+            for i in range(6)
+        ]
+        before = set(multiprocessing.active_children())
+        stream = solve_iter(problems, "csp2-local", jobs=2)
+        assert next(stream).status_label == "unknown"
+        pool = set(multiprocessing.active_children()) - before
+        assert pool
+        stream.close()
+        deadline = time.monotonic() + 1.0
+        while any(p.is_alive() for p in pool):
+            assert time.monotonic() < deadline, "pool workers still running"
+            time.sleep(0.02)
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_close_kills_running_children_and_skips_queued(self, tmp_path):
         names = ["slow", "fast", "q1", "q2", "q3"]
         items = [
