@@ -35,24 +35,35 @@ exchange argument fails), and symmetry rule (13) applies within maximal
 groups of identical processors only.
 
 The active windows are stepped by release events into a slot table,
-``_slots[t] = (t, active, keys)``.  ``active`` holds the window
-*fragments* active at ``t`` as ``(task, job key, wcet, fragment end,
-slots in later fragments)`` (a window wrapping past ``T - 1`` is two
-fragments: its tail at the start of the scan, then its head);
-``keys[i]`` is the key of task ``i``'s latest window.  Slot
-``t + 1`` is slot ``t`` minus the fragments that ended plus those a
-release calendar books at ``t + 1``; "slots left" is one subtraction.
-The table grows by a slot when the search first reaches its end and is
-kept for later solves, and remaining demands are a sparse dict — so an
-n=256, T=360360 Table IV instance costs memory proportional to the slots
-actually *visited*, not to ``sum_i T/T_i`` windows.
+``_slots[t] = (t, frags)``.  ``frags`` holds the window *fragments*
+active at ``t`` as ``(r, target, fragment end, slots in later
+fragments)``; a window wrapping past ``T - 1`` is two fragments, its
+tail at the start of the scan and then its head.  Slot ``t + 1`` is slot
+``t`` minus the fragments that ended plus those a release calendar books
+at ``t + 1``; "slots left" is one subtraction.  The table grows by a
+slot when the search first reaches its end and is kept for later solves.
+
+The search state is one int list ``done`` of length ``2n``:
+``done[i]`` counts the units task ``i``'s in-scan windows have run so
+far (in rate units on a non-identical platform), and ``done[n + i]``
+those of its wrapped window.  A fragment's ``r`` is ``i`` or ``n + i``
+accordingly, and its ``target`` is ``(job + 1) * wcet`` or ``wcet``, so
+its window's remaining demand is ``target - done[r]``.
 
 The search keeps no node objects: it holds flat per-depth stacks of the
 choice applied at each depth and of what is left to try there, and
-undoes a choice by arithmetic (each chosen task's window gets back the
-units it took).  Everything a deep dive keeps alive is a few tuples of
-ints per depth, which the cyclic GC stops tracking; docs/ARCHITECTURE.md
-("Design notes") has the measurements.
+undoes a choice by arithmetic (each chosen window's ``done`` cell gives
+back the units it took).  Everything a deep dive keeps alive is a few
+tuples of ints per depth, which the cyclic GC stops tracking.
+
+Every window that ended before slot ``t`` is complete, so ``t`` and
+``done`` fix every window's remaining demand and ``(t, *done)`` is the
+search state itself.  A depth that runs out of choices records that key
+(plus the tasks already running in the slot on a non-identical
+platform) in a per-solve set of failed states, and the search refuses a
+state it finds there, up to :data:`MEMO_CELLS` stored key cells.
+docs/ARCHITECTURE.md ("Design notes") has the argument and the
+measurements.
 """
 
 from __future__ import annotations
@@ -70,6 +81,12 @@ from repro.solvers.registry import EXACT, PROVES_INFEASIBILITY, register_solver
 from repro.util.timer import Deadline
 
 __all__ = ["Csp2DedicatedSolver"]
+
+#: int cells the failed-state memo of one solve may store, summed over
+#: its keys (``2n + 1`` cells each, plus the running tasks on a
+#: non-identical platform).  At the cap the memo stops growing; it only
+#: prunes, so the search stays exact.
+MEMO_CELLS = 1_000_000
 
 
 class Csp2DedicatedSolver:
@@ -130,17 +147,17 @@ class Csp2DedicatedSolver:
         self._calendar: dict[int, list[int]] = {}
         # heuristic rank: lower = try first
         order = task_order(system, heuristic)
-        self._rank = [0] * n
+        rank = [0] * n
         for pos, i in enumerate(order):
-            self._rank[i] = pos
+            rank[i] = pos
         rates = platform.rate_matrix(n)
-        self._max_rate = [int(r) for r in rates.max(axis=1)]
+        max_rate = [int(r) for r in rates.max(axis=1)]
         #: loose per-slot platform capacity for the energetic check
         self._slot_capacity = int(rates.max(axis=0).sum())
         self._identical = platform.is_identical
         if not self._identical:
-            #: ``_rate_cols[j][i]``: task ``i``'s rate on processor ``j``
-            self._rate_cols = rates.T.tolist()
+            #: ``_rate_cols[j][r]``: task ``r % n``'s rate on processor ``j``
+            self._rate_cols = [col + col for col in rates.T.tolist()]
             # processor visit order: least capable first, groups adjacent
             quality = platform.quality(system)
             self._proc_order = sorted(
@@ -156,9 +173,10 @@ class Csp2DedicatedSolver:
                 )
             # tasks runnable on few processors get priority (Section VI-A)
             eligible_count = (rates > 0).sum(axis=1)
-            self._rank = [
-                (int(eligible_count[i]), self._rank[i]) for i in range(n)
-            ]
+            rank = [(int(eligible_count[i]), rank[i]) for i in range(n)]
+        # indexed by a fragment's r: task r % n's rank and best rate
+        self._rank = rank + rank
+        self._max_rate = max_rate + max_rate
 
     # -- window fragments, stepped by release events ----------------------------
     def _grow_slots(self) -> None:
@@ -171,34 +189,31 @@ class Csp2DedicatedSolver:
         """
         slots = self._slots
         t = len(slots)
+        n = self.system.n
         T = self._T
         period, phase = self._period, self._phase
         deadline, wcet = self._deadline, self._wcet
         calendar = self._calendar
         if t == 0:
-            keys: tuple | list = [None] * self.system.n
             frags = []
             for i in self._busy:
                 calendar.setdefault(phase[i], []).append(i)
-                last = T // period[i] - 1
-                release = phase[i] + last * period[i]
+                release = phase[i] + (T // period[i] - 1) * period[i]
                 end = release + deadline[i] - 1
                 if end >= T:
-                    keys[i] = (i, last)
-                    frags.append((i, keys[i], wcet[i], end - T, T - release))
+                    frags.append((n + i, wcet[i], end - T, T - release))
         else:
-            _, active, keys = slots[t - 1]
-            frags = [f for f in active if f[3] >= t]
-        released = calendar.pop(t, None)
-        if released:
-            keys = list(keys)
-            for i in released:
-                if t + period[i] < T:
-                    calendar.setdefault(t + period[i], []).append(i)
-                keys[i] = (i, (t - phase[i]) // period[i])
-                end = min(t + deadline[i], T) - 1
-                frags.append((i, keys[i], wcet[i], end, 0))
-        slots.append((t, tuple(frags), tuple(keys)))
+            frags = [f for f in slots[t - 1][1] if f[2] >= t]
+        for i in calendar.pop(t, ()):
+            if t + period[i] < T:
+                calendar.setdefault(t + period[i], []).append(i)
+            end = t + deadline[i] - 1
+            if end < T:
+                job = (t - phase[i]) // period[i]
+                frags.append((i, (job + 1) * wcet[i], end, 0))
+            else:  # the head of the wrapped window
+                frags.append((n + i, wcet[i], T - 1, 0))
+        slots.append((t, tuple(frags)))
 
     # -- public API -----------------------------------------------------------
     def solve(
@@ -208,13 +223,22 @@ class Csp2DedicatedSolver:
 
         Returns FEASIBLE with a validated cyclic schedule, INFEASIBLE if
         the space is exhausted, or UNKNOWN (the paper's overrun) when a
-        budget expires first.
+        budget expires first.  ``stats.extra`` carries the memo's
+        ``memo_hits`` (states refused as known failures) and
+        ``memo_states`` (failed states stored).
         """
         deadline = Deadline(time_limit)
         stats = SolverStats()
 
-        def result(status: Feasibility, schedule: Schedule | None = None) -> SolveResult:
+        def result(
+            status: Feasibility,
+            schedule: Schedule | None = None,
+            memo_hits: int = 0,
+            memo_states: int = 0,
+        ) -> SolveResult:
             stats.elapsed = deadline.elapsed()
+            stats.extra["memo_hits"] = memo_hits
+            stats.extra["memo_states"] = memo_states
             return SolveResult(
                 status=status, schedule=schedule, stats=stats, solver_name=self.name
             )
@@ -229,22 +253,22 @@ class Csp2DedicatedSolver:
         return self._search_general(deadline, stats, node_limit, result)
 
     # -- identical platforms: one depth per slot, choices are task sets --------
-    def _scan(self, t: int, dem: dict) -> tuple[list[int], list[int]] | None:
-        """(required, optional) tasks at slot ``t``, from one pass over its
-        fragments; None = dead end."""
+    def _scan(self, t: int, done: list[int]) -> tuple[list[int], list[int]] | None:
+        """(required, optional) windows ``r`` at slot ``t``, from one pass
+        over its fragments; None = dead end."""
         pruning = self.demand_pruning
         required: list[int] = []
         optional: list[int] = []
-        for i, key, wcet, end, later in self._slots[t][1]:
-            rem = dem.get(key, wcet)
+        for r, target, end, later in self._slots[t][1]:
+            rem = target - done[r]
             if rem:
                 left = end - t + 1 + later  # includes slot t
                 if rem < left or not (pruning or left == 1):
                     # without demand pruning only the window's last slot
                     # decides (constraint (9) itself)
-                    optional.append(i)
+                    optional.append(r)
                 elif rem == left:
-                    required.append(i)
+                    required.append(r)
                 else:
                     return None
         return required, optional
@@ -254,9 +278,10 @@ class Csp2DedicatedSolver:
         required tasks than processors), the one selection as a tuple when
         there is only one, else a lazy iterator of selections.
 
-        With symmetry breaking a selection is a task set, in no particular
-        order (the schedule puts it on processors in ascending task
-        order); without it, every processor order of each set in turn.
+        With symmetry breaking a selection is a set of windows ``r``, in
+        no particular order (the schedule puts it on processors in
+        ascending task order); without it, every processor order of each
+        set in turn, from ascending task order on.
         """
         free = self._m - len(required)
         if free < 0:
@@ -277,28 +302,39 @@ class Csp2DedicatedSolver:
         sets = map(tuple(required).__add__, combos)
         if self.symmetry_breaking:
             return sets
-        return chain.from_iterable(map(permutations, map(sorted, sets)))
+        n = self.system.n
+        return chain.from_iterable(
+            permutations(sorted(s, key=lambda r: r % n)) for s in sets
+        )
 
     def _search_identical(self, deadline, stats, node_limit, result) -> SolveResult:
         T = self._T
         m = self._m
-        wcet = self._wcet
         slots = self._slots
         energetic = self.energetic_pruning
-        dem: dict[tuple[int, int], int] = {}
+        done = [0] * (2 * self.system.n)
         total_rem = self.system.total_demand()
         path: list = []     # the selection applied at slot d, or None
         pending: list = []  # what slot d has left to try (see _selections)
+        failed: set[tuple] = set()  # keys (t, *done) of failed slot entries
+        room = MEMO_CELLS // (len(done) + 1)  # keys the memo may still take
+        hits = 0
+        reached = 0  # slots below this one have had a state pushed
         check_tick = 0
         t = 0  # the slot to expand
         while True:
             if t == len(slots):
                 self._grow_slots()
-            if energetic and total_rem > m * (T - t):
+            if t < reached and (t, *done) in failed:
+                hits += 1
+                scan = None
+            elif energetic and total_rem > m * (T - t):
                 scan = None
             else:
-                scan = self._scan(t, dem)
+                scan = self._scan(t, done)
             if scan is not None:
+                if t == reached:
+                    reached += 1
                 path.append(None)
                 pending.append(self._selections(*scan))
             elif path:
@@ -311,13 +347,12 @@ class Csp2DedicatedSolver:
                     if deadline.expired() or (
                         node_limit is not None and stats.nodes >= node_limit
                     ):
-                        return result(Feasibility.UNKNOWN)
+                        return result(Feasibility.UNKNOWN, None, hits, len(failed))
                 top = len(path) - 1
-                keys = slots[top][2]
                 applied = path[top]
                 if applied is not None:
-                    for i in applied:
-                        dem[keys[i]] += 1
+                    for r in applied:
+                        done[r] -= 1
                     total_rem += len(applied)
                 todo = pending[top]
                 if todo.__class__ is tuple:
@@ -326,82 +361,95 @@ class Csp2DedicatedSolver:
                 else:
                     choice = None if todo is None else next(todo, None)
                 if choice is None:
+                    # done is slot top's entry state again, and it failed
                     path.pop()
                     pending.pop()
+                    if room:
+                        failed.add((top, *done))
+                        room -= 1
                     continue
                 stats.nodes += 1
                 if top >= stats.max_depth:
                     stats.max_depth = top + 1
-                for i in choice:
-                    key = keys[i]
-                    dem[key] = dem.get(key, wcet[i]) - 1
+                for r in choice:
+                    done[r] += 1
                 total_rem -= len(choice)
                 path[top] = choice
                 t = top + 1
                 if t == T:
-                    return result(Feasibility.FEASIBLE, self._build_identical(path))
+                    schedule = self._build_identical(path)
+                    return result(Feasibility.FEASIBLE, schedule, hits, len(failed))
                 break
             else:
-                return result(Feasibility.INFEASIBLE)
+                return result(Feasibility.INFEASIBLE, None, hits, len(failed))
 
     def _build_identical(self, path: list[tuple]) -> Schedule:
+        n = self.system.n
         table = np.full((self._m, self._T), IDLE, dtype=np.int32)
         for t, chosen in enumerate(path):
+            tasks = [r % n for r in chosen]
             if self.symmetry_breaking:
-                chosen = sorted(chosen)
-            for pos, i in enumerate(chosen):
-                table[pos, t] = i
+                tasks.sort()
+            table[: len(tasks), t] = tasks
         return Schedule(self.system, self.platform, table)
 
     # -- uniform/heterogeneous: one depth per (slot, processor) ----------------
     def _proc_candidates(
-        self, t: int, j: int, dem: dict, running, prev_val: int | None,
+        self, t: int, j: int, done: list[int], running, prev_val: int | None,
     ) -> list[int]:
         """Values to try for processor ``j`` at slot ``t``, in value
-        order, idle (``n``) last; ``running`` holds the tasks already on
-        a processor at ``t``."""
+        order, idle (``2n``) last; a value below ``2n`` is a window ``r``,
+        and ``running`` holds the values already on a processor at ``t``."""
         n = self.system.n
+        idle = 2 * n
         # symmetry rule (13): within an identical group, ascending task ids
-        # (idle ranks last); prev_val == n means the previous proc idled.
+        # (idle ranks last); prev_val == idle means the previous proc idled.
         if prev_val is None:
             prev_val = -1
-        elif prev_val >= n:
-            return [n]
+        elif prev_val == idle:
+            return [idle]
+        else:
+            prev_val %= n
         rate = self._rate_cols[j]
         cands = [
-            i for i, key, wcet, _end, _later in self._slots[t][1]
+            r for r, target, _end, _later in self._slots[t][1]
             # exactness: never overshoot the window's remaining demand
-            if i > prev_val and 0 < rate[i] <= dem.get(key, wcet)
-            and i not in running
+            if r % n > prev_val and 0 < rate[r] <= target - done[r]
+            and r not in running
         ]
         cands.sort(key=self._rank.__getitem__)
-        cands.append(n)  # idle, always tried last (no idle rule here)
+        cands.append(idle)  # always tried last (no idle rule here)
         return cands
 
-    def _slot_entry_ok(self, t: int, dem: dict) -> bool:
+    def _slot_entry_ok(self, t: int, done: list[int]) -> bool:
         """Pruning checks when the search reaches slot ``t``."""
-        if t > 0 and not self._ends_complete(t - 1, dem):
+        if t > 0 and not self._ends_complete(t - 1, done):
             return False  # a window that ended at t-1 is incomplete
         if self.demand_pruning:
             max_rate = self._max_rate
-            for i, key, wcet, end, later in self._slots[t][1]:
-                if dem.get(key, wcet) > (end - t + 1 + later) * max_rate[i]:
+            for r, target, end, later in self._slots[t][1]:
+                if target - done[r] > (end - t + 1 + later) * max_rate[r]:
                     return False
         return True
 
     def _search_general(self, deadline, stats, node_limit, result) -> SolveResult:
         T = self._T
         m = self._m
-        n = self.system.n
-        wcet = self._wcet
+        idle = 2 * self.system.n
         slots = self._slots
         proc_order = self._proc_order
         rate_cols = self._rate_cols
-        dem: dict[tuple[int, int], int] = {}
+        done = [0] * idle
         total_rem = self.system.total_demand()
         # depth d is processor proc_order[d % m] at slot d // m
-        path: list = []     # the value applied there (n = idle), or None
+        path: list = []     # the value applied there (idle = 2n), or None
         pending: list = []  # the values left to try there, last first
+        # keys (d, *done, *values already running in the slot) of failed
+        # depths; the last running value is the symmetry rule's prev_val
+        failed: set[tuple] = set()
+        room = MEMO_CELLS // (idle + m)  # keys the memo may still take
+        hits = 0
+        reached = 0  # depths below this one have had a state pushed
         check_tick = 0
         d = 0  # the depth to expand
         while True:
@@ -410,17 +458,22 @@ class Csp2DedicatedSolver:
             if pos == 0:
                 if t == len(slots):
                     self._grow_slots()
-                ok = self._slot_entry_ok(t, dem) and not (
+                ok = self._slot_entry_ok(t, done) and not (
                     self.energetic_pruning
                     and total_rem > self._slot_capacity * (T - t)
                 )
+            if ok and d < reached and (d, *done, *path[d - pos:d]) in failed:
+                hits += 1
+                ok = False
             if ok:
+                if d == reached:
+                    reached += 1
                 j = proc_order[pos]
                 prev_val = None
                 if self.symmetry_breaking and pos > 0 and self._same_as_prev[j]:
                     prev_val = path[d - 1]
                 cands = self._proc_candidates(
-                    t, j, dem, path[d - pos:d], prev_val
+                    t, j, done, path[d - pos:d], prev_val
                 )
                 cands.reverse()
                 path.append(None)
@@ -435,48 +488,51 @@ class Csp2DedicatedSolver:
                     if deadline.expired() or (
                         node_limit is not None and stats.nodes >= node_limit
                     ):
-                        return result(Feasibility.UNKNOWN)
+                        return result(Feasibility.UNKNOWN, None, hits, len(failed))
                 top = len(path) - 1
-                t, pos = divmod(top, m)
+                pos = top % m
                 rate = rate_cols[proc_order[pos]]
-                keys = slots[t][2]
                 val = path[top]
-                if val is not None and val < n:
-                    dem[keys[val]] += rate[val]
+                if val is not None and val < idle:
+                    done[val] -= rate[val]
                     total_rem += rate[val]
                 todo = pending[top]
                 if not todo:
+                    # done is depth top's entry state again, and it failed
                     path.pop()
                     pending.pop()
+                    if room:
+                        failed.add((top, *done, *path[top - pos:top]))
+                        room -= 1
                     continue
                 val = path[top] = todo.pop()
                 stats.nodes += 1
                 if top >= stats.max_depth:
                     stats.max_depth = top + 1
-                if val < n:
-                    key = keys[val]
-                    dem[key] = dem.get(key, wcet[val]) - rate[val]
+                if val < idle:
+                    done[val] += rate[val]
                     total_rem -= rate[val]
                 d = top + 1
                 if d < T * m:
                     break
                 # all slots assigned: windows ending at T-1 must be complete
                 # (earlier windows were checked at their own end slot)
-                if self._ends_complete(T - 1, dem):
-                    return result(Feasibility.FEASIBLE, self._build_general(path))
+                if self._ends_complete(T - 1, done):
+                    schedule = self._build_general(path)
+                    return result(Feasibility.FEASIBLE, schedule, hits, len(failed))
                 stats.fails += 1
             else:
-                return result(Feasibility.INFEASIBLE)
+                return result(Feasibility.INFEASIBLE, None, hits, len(failed))
 
-    def _ends_complete(self, t: int, dem: dict) -> bool:
+    def _ends_complete(self, t: int, done: list[int]) -> bool:
         """Every window whose last slot is ``t`` must be complete.
 
         Checked as the search leaves each slot, and after slot T-1; with
         per-window accounting this means all demand is met.
         """
         return all(
-            dem.get(key, wcet) == 0
-            for _i, key, wcet, end, later in self._slots[t][1]
+            done[r] == target
+            for r, target, end, later in self._slots[t][1]
             if end == t and later == 0
         )
 
@@ -485,9 +541,9 @@ class Csp2DedicatedSolver:
         m = self._m
         table = np.full((m, self._T), IDLE, dtype=np.int32)
         for d, val in enumerate(path):
-            if val < n:
+            if val < 2 * n:
                 t, pos = divmod(d, m)
-                table[self._proc_order[pos], t] = val
+                table[self._proc_order[pos], t] = val % n
         return Schedule(self.system, self.platform, table)
 
 

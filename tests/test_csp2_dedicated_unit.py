@@ -20,7 +20,7 @@ def make_solver(system, m=2, **kw):
     return Csp2DedicatedSolver(system, Platform.identical(m), **kw)
 
 
-Slot = namedtuple("Slot", "t active keys")
+Slot = namedtuple("Slot", "t active")
 
 
 def slot_at(solver, t):
@@ -30,10 +30,25 @@ def slot_at(solver, t):
     return Slot(*solver._slots[t])
 
 
-def scan(solver, t, dem):
+def no_units(solver):
+    """A ``done`` vector before anything has run."""
+    return [0] * (2 * solver.system.n)
+
+
+def window_of(system, i, job):
+    """``(r, target)`` of task ``i``'s window ``job``: its ``done`` cell
+    (``n + i`` for the window wrapping past the hyperperiod) and the
+    cell's count once the window is complete."""
+    task = system[i]
+    if task.phase + job * task.period + task.deadline > system.hyperperiod:
+        return system.n + i, task.wcet
+    return i, (job + 1) * task.wcet
+
+
+def scan(solver, t, done=None):
     """``(required, optional)`` at slot ``t`` (None = dead end)."""
     slot_at(solver, t)
-    return solver._scan(t, dem)
+    return solver._scan(t, no_units(solver) if done is None else done)
 
 
 def selections(solver, required, optional):
@@ -67,14 +82,14 @@ class TestWindowHelpers:
         for slot_t in range(T):
             slot = slot_at(solver, slot_t)
             assert slot.t == slot_t
-            frags = {f[0]: f for f in slot.active}
+            frags = {f[0] % system.n: f for f in slot.active}
             for i, tk in enumerate(system):
                 job = intervals.active_job(tk, T, slot_t)
                 if job is None:
                     assert i not in frags
                     continue
-                _, key, _, end, later = frags[i]
-                assert key == (i, job)
+                r, target, end, later = frags[i]
+                assert (r, target) == window_of(system, i, job)
                 # stepped slots left include slot_t; slots_after excludes it
                 expected = slots_after(tk, T, job, slot_t - 1)
                 assert end - slot_t + 1 + later == expected
@@ -84,12 +99,12 @@ class TestWindowHelpers:
         solver = make_solver(system)
         for t in range(system.hyperperiod):
             slot = slot_at(solver, t)
-            active = {frag[0] for frag in slot.active}
+            active = {frag[0] % system.n: frag[:2] for frag in slot.active}
             for i in range(system.n):
                 job = system.active_job(i, t)
                 assert (i in active) == (job is not None)
                 if job is not None:
-                    assert slot.keys[i] == (i, job)
+                    assert active[i] == window_of(system, i, job)
 
 
 class TestSlotCandidates:
@@ -97,21 +112,21 @@ class TestSlotCandidates:
         # tau3 = (0,2,2,3): C == D -> required at every window slot
         system = running_example()
         solver = make_solver(system)
-        required, optional = scan(solver, 0, {})
+        required, optional = scan(solver, 0)
         assert required == [2]          # tau3 must run at slot 0
         assert 0 in optional            # tau1 has slack 1
         # tau2's *wrapped* third window [9..12] covers slot 0 (Figure 1),
-        # so tau2 is also a (slack-3) candidate there
-        assert 1 in optional
+        # so tau2 is also a (slack-3) candidate there, as r = n + 1
+        assert system.n + 1 in optional
 
     def test_unreleased_task_not_candidate(self):
         # give tau2 no wrap: O=1, D=3 < T=4 -> windows [1..3],[5..7],[9..11]
         system = TaskSystem.from_tuples([(0, 1, 2, 2), (1, 3, 3, 4)])
         solver = make_solver(system)
-        required, optional = scan(solver, 0, {})
+        required, optional = scan(solver, 0)
         assert 1 not in required and 1 not in optional
         # required: tau2 has C == D, so inside its window it is forced
-        required1, _ = scan(solver, 1, {})
+        required1, _ = scan(solver, 1)
         assert 1 in required1
 
     def test_dead_end_detected(self):
@@ -119,23 +134,24 @@ class TestSlotCandidates:
         system = TaskSystem.from_tuples([(0, 2, 2, 2)])
         solver = make_solver(system, m=1)
         # at slot 1 with untouched demand (2 units, 1 slot left)
-        assert scan(solver, 1, {}) is None
+        assert scan(solver, 1) is None
 
     def test_completed_tasks_skipped(self):
         system = running_example()
         solver = make_solver(system)
-        dem = {(2, 0): 0}  # tau3's first window already complete
-        required, optional = scan(solver, 0, dem)
+        done = no_units(solver)
+        done[2] = 2  # tau3's first window (C = 2) already complete
+        required, optional = scan(solver, 0, done)
         assert 2 not in required and 2 not in optional
 
     def test_without_demand_pruning_only_window_end(self):
         system = TaskSystem.from_tuples([(0, 2, 3, 3)])
         solver = make_solver(system, m=1, demand_pruning=False)
         # slot 0: 3 slots left, C=2: without pruning it's optional
-        required, optional = scan(solver, 0, {})
+        required, optional = scan(solver, 0)
         assert required == [] and optional == [0]
         # slot 2 (last window slot), demand still 2 -> dead end even here
-        assert scan(solver, 2, {}) is None
+        assert scan(solver, 2) is None
 
 
 class TestSlotChoices:
@@ -239,9 +255,9 @@ class TestGeneralModeInternals:
         solver = Csp2DedicatedSolver(s, p)
         j_fast = solver._proc_order.index(0)
         slot_at(solver, 0)
-        cands = solver._proc_candidates(0, 0, {}, set(), None)
+        cands = solver._proc_candidates(0, 0, no_units(solver), (), None)
         assert 0 not in cands[:-1]  # only idle available on the fast proc
-        cands_slow = solver._proc_candidates(0, 1, {}, set(), None)
+        cands_slow = solver._proc_candidates(0, 1, no_units(solver), (), None)
         assert 0 in cands_slow
 
 
@@ -261,41 +277,45 @@ def edge_solve(tuples, m, kind, **kw):
 
 def counters(result):
     s = result.stats
-    return result.status.value, s.nodes, s.fails, s.max_depth
+    return (result.status.value, s.nodes, s.fails, s.max_depth,
+            s.extra["memo_hits"], s.extra["memo_states"])
 
 
 @pytest.mark.parametrize("kind", ["identical", "general"])
 class TestFlatStacks:
-    """Edge cases of the per-depth stacks: depth ``d`` is slot ``d`` on
-    identical platforms and (slot ``d // m``, ``d % m``-th processor)
-    otherwise."""
+    """Edge cases of the per-depth stacks and the failed-state memo:
+    depth ``d`` is slot ``d`` on identical platforms and (slot
+    ``d // m``, ``d % m``-th processor) otherwise."""
 
     def test_one_slot_hyperperiod(self, kind):
         # T == 1: the root is the last slot
         _, result = edge_solve([(0, 1, 1, 1), (0, 1, 1, 1)], 2, kind)
         depth = 1 if kind == "identical" else 2
-        assert counters(result) == ("feasible", depth, 0, depth)
+        assert counters(result) == ("feasible", depth, 0, depth, 0, 0)
         assert sorted(result.schedule.table[:, 0]) == [0, 1]
         assert validate(result.schedule).ok
 
     def test_one_slot_hyperperiod_overloaded(self, kind):
         _, result = edge_solve([(0, 1, 1, 1)] * 3, 2, kind)
-        assert result.status.value == "infeasible"
         if kind == "identical":
-            # three required tasks, two processors: the root has no choice
-            assert counters(result) == ("infeasible", 0, 0, 0)
+            # three required tasks, two processors: the root has no
+            # choice, and its one state is the one failed state
+            assert counters(result) == ("infeasible", 0, 0, 0, 0, 1)
+        else:
+            # the root slot's depths fail under every running pair
+            assert counters(result) == ("infeasible", 11, 7, 2, 0, 5)
 
     def test_root_requires_more_tasks_than_processors(self, kind):
         _, result = edge_solve([(0, 2, 2, 4)] * 3, 2, kind)
         assert result.status.value == "infeasible"
         if kind == "identical":
-            assert counters(result) == ("infeasible", 0, 0, 0)
+            assert counters(result) == ("infeasible", 0, 0, 0, 0, 1)
 
     def test_every_wcet_zero(self, kind):
         _, result = edge_solve([(0, 0, 2, 2), (1, 0, 3, 3)], 2, kind)
         T = 6
         depth = T if kind == "identical" else 2 * T
-        assert counters(result) == ("feasible", depth, 0, depth)
+        assert counters(result) == ("feasible", depth, 0, depth, 0, 0)
         assert (result.schedule.table == IDLE).all()
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -305,9 +325,25 @@ class TestFlatStacks:
         assert validate(result.schedule).ok
         if kind == "identical":
             # every slot runs all its live tasks: one choice, no backtrack
-            assert counters(result) == ("feasible", 6, 0, 6)
+            assert counters(result) == ("feasible", 6, 0, 6, 0, 0)
 
-    @pytest.mark.parametrize("spec", [None, (5, 4, 2, 23), (6, 6, 3, 7)])
+    def test_wrapped_window_progress_survives_the_gap(self, kind):
+        # tau1 = (2,2,3,4) wraps: its tail is slot 0 and its head slots
+        # 2-3, so it has no fragment at slot 1.  rm runs tau2 at slot 0
+        # first, and that state fails at slot 2; the state reached by
+        # running tau1 at slot 0 differs from it only in tau1's wrapped
+        # cell there, and is feasible
+        tuples = [(2, 2, 3, 4), (0, 1, 2, 2)]
+        gap = slot_at(make_solver(TaskSystem.from_tuples(tuples)), 1)
+        assert [f[0] for f in gap.active] == [1]
+        _, result = edge_solve(tuples, 1, kind, heuristic="rm")
+        assert result.status.value == "feasible"
+        assert result.stats.extra["memo_states"] == 3
+        assert validate(result.schedule).ok
+
+    @pytest.mark.parametrize(
+        "spec", [None, (5, 4, 2, 23), (6, 6, 3, 7), (8, 8, "min", 1)]
+    )
     def test_solving_twice_reuses_the_slot_table(self, kind, spec):
         if spec is None:
             system, m = running_example(), 2
@@ -321,7 +357,10 @@ class TestFlatStacks:
         grown = len(solver._slots)
         second = solver.solve(node_limit=5_000)
         assert len(solver._slots) == grown
+        # the memo is per solve: the second one refuses no state early
         assert counters(second) == counters(first)
+        if spec == (8, 8, "min", 1):
+            assert first.stats.extra["memo_hits"] > 0
         if first.schedule is None:
             assert second.schedule is None
         else:

@@ -11,6 +11,9 @@ spans in per-job Python loops:
   (defaults, each pruning or rule switched off, energetic pruning on) x
   platform kind (identical, uniform, heterogeneous).  The instances
   include windows that wrap past the hyperperiod (``phase + D > T_i``).
+  Re-captured when the search gained its failed-state memo: exactly the
+  cells where the memo refuses a state moved (a status only from
+  ``unknown`` to decided), and every other cell held.
 * ``EXPECTED_CERTIFICATES`` — ``(test, verdict, witness, detail)`` of
   every certificate the full cascade and the four necessary tests
   produce, on a grid that reaches both interval-load strategies (the
@@ -179,17 +182,17 @@ EXPECTED_SEARCH = {
     ('csp2+rm', 'energetic', 'identical', None): ('feasible', 12, 0, 12),
     ('csp2', 'default', 'identical', (4, 4, 2, 11)): ('infeasible', 3, 0, 3),
     ('csp2', 'no-demand', 'identical', (4, 4, 2, 11)): ('infeasible', 4, 1, 4),
-    ('csp2', 'no-symmetry', 'identical', (4, 4, 2, 11)): ('infeasible', 14, 0, 3),
+    ('csp2', 'no-symmetry', 'identical', (4, 4, 2, 11)): ('infeasible', 6, 3, 3),
     ('csp2', 'no-idle', 'identical', (4, 4, 2, 11)): ('infeasible', 3, 0, 3),
     ('csp2', 'energetic', 'identical', (4, 4, 2, 11)): ('infeasible', 0, 0, 0),
     ('csp2+dc', 'default', 'identical', (4, 4, 2, 11)): ('infeasible', 3, 0, 3),
     ('csp2+dc', 'no-demand', 'identical', (4, 4, 2, 11)): ('infeasible', 4, 1, 4),
-    ('csp2+dc', 'no-symmetry', 'identical', (4, 4, 2, 11)): ('infeasible', 14, 0, 3),
+    ('csp2+dc', 'no-symmetry', 'identical', (4, 4, 2, 11)): ('infeasible', 6, 3, 3),
     ('csp2+dc', 'no-idle', 'identical', (4, 4, 2, 11)): ('infeasible', 3, 0, 3),
     ('csp2+dc', 'energetic', 'identical', (4, 4, 2, 11)): ('infeasible', 0, 0, 0),
     ('csp2+rm', 'default', 'identical', (4, 4, 2, 11)): ('infeasible', 3, 0, 3),
     ('csp2+rm', 'no-demand', 'identical', (4, 4, 2, 11)): ('infeasible', 4, 1, 4),
-    ('csp2+rm', 'no-symmetry', 'identical', (4, 4, 2, 11)): ('infeasible', 14, 0, 3),
+    ('csp2+rm', 'no-symmetry', 'identical', (4, 4, 2, 11)): ('infeasible', 6, 3, 3),
     ('csp2+rm', 'no-idle', 'identical', (4, 4, 2, 11)): ('infeasible', 3, 0, 3),
     ('csp2+rm', 'energetic', 'identical', (4, 4, 2, 11)): ('infeasible', 0, 0, 0),
     ('csp2', 'default', 'identical', (5, 4, 2, 23)): ('feasible', 12, 0, 12),
@@ -209,21 +212,21 @@ EXPECTED_SEARCH = {
     ('csp2+rm', 'energetic', 'identical', (5, 4, 2, 23)): ('feasible', 12, 0, 12),
     ('csp2', 'default', 'identical', (5, 5, 2, 31)): ('infeasible', 2, 0, 2),
     ('csp2', 'no-demand', 'identical', (5, 5, 2, 31)): ('infeasible', 7, 1, 5),
-    ('csp2', 'no-symmetry', 'identical', (5, 5, 2, 31)): ('infeasible', 6, 0, 2),
+    ('csp2', 'no-symmetry', 'identical', (5, 5, 2, 31)): ('infeasible', 4, 2, 2),
     ('csp2', 'no-idle', 'identical', (5, 5, 2, 31)): ('infeasible', 2, 0, 2),
     ('csp2', 'energetic', 'identical', (5, 5, 2, 31)): ('infeasible', 0, 0, 0),
     ('csp2+dc', 'default', 'identical', (5, 5, 2, 31)): ('infeasible', 2, 0, 2),
     ('csp2+dc', 'no-demand', 'identical', (5, 5, 2, 31)): ('infeasible', 7, 1, 5),
-    ('csp2+dc', 'no-symmetry', 'identical', (5, 5, 2, 31)): ('infeasible', 6, 0, 2),
+    ('csp2+dc', 'no-symmetry', 'identical', (5, 5, 2, 31)): ('infeasible', 4, 2, 2),
     ('csp2+dc', 'no-idle', 'identical', (5, 5, 2, 31)): ('infeasible', 2, 0, 2),
     ('csp2+dc', 'energetic', 'identical', (5, 5, 2, 31)): ('infeasible', 0, 0, 0),
     ('csp2+rm', 'default', 'identical', (5, 5, 2, 31)): ('infeasible', 2, 0, 2),
     ('csp2+rm', 'no-demand', 'identical', (5, 5, 2, 31)): ('infeasible', 7, 1, 5),
-    ('csp2+rm', 'no-symmetry', 'identical', (5, 5, 2, 31)): ('infeasible', 6, 0, 2),
+    ('csp2+rm', 'no-symmetry', 'identical', (5, 5, 2, 31)): ('infeasible', 4, 2, 2),
     ('csp2+rm', 'no-idle', 'identical', (5, 5, 2, 31)): ('infeasible', 2, 0, 2),
     ('csp2+rm', 'energetic', 'identical', (5, 5, 2, 31)): ('infeasible', 0, 0, 0),
     ('csp2', 'default', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
-    ('csp2', 'no-demand', 'identical', (6, 6, 3, 7)): ('unknown', 5008, 1640, 59),
+    ('csp2', 'no-demand', 'identical', (6, 6, 3, 7)): ('feasible', 368, 143, 60),
     ('csp2', 'no-symmetry', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
     ('csp2', 'no-idle', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
     ('csp2', 'energetic', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
@@ -233,27 +236,27 @@ EXPECTED_SEARCH = {
     ('csp2+dc', 'no-idle', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
     ('csp2+dc', 'energetic', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
     ('csp2+rm', 'default', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
-    ('csp2+rm', 'no-demand', 'identical', (6, 6, 3, 7)): ('unknown', 5005, 1635, 59),
+    ('csp2+rm', 'no-demand', 'identical', (6, 6, 3, 7)): ('feasible', 359, 138, 60),
     ('csp2+rm', 'no-symmetry', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
     ('csp2+rm', 'no-idle', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
     ('csp2+rm', 'energetic', 'identical', (6, 6, 3, 7)): ('feasible', 60, 0, 60),
-    ('csp2', 'default', 'identical', (8, 8, 'min', 1)): ('infeasible', 190, 0, 31),
-    ('csp2', 'no-demand', 'identical', (8, 8, 'min', 1)): ('infeasible', 627, 149, 33),
-    ('csp2', 'no-symmetry', 'identical', (8, 8, 'min', 1)): ('unknown', 5007, 0, 31),
-    ('csp2', 'no-idle', 'identical', (8, 8, 'min', 1)): ('unknown', 5007, 0, 31),
-    ('csp2', 'energetic', 'identical', (8, 8, 'min', 1)): ('infeasible', 190, 0, 31),
-    ('csp2+dc', 'default', 'identical', (8, 8, 'min', 1)): ('infeasible', 190, 0, 31),
-    ('csp2+dc', 'no-demand', 'identical', (8, 8, 'min', 1)): ('infeasible', 627, 149, 33),
-    ('csp2+dc', 'no-symmetry', 'identical', (8, 8, 'min', 1)): ('unknown', 5007, 0, 31),
-    ('csp2+dc', 'no-idle', 'identical', (8, 8, 'min', 1)): ('unknown', 5007, 0, 31),
-    ('csp2+dc', 'energetic', 'identical', (8, 8, 'min', 1)): ('infeasible', 190, 0, 31),
-    ('csp2+rm', 'default', 'identical', (8, 8, 'min', 1)): ('infeasible', 190, 0, 31),
-    ('csp2+rm', 'no-demand', 'identical', (8, 8, 'min', 1)): ('infeasible', 627, 149, 33),
-    ('csp2+rm', 'no-symmetry', 'identical', (8, 8, 'min', 1)): ('unknown', 5007, 0, 31),
-    ('csp2+rm', 'no-idle', 'identical', (8, 8, 'min', 1)): ('unknown', 5007, 0, 31),
-    ('csp2+rm', 'energetic', 'identical', (8, 8, 'min', 1)): ('infeasible', 190, 0, 31),
+    ('csp2', 'default', 'identical', (8, 8, 'min', 1)): ('infeasible', 79, 5, 31),
+    ('csp2', 'no-demand', 'identical', (8, 8, 'min', 1)): ('infeasible', 282, 83, 33),
+    ('csp2', 'no-symmetry', 'identical', (8, 8, 'min', 1)): ('unknown', 5059, 4987, 31),
+    ('csp2', 'no-idle', 'identical', (8, 8, 'min', 1)): ('infeasible', 613, 263, 31),
+    ('csp2', 'energetic', 'identical', (8, 8, 'min', 1)): ('infeasible', 79, 5, 31),
+    ('csp2+dc', 'default', 'identical', (8, 8, 'min', 1)): ('infeasible', 79, 5, 31),
+    ('csp2+dc', 'no-demand', 'identical', (8, 8, 'min', 1)): ('infeasible', 282, 83, 33),
+    ('csp2+dc', 'no-symmetry', 'identical', (8, 8, 'min', 1)): ('unknown', 5059, 4987, 31),
+    ('csp2+dc', 'no-idle', 'identical', (8, 8, 'min', 1)): ('infeasible', 613, 263, 31),
+    ('csp2+dc', 'energetic', 'identical', (8, 8, 'min', 1)): ('infeasible', 79, 5, 31),
+    ('csp2+rm', 'default', 'identical', (8, 8, 'min', 1)): ('infeasible', 79, 5, 31),
+    ('csp2+rm', 'no-demand', 'identical', (8, 8, 'min', 1)): ('infeasible', 282, 83, 33),
+    ('csp2+rm', 'no-symmetry', 'identical', (8, 8, 'min', 1)): ('unknown', 5059, 4987, 31),
+    ('csp2+rm', 'no-idle', 'identical', (8, 8, 'min', 1)): ('infeasible', 613, 263, 31),
+    ('csp2+rm', 'energetic', 'identical', (8, 8, 'min', 1)): ('infeasible', 79, 5, 31),
     ('csp2', 'default', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
-    ('csp2', 'no-demand', 'identical', (10, 10, 'min', 3)): ('unknown', 5020, 1556, 359),
+    ('csp2', 'no-demand', 'identical', (10, 10, 'min', 3)): ('unknown', 5044, 3692, 359),
     ('csp2', 'no-symmetry', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
     ('csp2', 'no-idle', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
     ('csp2', 'energetic', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
@@ -263,7 +266,7 @@ EXPECTED_SEARCH = {
     ('csp2+dc', 'no-idle', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
     ('csp2+dc', 'energetic', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
     ('csp2+rm', 'default', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
-    ('csp2+rm', 'no-demand', 'identical', (10, 10, 'min', 3)): ('unknown', 5027, 1506, 359),
+    ('csp2+rm', 'no-demand', 'identical', (10, 10, 'min', 3)): ('unknown', 5030, 3730, 359),
     ('csp2+rm', 'no-symmetry', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
     ('csp2+rm', 'no-idle', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
     ('csp2+rm', 'energetic', 'identical', (10, 10, 'min', 3)): ('feasible', 360, 0, 360),
@@ -272,61 +275,61 @@ EXPECTED_SEARCH = {
     ('csp2', 'no-symmetry', 'uniform', None): ('feasible', 26, 1, 24),
     ('csp2', 'no-idle', 'uniform', None): ('feasible', 26, 1, 24),
     ('csp2', 'energetic', 'uniform', None): ('feasible', 26, 1, 24),
-    ('csp2+dc', 'default', 'uniform', None): ('feasible', 93, 33, 24),
-    ('csp2+dc', 'no-demand', 'uniform', None): ('feasible', 101, 37, 24),
-    ('csp2+dc', 'no-symmetry', 'uniform', None): ('feasible', 93, 33, 24),
-    ('csp2+dc', 'no-idle', 'uniform', None): ('feasible', 93, 33, 24),
-    ('csp2+dc', 'energetic', 'uniform', None): ('feasible', 93, 33, 24),
-    ('csp2+rm', 'default', 'uniform', None): ('feasible', 60, 16, 24),
-    ('csp2+rm', 'no-demand', 'uniform', None): ('feasible', 68, 20, 24),
-    ('csp2+rm', 'no-symmetry', 'uniform', None): ('feasible', 60, 16, 24),
-    ('csp2+rm', 'no-idle', 'uniform', None): ('feasible', 60, 16, 24),
-    ('csp2+rm', 'energetic', 'uniform', None): ('feasible', 60, 16, 24),
-    ('csp2', 'default', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2', 'no-demand', 'uniform', (4, 4, 2, 12)): ('feasible', 64, 27, 8),
-    ('csp2', 'no-symmetry', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2', 'no-idle', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2', 'energetic', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
+    ('csp2+dc', 'default', 'uniform', None): ('feasible', 87, 31, 24),
+    ('csp2+dc', 'no-demand', 'uniform', None): ('feasible', 95, 35, 24),
+    ('csp2+dc', 'no-symmetry', 'uniform', None): ('feasible', 87, 31, 24),
+    ('csp2+dc', 'no-idle', 'uniform', None): ('feasible', 87, 31, 24),
+    ('csp2+dc', 'energetic', 'uniform', None): ('feasible', 87, 31, 24),
+    ('csp2+rm', 'default', 'uniform', None): ('feasible', 54, 14, 24),
+    ('csp2+rm', 'no-demand', 'uniform', None): ('feasible', 62, 18, 24),
+    ('csp2+rm', 'no-symmetry', 'uniform', None): ('feasible', 54, 14, 24),
+    ('csp2+rm', 'no-idle', 'uniform', None): ('feasible', 54, 14, 24),
+    ('csp2+rm', 'energetic', 'uniform', None): ('feasible', 54, 14, 24),
+    ('csp2', 'default', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2', 'no-demand', 'uniform', (4, 4, 2, 12)): ('feasible', 56, 24, 8),
+    ('csp2', 'no-symmetry', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2', 'no-idle', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2', 'energetic', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
     ('csp2+dc', 'default', 'uniform', (4, 4, 2, 12)): ('feasible', 10, 1, 8),
     ('csp2+dc', 'no-demand', 'uniform', (4, 4, 2, 12)): ('feasible', 10, 1, 8),
     ('csp2+dc', 'no-symmetry', 'uniform', (4, 4, 2, 12)): ('feasible', 10, 1, 8),
     ('csp2+dc', 'no-idle', 'uniform', (4, 4, 2, 12)): ('feasible', 10, 1, 8),
     ('csp2+dc', 'energetic', 'uniform', (4, 4, 2, 12)): ('feasible', 10, 1, 8),
-    ('csp2+rm', 'default', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2+rm', 'no-demand', 'uniform', (4, 4, 2, 12)): ('feasible', 64, 27, 8),
-    ('csp2+rm', 'no-symmetry', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2+rm', 'no-idle', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2+rm', 'energetic', 'uniform', (4, 4, 2, 12)): ('feasible', 53, 21, 8),
-    ('csp2', 'default', 'uniform', (6, 5, 3, 2)): ('unknown', 5030, 2449, 129),
-    ('csp2', 'no-demand', 'uniform', (6, 5, 3, 2)): ('unknown', 5006, 2543, 114),
-    ('csp2', 'no-symmetry', 'uniform', (6, 5, 3, 2)): ('unknown', 5034, 2721, 54),
-    ('csp2', 'no-idle', 'uniform', (6, 5, 3, 2)): ('unknown', 5030, 2449, 129),
-    ('csp2', 'energetic', 'uniform', (6, 5, 3, 2)): ('unknown', 5030, 2449, 129),
-    ('csp2+dc', 'default', 'uniform', (6, 5, 3, 2)): ('unknown', 5023, 2435, 129),
-    ('csp2+dc', 'no-demand', 'uniform', (6, 5, 3, 2)): ('unknown', 5020, 2508, 114),
-    ('csp2+dc', 'no-symmetry', 'uniform', (6, 5, 3, 2)): ('unknown', 5034, 2724, 54),
-    ('csp2+dc', 'no-idle', 'uniform', (6, 5, 3, 2)): ('unknown', 5023, 2435, 129),
-    ('csp2+dc', 'energetic', 'uniform', (6, 5, 3, 2)): ('unknown', 5023, 2435, 129),
-    ('csp2+rm', 'default', 'uniform', (6, 5, 3, 2)): ('unknown', 5011, 2366, 174),
-    ('csp2+rm', 'no-demand', 'uniform', (6, 5, 3, 2)): ('unknown', 5016, 2436, 174),
-    ('csp2+rm', 'no-symmetry', 'uniform', (6, 5, 3, 2)): ('unknown', 5030, 2460, 114),
-    ('csp2+rm', 'no-idle', 'uniform', (6, 5, 3, 2)): ('unknown', 5011, 2366, 174),
-    ('csp2+rm', 'energetic', 'uniform', (6, 5, 3, 2)): ('unknown', 5001, 2347, 174),
-    ('csp2', 'default', 'uniform', (7, 6, 3, 3)): ('unknown', 5024, 1934, 180),
-    ('csp2', 'no-demand', 'uniform', (7, 6, 3, 3)): ('unknown', 5024, 1934, 180),
-    ('csp2', 'no-symmetry', 'uniform', (7, 6, 3, 3)): ('unknown', 5021, 1999, 180),
-    ('csp2', 'no-idle', 'uniform', (7, 6, 3, 3)): ('unknown', 5024, 1934, 180),
-    ('csp2', 'energetic', 'uniform', (7, 6, 3, 3)): ('unknown', 5024, 1934, 180),
-    ('csp2+dc', 'default', 'uniform', (7, 6, 3, 3)): ('unknown', 5005, 2088, 180),
-    ('csp2+dc', 'no-demand', 'uniform', (7, 6, 3, 3)): ('unknown', 5021, 2130, 174),
-    ('csp2+dc', 'no-symmetry', 'uniform', (7, 6, 3, 3)): ('unknown', 5020, 1991, 180),
-    ('csp2+dc', 'no-idle', 'uniform', (7, 6, 3, 3)): ('unknown', 5005, 2088, 180),
-    ('csp2+dc', 'energetic', 'uniform', (7, 6, 3, 3)): ('unknown', 5005, 2088, 180),
-    ('csp2+rm', 'default', 'uniform', (7, 6, 3, 3)): ('unknown', 5036, 2150, 180),
-    ('csp2+rm', 'no-demand', 'uniform', (7, 6, 3, 3)): ('unknown', 5038, 2160, 180),
-    ('csp2+rm', 'no-symmetry', 'uniform', (7, 6, 3, 3)): ('unknown', 5029, 2317, 66),
-    ('csp2+rm', 'no-idle', 'uniform', (7, 6, 3, 3)): ('unknown', 5036, 2150, 180),
-    ('csp2+rm', 'energetic', 'uniform', (7, 6, 3, 3)): ('unknown', 5020, 2060, 177),
+    ('csp2+rm', 'default', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2+rm', 'no-demand', 'uniform', (4, 4, 2, 12)): ('feasible', 56, 24, 8),
+    ('csp2+rm', 'no-symmetry', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2+rm', 'no-idle', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2+rm', 'energetic', 'uniform', (4, 4, 2, 12)): ('feasible', 45, 18, 8),
+    ('csp2', 'default', 'uniform', (6, 5, 3, 2)): ('unknown', 5035, 2544, 180),
+    ('csp2', 'no-demand', 'uniform', (6, 5, 3, 2)): ('unknown', 5010, 2701, 156),
+    ('csp2', 'no-symmetry', 'uniform', (6, 5, 3, 2)): ('unknown', 5029, 2766, 129),
+    ('csp2', 'no-idle', 'uniform', (6, 5, 3, 2)): ('unknown', 5035, 2544, 180),
+    ('csp2', 'energetic', 'uniform', (6, 5, 3, 2)): ('unknown', 5035, 2544, 180),
+    ('csp2+dc', 'default', 'uniform', (6, 5, 3, 2)): ('unknown', 5008, 2551, 174),
+    ('csp2+dc', 'no-demand', 'uniform', (6, 5, 3, 2)): ('unknown', 5024, 2692, 129),
+    ('csp2+dc', 'no-symmetry', 'uniform', (6, 5, 3, 2)): ('unknown', 5039, 2722, 129),
+    ('csp2+dc', 'no-idle', 'uniform', (6, 5, 3, 2)): ('unknown', 5008, 2551, 174),
+    ('csp2+dc', 'energetic', 'uniform', (6, 5, 3, 2)): ('unknown', 5008, 2551, 174),
+    ('csp2+rm', 'default', 'uniform', (6, 5, 3, 2)): ('feasible', 2508, 1170, 180),
+    ('csp2+rm', 'no-demand', 'uniform', (6, 5, 3, 2)): ('feasible', 3494, 1727, 180),
+    ('csp2+rm', 'no-symmetry', 'uniform', (6, 5, 3, 2)): ('feasible', 4336, 2278, 180),
+    ('csp2+rm', 'no-idle', 'uniform', (6, 5, 3, 2)): ('feasible', 2508, 1170, 180),
+    ('csp2+rm', 'energetic', 'uniform', (6, 5, 3, 2)): ('feasible', 2388, 1096, 180),
+    ('csp2', 'default', 'uniform', (7, 6, 3, 3)): ('unknown', 5013, 2561, 180),
+    ('csp2', 'no-demand', 'uniform', (7, 6, 3, 3)): ('unknown', 5018, 2504, 180),
+    ('csp2', 'no-symmetry', 'uniform', (7, 6, 3, 3)): ('unknown', 5013, 2628, 180),
+    ('csp2', 'no-idle', 'uniform', (7, 6, 3, 3)): ('unknown', 5013, 2561, 180),
+    ('csp2', 'energetic', 'uniform', (7, 6, 3, 3)): ('unknown', 5013, 2561, 180),
+    ('csp2+dc', 'default', 'uniform', (7, 6, 3, 3)): ('unknown', 5036, 2417, 180),
+    ('csp2+dc', 'no-demand', 'uniform', (7, 6, 3, 3)): ('unknown', 5019, 2384, 180),
+    ('csp2+dc', 'no-symmetry', 'uniform', (7, 6, 3, 3)): ('unknown', 5011, 2624, 180),
+    ('csp2+dc', 'no-idle', 'uniform', (7, 6, 3, 3)): ('unknown', 5036, 2417, 180),
+    ('csp2+dc', 'energetic', 'uniform', (7, 6, 3, 3)): ('unknown', 5036, 2417, 180),
+    ('csp2+rm', 'default', 'uniform', (7, 6, 3, 3)): ('unknown', 5016, 2375, 180),
+    ('csp2+rm', 'no-demand', 'uniform', (7, 6, 3, 3)): ('unknown', 5002, 2348, 180),
+    ('csp2+rm', 'no-symmetry', 'uniform', (7, 6, 3, 3)): ('unknown', 5033, 2473, 180),
+    ('csp2+rm', 'no-idle', 'uniform', (7, 6, 3, 3)): ('unknown', 5016, 2375, 180),
+    ('csp2+rm', 'energetic', 'uniform', (7, 6, 3, 3)): ('unknown', 5017, 2378, 177),
     ('csp2', 'default', 'heterogeneous', (4, 4, 2, 5)): ('feasible', 10, 1, 8),
     ('csp2', 'no-demand', 'heterogeneous', (4, 4, 2, 5)): ('feasible', 10, 1, 8),
     ('csp2', 'no-symmetry', 'heterogeneous', (4, 4, 2, 5)): ('feasible', 10, 1, 8),
@@ -342,21 +345,21 @@ EXPECTED_SEARCH = {
     ('csp2+rm', 'no-symmetry', 'heterogeneous', (4, 4, 2, 5)): ('feasible', 10, 1, 8),
     ('csp2+rm', 'no-idle', 'heterogeneous', (4, 4, 2, 5)): ('feasible', 10, 1, 8),
     ('csp2+rm', 'energetic', 'heterogeneous', (4, 4, 2, 5)): ('feasible', 10, 1, 8),
-    ('csp2', 'default', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2', 'no-demand', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1346, 1012, 8),
-    ('csp2', 'no-symmetry', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2', 'no-idle', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2', 'energetic', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+dc', 'default', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+dc', 'no-demand', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1346, 1012, 8),
-    ('csp2+dc', 'no-symmetry', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+dc', 'no-idle', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+dc', 'energetic', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+rm', 'default', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+rm', 'no-demand', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1346, 1012, 8),
-    ('csp2+rm', 'no-symmetry', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+rm', 'no-idle', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
-    ('csp2+rm', 'energetic', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 1261, 955, 8),
+    ('csp2', 'default', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2', 'no-demand', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 543, 400, 8),
+    ('csp2', 'no-symmetry', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2', 'no-idle', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2', 'energetic', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+dc', 'default', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+dc', 'no-demand', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 543, 400, 8),
+    ('csp2+dc', 'no-symmetry', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+dc', 'no-idle', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+dc', 'energetic', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+rm', 'default', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+rm', 'no-demand', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 543, 400, 8),
+    ('csp2+rm', 'no-symmetry', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+rm', 'no-idle', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
+    ('csp2+rm', 'energetic', 'heterogeneous', (5, 4, 2, 8)): ('infeasible', 458, 343, 8),
     ('csp2', 'default', 'heterogeneous', (6, 5, 3, 5)): ('feasible', 365, 117, 180),
     ('csp2', 'no-demand', 'heterogeneous', (6, 5, 3, 5)): ('feasible', 365, 117, 180),
     ('csp2', 'no-symmetry', 'heterogeneous', (6, 5, 3, 5)): ('feasible', 365, 117, 180),
@@ -372,21 +375,21 @@ EXPECTED_SEARCH = {
     ('csp2+rm', 'no-symmetry', 'heterogeneous', (6, 5, 3, 5)): ('feasible', 430, 163, 180),
     ('csp2+rm', 'no-idle', 'heterogeneous', (6, 5, 3, 5)): ('feasible', 430, 163, 180),
     ('csp2+rm', 'energetic', 'heterogeneous', (6, 5, 3, 5)): ('feasible', 430, 163, 180),
-    ('csp2', 'default', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2', 'no-demand', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5024, 3060, 18),
-    ('csp2', 'no-symmetry', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2', 'no-idle', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2', 'energetic', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+dc', 'default', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+dc', 'no-demand', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5024, 3060, 18),
-    ('csp2+dc', 'no-symmetry', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+dc', 'no-idle', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+dc', 'energetic', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+rm', 'default', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+rm', 'no-demand', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5024, 3060, 18),
-    ('csp2+rm', 'no-symmetry', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+rm', 'no-idle', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
-    ('csp2+rm', 'energetic', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5002, 3205, 18),
+    ('csp2', 'default', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2', 'no-demand', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5018, 3237, 18),
+    ('csp2', 'no-symmetry', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2', 'no-idle', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2', 'energetic', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+dc', 'default', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+dc', 'no-demand', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5018, 3237, 18),
+    ('csp2+dc', 'no-symmetry', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+dc', 'no-idle', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+dc', 'energetic', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+rm', 'default', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+rm', 'no-demand', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5018, 3237, 18),
+    ('csp2+rm', 'no-symmetry', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+rm', 'no-idle', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
+    ('csp2+rm', 'energetic', 'heterogeneous', (7, 6, 3, 6)): ('unknown', 5023, 3253, 18),
 }
 
 #: case -> certificate_record(case)

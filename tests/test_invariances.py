@@ -16,7 +16,7 @@ almost surely break one of them.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.model import Platform, Task, TaskSystem
@@ -85,6 +85,13 @@ def test_offset_mod_period_invariance(system, m, k):
 
 @settings(deadline=None, max_examples=20)
 @given(small_systems(), st.integers(1, 2), st.sampled_from([2, 3]))
+# scaled, [(0,3,6,6), (0,3,9,9), (3,3,9,12)]: csp2+dc decides it only
+# because the search refuses states it already saw fail
+@example(
+    system=TaskSystem([Task(0, 1, 2, 2), Task(0, 1, 3, 3), Task(1, 1, 3, 4)]),
+    m=1,
+    k=3,
+)
 def test_time_scaling_invariance(system, m, k):
     scaled = TaskSystem(
         Task(t.offset * k, t.wcet * k, t.deadline * k, t.period * k) for t in system
