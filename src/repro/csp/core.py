@@ -72,7 +72,7 @@ class Model:
 
     def bool_var(self, name: str | None = None) -> Variable:
         """New 0/1 variable."""
-        return self.int_var(0, 1, name)
+        return self._new(name, 0, 0b11)
 
     def constant(self, value: int, name: str | None = None) -> Variable:
         """A variable fixed to one value (handy in encodings)."""

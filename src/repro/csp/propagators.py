@@ -656,26 +656,22 @@ class CountEq(Propagator):
             raise ValueError(f"total must be >= 0, got {total}")
         self.value = value
         self.total = total
-        # only variables that can ever take `value` matter (occurrences kept)
-        self._bits: dict[int, int] = {}
-        self._watched: tuple[Variable, ...] = tuple(
-            v for v in self.vars if self._can_take(v)
-        )
-        # (var, bit) pairs in watch order: the forcing scans walk this
-        # instead of paying a dict lookup per variable per call
-        self._scan: tuple[tuple[Variable, int], ...] = tuple(
-            (v, self._bits[v.index]) for v in self._watched
-        )
-        self.incremental = len(self._watched) >= INCREMENTAL_ARITY_THRESHOLD
+        # only variables that can ever take `value` matter (occurrences
+        # kept); the (var, bit) pairs in watch order let the forcing scans
+        # skip a dict lookup per variable per call
+        bits: dict[int, int] = {}
+        scan = []
+        for v in self.vars:
+            b = value - v.offset
+            if b >= 0 and v.initial_mask >> b & 1:
+                bits[v.index] = 1 << b
+                scan.append((v, 1 << b))
+        self._bits = bits
+        self._scan: tuple[tuple[Variable, int], ...] = tuple(scan)
+        self._watched: tuple[Variable, ...] = tuple(v for v, _ in scan)
+        self.incremental = len(scan) >= INCREMENTAL_ARITY_THRESHOLD
         self._c: list[int] | None = None
         self._stamp = -1
-
-    def _can_take(self, v: Variable) -> bool:
-        b = self.value - v.offset
-        if b < 0 or not v.initial_mask >> b & 1:
-            return False
-        self._bits[v.index] = 1 << b
-        return True
 
     def watches(self) -> list[tuple[Variable, int, int | None]]:
         """Subscribe only the variables that can ever take ``value``,
@@ -704,7 +700,7 @@ class CountEq(Propagator):
         *occurrence* in the watch list (a variable listed twice counts
         twice, exactly like :meth:`_tally`); the kernel merges the
         occurrences into one per-event update with the summed weight."""
-        cells = [(v.index, self._bits[v.index], 1) for v in self._watched]
+        cells = [(v.index, bit, 1) for v, bit in self._scan]
         return ("count", 2, cells, self.total, 1)
 
     def on_event(self, state: DomainState, idx: int, old: int, new: int):

@@ -72,8 +72,8 @@ from repro.csp.learning import (
     apply_negation,
 )
 from repro.csp.propagators import PROP_ENTAILED
-from repro.csp.state import CAUSE_DECISION, EVT_ANY, EVT_ASSIGN, DomainState
-from repro.kernels.fixpoint import CountingKernel
+from repro.csp.state import CAUSE_DECISION, EVT_ASSIGN, DomainState
+from repro.csp.wiring import N_TIERS, compile_wiring
 from repro.util.timer import Deadline
 
 _EVT_ASSIGN = EVT_ASSIGN  # module-local alias, bound once for the hot loop
@@ -83,9 +83,6 @@ __all__ = ["Status", "SearchStats", "SolveOutcome", "Solver", "PROPAGATION_ENGIN
 #: engine flavor tag, recorded by benchmarks (the pre-refactor engine
 #: rescanned every propagator's whole scope on each wake)
 PROPAGATION_ENGINE = "incremental-events"
-
-#: number of propagation-queue tiers (Propagator.priority is clamped into it)
-_N_TIERS = 3
 
 
 class Status(Enum):
@@ -244,8 +241,14 @@ class Solver:
             raise ValueError(f"nogood_limit must be >= 1, got {nogood_limit}")
         self.nogood_limit = nogood_limit
         self._store: NogoodStore | None = None
+        # Event-driven propagation wiring, compiled once per Solver in
+        # one pass over the constraints (see repro.csp.wiring): counting
+        # rows move out of the watcher lists into the batched kernel
+        # (non-learning search only), whose per-event bookkeeping runs
+        # inline in _fixpoint instead of through on_event calls.
+        wiring = compile_wiring(model, batching=not self.learn)
         self.ctx = SearchContext(
-            degrees=model.degrees(),
+            degrees=wiring.degrees,
             rng=None if seed is None else random.Random(seed),
         )
         if phase_saving:
@@ -253,60 +256,14 @@ class Solver:
             self.value_order = make_value_order_phase_saving(
                 self.value_order, self.ctx.phases
             )
-        # Event-driven propagation wiring, built once per Solver: for
-        # every variable, a per-event-class jump table.  An event's mask
-        # is always one of REMOVE (1), REMOVE|BOUNDS (3) or
-        # REMOVE|BOUNDS|ASSIGN (7), so ``self._watchers[idx][mask]`` is
-        # the pre-filtered tuple of ``(pid, on_event-or-None, relevance,
-        # dedup)`` subscriptions to wake — no per-entry wake-mask test
-        # in the hot dispatch loop.  ``dedup`` marks stateless wake
-        # filters whose call is skipped while the propagator is queued.
-        self._props = list(model.constraints)
-        raw: list[list[tuple]] = [[] for _ in model.variables]
-        self._tiers: list[int] = []
-        # Counting rows move out of the watcher lists into the batched
-        # kernel (non-learning search only): their per-event bookkeeping
-        # runs inline in _fixpoint instead of through on_event calls.
-        # Only tier-0 rows qualify — the inline tables enqueue straight
-        # onto q0.
-        batching = self.learn is False
-        batched_props: list[tuple[int, object]] = []
-        self._batched = [False] * len(self._props)
-        for pid, prop in enumerate(self._props):
-            tier = min(_N_TIERS - 1, max(0, getattr(prop, "priority", 1)))
-            self._tiers.append(tier)
-            if batching and tier == 0 and hasattr(prop, "batch_row"):
-                self._batched[pid] = True
-                batched_props.append((pid, prop))
-                continue
-            handler = getattr(prop, "on_event", None)
-            if handler is not None and not getattr(prop, "incremental", True):
-                handler = None  # tally-on-wake mode: no delta bookkeeping
-            dedup = handler is not None and getattr(
-                prop, "stateless_filter", False
-            )
-            watches = getattr(prop, "watches", None)
-            entries = (
-                watches() if watches is not None
-                else [(v, EVT_ANY, None) for v in prop.vars]
-            )
-            for entry in entries:
-                if len(entry) == 2:  # legacy (var, wake_mask) subscription
-                    var, wake_mask = entry
-                    relevance = None
-                else:
-                    var, wake_mask, relevance = entry
-                raw[var.index].append((pid, wake_mask, handler, relevance, dedup))
-        self._kernel = CountingKernel.build(batched_props, len(model.variables))
-        self._ktab = (
-            self._kernel.table if self._kernel is not None
-            else [{}] * len(model.variables)
-        )
-        self._kmask = (
-            self._kernel.bitmask if self._kernel is not None
-            else [0] * len(model.variables)
-        )
-        self._prop_fns = [p.propagate for p in self._props]
+        self._props = wiring.props
+        self._prop_fns = wiring.fns
+        self._tiers = wiring.tiers
+        self._watchers = wiring.watchers
+        self._resets = wiring.resets
+        self._kernel = wiring.kernel
+        self._ktab = wiring.ktab
+        self._kmask = wiring.kmask
         #: input order keeps a per-descent scan hint: with chronological
         #: branching the first-open index only moves forward within a
         #: descent and pop_level's mask restore re-opens exactly the
@@ -314,21 +271,8 @@ class Solver:
         #: ``ctx.first_unassigned_hint`` to the branch index + 1 before
         #: each selection — O(1) amortized
         self._hint_input = self.var_order is var_order_input
-        self._watchers: list[tuple] = [
-            tuple(
-                tuple(
-                    (pid, handler, relevance, dedup)
-                    for pid, wake_mask, handler, relevance, dedup in entries
-                    if wake_mask & event_class
-                )
-                if event_class in (1, 3, 7)
-                else ()
-                for event_class in range(8)
-            )
-            for entries in raw
-        ]
         self._queues: tuple[deque[int], ...] = tuple(
-            deque() for _ in range(_N_TIERS)
+            deque() for _ in range(N_TIERS)
         )
         self._on_queue = [False] * len(self._props)
         #: per-propagator liveness; entailment flips a slot to False with
@@ -360,21 +304,17 @@ class Solver:
     def _reset_propagators(self, state: DomainState) -> None:
         """Fresh run: reactivate everything, rebuild owned counters.
 
-        Batched counting rows are excluded from the per-propagator
-        resets: the kernel recomputes all their aggregates in one pass
-        over the stacked row matrix (and re-points each ``_c`` at the
-        kernel-owned list)."""
+        Only the ``reset`` hooks the wiring lists run: batched counting
+        rows are excluded, since the kernel recomputes all their
+        aggregates in one pass over the stacked row matrix (and
+        re-points each ``_c`` at the kernel-owned list), and so are
+        tally-on-wake propagators and inherited no-op hooks."""
         active = self._active
         for pid in range(len(active)):
             active[pid] = True
         self._reset_queue(state)
-        batched = self._batched
-        for pid, prop in enumerate(self._props):
-            if batched[pid]:
-                continue
-            reset = getattr(prop, "reset", None)
-            if reset is not None:
-                reset(state)
+        for reset in self._resets:
+            reset(state)
         if self._kernel is not None:
             self._kernel.reset(state)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.csp.core import Model, Variable
+from repro.csp.propagators import AtMostOneTrue, ExactSumBool, WeightedExactSumBool
 from repro.model import intervals
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
@@ -74,48 +75,57 @@ def encode_csp1(system: TaskSystem, platform: Platform) -> Csp1Encoding:
     T = system.hyperperiod
     m = platform.m
     n = system.n
-    rates = platform.rate_matrix(n)
+    rates = platform.rate_matrix(n).tolist()
     identical = platform.is_identical
 
     model = Model()
+    bool_var = model.bool_var
     vars: dict[tuple[int, int, int], Variable] = {}
 
-    # variables: only (i, j, t) with t inside a window of i and s_ij > 0
-    per_proc_slot: dict[tuple[int, int], list[Variable]] = {}
-    per_task_slot: dict[tuple[int, int], list[Variable]] = {}
+    # variables: only (i, j, t) with t inside a window of i and s_ij > 0,
+    # created task-major, then slot, then processor; the (i, t) groups
+    # and the (j, t) groups (keyed j * T + t, in first-seen order) are
+    # collected on the way
+    per_proc_slot: dict[int, list[Variable]] = {}
+    per_task_slot: list[list[Variable]] = []
+    # (5)/(11) rows, posted last: (variables, coefficients, C_i)
+    windows: list[tuple[list[Variable], list[int], int]] = []
     for i in range(n):
-        eligible_procs = [j for j in range(m) if rates[i, j] > 0]
+        task = system[i]
+        eligible_procs = [j for j in range(m) if rates[i][j] > 0]
+        at_slot: dict[int, list[Variable]] = {}
         for t in system.task_slots(i):
+            group = []
             for j in eligible_procs:
-                v = model.bool_var(f"x[{i},{j},{t}]")
+                v = bool_var(f"x[{i},{j},{t}]")
                 vars[(i, j, t)] = v
-                per_proc_slot.setdefault((j, t), []).append(v)
-                per_task_slot.setdefault((i, t), []).append(v)
+                group.append(v)
+                per_proc_slot.setdefault(j * T + t, []).append(v)
+            at_slot[t] = group
+            per_task_slot.append(group)
+        coefs = [rates[i][j] for j in eligible_procs]
+        for job in range(system.n_jobs(i)):
+            slots = intervals.window_slots(task, T, job)
+            windows.append((
+                [v for t in slots for v in at_slot[t]],
+                [] if identical else [c for _ in slots for c in coefs],
+                task.wcet,
+            ))
 
+    add = model.add
     # (3): at most one task per processor-slot
     for group in per_proc_slot.values():
         if len(group) > 1:
-            model.add_at_most_one_true(group)
+            add(AtMostOneTrue(group))
     # (4): at most one processor per task-slot
-    for group in per_task_slot.values():
+    for group in per_task_slot:
         if len(group) > 1:
-            model.add_at_most_one_true(group)
+            add(AtMostOneTrue(group))
     # (5)/(11): exactly C_i per availability window
-    for i in range(n):
-        task = system[i]
-        C = task.wcet
-        for job in range(system.n_jobs(i)):
-            wvars: list[Variable] = []
-            wcoefs: list[int] = []
-            for t in intervals.window_slots(task, T, job):
-                for j in range(m):
-                    v = vars.get((i, j, t))
-                    if v is not None:
-                        wvars.append(v)
-                        wcoefs.append(int(rates[i, j]))
-            if identical:
-                model.add_exact_sum_bool(wvars, C)
-            else:
-                model.add_weighted_exact_sum_bool(wvars, wcoefs, C)
+    for wvars, wcoefs, C in windows:
+        if identical:
+            add(ExactSumBool(wvars, C))
+        else:
+            add(WeightedExactSumBool(wvars, wcoefs, C))
 
     return Csp1Encoding(system=system, platform=platform, model=model, vars=vars)

@@ -36,6 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.csp.core import Model, Variable
+from repro.csp.propagators import (
+    AllDifferentExceptValue,
+    CountEq,
+    NonDecreasing,
+    WeightedCountEq,
+)
 from repro.model import intervals
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
@@ -99,7 +105,7 @@ def encode_csp2(
     m = platform.m
     n = system.n
     idle = n
-    rates = platform.rate_matrix(n)
+    rates = platform.rate_matrix(n).tolist()
 
     # tasks available per slot (condition (7) folded into the domains)
     active_at: list[list[int]] = [[] for _ in range(T)]
@@ -110,46 +116,50 @@ def encode_csp2(
     proc_order = _processor_creation_order(system, platform)
 
     model = Model()
+    int_var_from = model.int_var_from
     vars: dict[tuple[int, int], Variable] = {}
     # chronological creation: slot-major, then processors (Section V-C-1)
+    slot_vars: list[list[Variable]] = []
     for t in range(T):
+        row = []
         for j in proc_order:
-            domain = [i for i in active_at[t] if rates[i, j] > 0]
+            domain = [i for i in active_at[t] if rates[i][j] > 0]
             domain.append(idle)
-            vars[(j, t)] = model.int_var_from(domain, f"x[{j},{t}]")
+            v = vars[(j, t)] = int_var_from(domain, f"x[{j},{t}]")
+            row.append(v)
+        slot_vars.append(row)
 
+    add = model.add
     # (8): processors differ unless idle
-    for t in range(T):
-        if m > 1:
-            model.add_all_different_except(
-                [vars[(j, t)] for j in proc_order], except_value=idle
-            )
+    if m > 1:
+        for row in slot_vars:
+            add(AllDifferentExceptValue(row, idle))
 
     # (9)/(12): exactly C_i units per window
     identical = platform.is_identical
     for i in range(n):
         task = system[i]
         C = task.wcet
+        procs = [j for j in range(m) if rates[i][j] > 0]
+        coefs = [rates[i][j] for j in procs]
         for job in range(system.n_jobs(i)):
-            wvars: list[Variable] = []
-            wcoefs: list[int] = []
-            for t in intervals.window_slots(task, T, job):
-                for j in range(m):
-                    if rates[i, j] > 0:
-                        wvars.append(vars[(j, t)])
-                        wcoefs.append(int(rates[i, j]))
+            slots = intervals.window_slots(task, T, job)
+            wvars = [vars[(j, t)] for t in slots for j in procs]
             if identical:
-                model.add_count_eq(wvars, i, C)
+                add(CountEq(wvars, i, C))
             else:
-                model.add_weighted_count_eq(wvars, wcoefs, i, C)
+                add(WeightedCountEq(wvars, [c for _ in slots for c in coefs], i, C))
 
     # (10)/(13): symmetry chains over identical processor groups
     if symmetry_breaking and m > 1:
-        groups = [g for g in platform.identical_groups(n) if len(g) > 1]
+        chains = [
+            [j for j in proc_order if j in group]
+            for group in platform.identical_groups(n)
+            if len(group) > 1
+        ]
         for t in range(T):
-            for group in groups:
-                ordered = [j for j in proc_order if j in group]
-                model.add_non_decreasing([vars[(j, t)] for j in ordered])
+            for ordered in chains:
+                add(NonDecreasing([vars[(j, t)] for j in ordered]))
 
     return Csp2Encoding(
         system=system, platform=platform, model=model, vars=vars, idle_value=idle

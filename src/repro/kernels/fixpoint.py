@@ -9,14 +9,16 @@ rows into one shared store the engine consults inline:
 
 * **Row matrix.**  Every row is a set of ``(var_index, value_bit,
   coefficient)`` cells plus a target ``total`` (and ``cmax`` for the
-  weighted rows) — exported by each propagator's ``batch_row()``.  The
-  whole system of rows is one sparse ``(rows x vars)`` masked matrix.
+  weighted rows) — exported by each propagator's ``batch_row()`` and
+  added by :meth:`CountingKernel.add` during the engine's one-pass
+  wiring compile (:mod:`repro.csp.wiring`).  The whole system of rows is
+  one sparse ``(rows x vars)`` masked matrix.
 * **Reset pass.**  :meth:`CountingKernel.reset` evaluates every row's
   aggregates from the current domain masks in one scalar sweep and
   re-points each propagator's ``_c`` at the kernel-owned list, so
   ``propagate`` reads the shared aggregates with no synchronisation.
 * **Inline update tables.**  :attr:`CountingKernel.table` maps each
-  variable to the tuple of row entries its events touch.  The engine's
+  variable to the row entries its events touch.  The engine's
   dispatch loop updates the aggregates *inline* (no function call) and
   re-enqueues a row only when its bounds say propagation could act —
   exactly the skip condition the scalar ``on_event`` hooks implement,
@@ -42,85 +44,83 @@ __all__ = ["CountingKernel"]
 _TRUE = 0b10
 
 
-def _or_all(bits) -> int:
-    """OR an iterable of bit masks together."""
-    out = 0
-    for b in bits:
-        out |= b
-    return out
-
-
 class _Row:
     """One counting row: identity, cells and the shared aggregate list."""
 
-    __slots__ = ("pid", "prop", "kind", "slots", "cells", "total", "cmax", "c", "st")
+    __slots__ = ("pid", "prop", "slots", "cells", "c", "st")
 
-    def __init__(self, pid, prop, kind, slots, cells, total, cmax):
+    def __init__(self, pid, prop, slots, cells):
         self.pid = pid
         self.prop = prop
-        self.kind = kind
         self.slots = slots
         self.cells = cells  # [(var_index, value_bit, coefficient), ...]
-        self.total = total
-        self.cmax = cmax
         self.c = [0] * slots  # kernel-owned aggregates; prop._c aliases it
         self.st = [-1]  # per-row once-per-node trail stamp holder
 
 
 class CountingKernel:
-    """Shared aggregate store + per-variable inline wake tables."""
+    """Shared aggregate store + per-variable inline wake tables.
 
-    def __init__(self, rows: list[_Row], n_vars: int) -> None:
-        self.rows = rows
-        tables: list[dict[int, list]] = [{} for _ in range(n_vars)]
-        for row in rows:
-            # merge duplicate occurrences per variable (CountEq may watch a
-            # variable several times; one event must update the aggregates
-            # once per occurrence, so the merged entry carries the sum)
-            merged: dict[int, int] = {}
-            bit_of: dict[int, int] = {}
-            for vi, bit, coef in row.cells:
-                merged[vi] = merged.get(vi, 0) + coef
-                bit_of[vi] = bit
-            # every entry is the same uniform 7-tuple: the bool rows are
-            # just count rows whose counted value-bit is TRUE (a 2-value
-            # domain only ever sees assign events, and the gain/loss
-            # bookkeeping coincides), and the 2-slot rows are 3-slot rows
-            # without the free-count cell (w3 gates it)
-            w3 = row.slots == 3
-            for vi in merged:
-                bit = bit_of[vi] if row.kind == "count" else _TRUE
-                tables[vi].setdefault(bit, []).append(
-                    (row.pid, row.c, row.st, row.total,
-                     merged[vi], w3, row.cmax)
-                )
-        #: per-variable dict ``value_bit -> tuple of inline entries``
+    Rows are added one at a time by :meth:`add`, in propagator order,
+    from the engine's one-pass wiring compiler
+    (:func:`repro.csp.wiring.compile_wiring`); each call appends the
+    row's entries to the tables of the variables it counts.
+    """
+
+    def __init__(self, n_vars: int) -> None:
+        self.rows: list[_Row] = []
+        #: per-variable dict ``value_bit -> list of inline entries``
         #: ``(pid, c, st, total, coef, w3, cmax)``, indexed by
-        #: ``var.index``.  Keying by bit lets the dispatch loop jump
-        #: straight from an event's removed/assigned bits to the rows
-        #: they affect, instead of scanning every row watching the var.
-        self.table: list[dict[int, tuple]] = [
-            {bit: tuple(entries) for bit, entries in t.items()} for t in tables
-        ]
+        #: ``var.index`` (None for a variable no row counts).  Keying by
+        #: bit lets the dispatch loop jump straight from an event's
+        #: removed/assigned bits to the rows they affect, instead of
+        #: scanning every row watching the var.
+        self.table: list[dict[int, list] | None] = [None] * n_vars
         #: per-variable OR of the keyed bits: masking an event's removed
         #: bits with this skips the non-keyed ones before any dict lookup
         #: (and makes every surviving lookup a guaranteed hit)
-        self.bitmask: list[int] = [
-            0 if not t else _or_all(t) for t in self.table
-        ]
+        self.bitmask: list[int] = [0] * n_vars
 
-    # -- construction --------------------------------------------------------
-    @classmethod
-    def build(cls, batched: list[tuple[int, object]], n_vars: int):
-        """Collect ``batch_row()`` exports of the given ``(pid, prop)``
-        pairs; None when the list is empty."""
-        rows = []
-        for pid, prop in batched:
-            kind, slots, cells, total, cmax = prop.batch_row()
-            rows.append(_Row(pid, prop, kind, slots, list(cells), total, cmax))
-        if not rows:
-            return None
-        return cls(rows, n_vars)
+    def add(self, pid: int, prop) -> None:
+        """Append ``prop``'s ``batch_row()`` export as row ``pid``.
+
+        Every entry is the same uniform 7-tuple: the bool rows are just
+        count rows whose counted value-bit is TRUE (a 2-value domain
+        only ever sees assign events, and the gain/loss bookkeeping
+        coincides), and the 2-slot rows are 3-slot rows without the
+        free-count cell (``w3`` gates it).  A variable listed twice in
+        one row (``CountEq`` keeps repeated occurrences) gets one entry
+        carrying the summed coefficient, so one event updates the
+        aggregates once per occurrence.
+        """
+        kind, slots, cells, total, cmax = prop.batch_row()
+        row = _Row(pid, prop, slots, cells)
+        self.rows.append(row)
+        table = self.table
+        bitmask = self.bitmask
+        c = row.c
+        st = row.st
+        w3 = slots == 3
+        count = kind == "count"
+        unit = (pid, c, st, total, 1, w3, cmax)
+        for vi, bit, coef in cells:
+            if not count:
+                bit = _TRUE
+            entry = unit if coef == 1 else (pid, c, st, total, coef, w3, cmax)
+            buckets = table[vi]
+            if buckets is None:
+                table[vi] = {bit: [entry]}
+                bitmask[vi] = bit
+                continue
+            bucket = buckets.get(bit)
+            if bucket is None:
+                buckets[bit] = [entry]
+                bitmask[vi] |= bit
+            elif bucket[-1][0] == pid:  # repeated variable: sum the weights
+                prev = bucket[-1]
+                bucket[-1] = (pid, c, st, total, prev[4] + coef, w3, cmax)
+            else:
+                bucket.append(entry)
 
     # -- the single-pass reset sweep ----------------------------------------
     def reset(self, state) -> None:

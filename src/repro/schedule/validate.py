@@ -18,9 +18,11 @@ failing fast, which is what you want when debugging a solver.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
-from repro.model import intervals
+import numpy as np
+
 from repro.schedule.schedule import IDLE, Schedule
 
 __all__ = ["Violation", "ValidationResult", "validate"]
@@ -73,6 +75,11 @@ def validate(schedule: Schedule) -> ValidationResult:
     Requires a constrained-deadline system (``D_i <= T_i`` for all ``i``) —
     arbitrary-deadline systems must be validated through their cloned form,
     exactly as they must be solved through it (paper Section VI-B).
+
+    The checks run as whole-table array operations; only a schedule that
+    breaks something is walked cell by cell, to report each violation
+    slot-major (processor-minor, C3 before C1 within a cell), followed by
+    the C4 execution counts task by task, job by job.
     """
     system = schedule.system
     platform = schedule.platform
@@ -83,76 +90,107 @@ def validate(schedule: Schedule) -> ValidationResult:
         )
     # the table horizon is a multiple of the hyperperiod; validate over the
     # full horizon so period-kT schedules are checked job by job
-    T = schedule.horizon
-    violations: list[Violation] = []
-
-    # accumulated execution per (task, job): C4 checked against these
-    received: list[list[int]] = [
-        [0] * (T // system[i].period) for i in range(system.n)
-    ]
-
     table = schedule.table
-    for t in range(T):
-        seen_at_t: dict[int, int] = {}
-        for j in range(schedule.m):
-            i = int(table[j, t])
-            if i == IDLE:
-                continue
-            # C3: one processor per task per slot
-            if i in seen_at_t:
-                violations.append(
-                    Violation(
-                        "C3",
-                        f"task {i} runs on processors {seen_at_t[i]} and {j} at slot {t}",
-                        task=i,
-                        slot=t,
-                        processor=j,
-                    )
+    m, T = table.shape
+    # per task: phase, period, deadline and the index of its first job in
+    # the task-major list of J jobs; bucket J collects the busy cells
+    # outside every window (C1).  The extra last row, which idle cells
+    # (-1) index, sends every idle cell to bucket J + 1.
+    rows = []
+    wcets = []
+    J = 0
+    for task in system:
+        rows.append((task.phase, task.period, task.deadline, J))
+        jobs = T // task.period
+        wcets += [task.wcet] * jobs
+        J += jobs
+    rows.append((0, T + 1, T + 1, J + 1))
+    cell = np.array(rows, dtype=np.int64)[table]
+    job, within = np.divmod((np.arange(T) - cell[..., 0]) % T, cell[..., 1])
+    cell_job = np.where(within < cell[..., 2], job + cell[..., 3], J)
+    if platform.is_identical:
+        received = np.bincount(cell_job.ravel(), minlength=J + 2)
+        n_outside = received[J]
+        rate0 = None
+    else:
+        cell_rate = platform.rate_matrix(system.n)[table, np.arange(m)[:, None]]
+        # float weights: exact while a job's units stay below 2**53
+        received = np.bincount(
+            cell_job.ravel(), weights=cell_rate.ravel(), minlength=J + 2
+        ).astype(np.int64)
+        n_outside = np.count_nonzero(cell_job == J)
+        rate0 = (cell_rate == 0) & (cell_job < J)
+    short = np.flatnonzero(received[:J] != wcets)  # C4 counts
+    column = np.sort(table, axis=0)  # C3: a task twice in one slot
+    doubled = m > 1 and bool(((column[1:] == column[:-1]) & (column[1:] != IDLE)).any())
+    if not (
+        doubled or n_outside or short.size
+        or (rate0 is not None and rate0.any())
+    ):
+        return ValidationResult(())
+
+    violations: list[Violation] = []
+    busy = table != IDLE
+    # first[j, t]: the lowest processor running table[j, t] at slot t
+    # when that is below j (a C3 duplicate), else -1
+    first = np.full((m, T), -1, dtype=np.int64)
+    for j in range(1, m):
+        same = (table[:j] == table[j]) & busy[j]
+        first[j] = np.where(same.any(axis=0), same.argmax(axis=0), -1)
+    outside = cell_job == J  # C1
+    if rate0 is None:
+        rate0 = np.zeros_like(outside)
+    bad = (first >= 0) | outside | rate0
+    for t, j in np.argwhere(bad.T).tolist():
+        i = int(table[j, t])
+        if first[j, t] >= 0:
+            violations.append(
+                Violation(
+                    "C3",
+                    f"task {i} runs on processors {int(first[j, t])} and {j} at slot {t}",
+                    task=i,
+                    slot=t,
+                    processor=j,
                 )
-            else:
-                seen_at_t[i] = j
-            # C1: inside an availability window
-            job = intervals.active_job(system[i], T, t)
-            if job is None:
-                violations.append(
-                    Violation(
-                        "C1",
-                        f"task {i} scheduled at slot {t} outside any availability window",
-                        task=i,
-                        slot=t,
-                        processor=j,
-                    )
+            )
+        if outside[j, t]:
+            violations.append(
+                Violation(
+                    "C1",
+                    f"task {i} scheduled at slot {t} outside any availability window",
+                    task=i,
+                    slot=t,
+                    processor=j,
                 )
-                continue
-            rate = platform.rate(i, j)
-            if rate == 0:
-                # heterogeneous s_ij = 0: P_j cannot serve tau_i.  This is a
-                # domain violation of the encodings; report it under C4
-                # since it corrupts the execution count.
-                violations.append(
-                    Violation(
-                        "C4",
-                        f"task {i} scheduled on processor {j} with rate 0 at slot {t}",
-                        task=i,
-                        job=job,
-                        slot=t,
-                        processor=j,
-                    )
+            )
+        elif rate0[j, t]:
+            # heterogeneous s_ij = 0: P_j cannot serve tau_i.  This is a
+            # domain violation of the encodings; report it under C4
+            # since it corrupts the execution count.
+            violations.append(
+                Violation(
+                    "C4",
+                    f"task {i} scheduled on processor {j} with rate 0 at slot {t}",
+                    task=i,
+                    job=int(cell_job[j, t] - cell[j, t, 3]),
+                    slot=t,
+                    processor=j,
                 )
-            received[i][job] += rate
+            )
 
     # C4: exactly C_i units per job window
-    for i in range(system.n):
-        C = system[i].wcet
-        for job, got in enumerate(received[i]):
-            if got != C:
-                violations.append(
-                    Violation(
-                        "C4",
-                        f"job {job} of task {i} received {got} units, needs exactly {C}",
-                        task=i,
-                        job=job,
-                    )
-                )
+    first_job = [row[3] for row in rows[:-1]]
+    for k in short.tolist():
+        i = bisect.bisect_right(first_job, k) - 1
+        job_k = k - first_job[i]
+        violations.append(
+            Violation(
+                "C4",
+                f"job {job_k} of task {i} received {int(received[k])} units, "
+                f"needs exactly {wcets[k]}",
+                task=i,
+                job=job_k,
+            )
+        )
 
     return ValidationResult(tuple(violations))

@@ -335,8 +335,13 @@ class Csp2DedicatedSolver:
             if scan is not None:
                 if t == reached:
                     reached += 1
+                todo = self._selections(*scan)
+                if todo is None and path:
+                    # more required tasks than processors: a dead end too,
+                    # pushed all the same so the memo records its state
+                    stats.fails += 1
                 path.append(None)
-                pending.append(self._selections(*scan))
+                pending.append(todo)
             elif path:
                 stats.fails += 1
             # take the next choice at the deepest slot that has one

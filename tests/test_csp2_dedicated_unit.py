@@ -261,6 +261,15 @@ class TestGeneralModeInternals:
         assert 0 in cands_slow
 
 
+def test_slot_requiring_more_tasks_than_processors_counts_a_fail():
+    # rm runs tau2 at slot 0 first; that dive reaches slot 3 with tau1's
+    # wrapped window and tau2's second job both required on the one
+    # processor: a dead end, and the one fail of the search.  The dive's
+    # slots 2 and 1 are then exhausted (memo states, not fails)
+    _, result = edge_solve([(2, 2, 3, 4), (0, 1, 2, 2)], 1, "identical", heuristic="rm")
+    assert counters(result) == ("feasible", 7, 1, 4, 0, 3)
+
+
 def edge_platform(kind, n, m):
     """``m`` unit processors: identical, or an all-ones rate matrix,
     which takes the per-processor (general) search."""

@@ -146,3 +146,65 @@ def test_first_fit_never_beats_exact(data):
     ex = exact_partition(system, m)
     if ff.found:
         assert ex.found  # exact search finds at least what the heuristic does
+
+
+def _simulation_only(tasks, max_cycles=64):
+    """The bin test without its density/utilization shortcuts."""
+    from repro.baselines.priorities import global_edf
+
+    if not tasks:
+        return True
+    sim = global_edf(TaskSystem(tasks), 1, max_cycles=max_cycles)
+    if sim.schedulable is None:
+        raise RuntimeError("uniprocessor simulation did not converge")
+    return bool(sim.schedulable)
+
+
+def _grid(seed):
+    """Seeded constrained systems with offsets, over- and under-loaded."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(60):
+        tasks = []
+        for _ in range(rng.randint(1, 6)):
+            t = rng.choice([2, 3, 4, 5, 6, 8])
+            d = rng.randint(1, t)
+            tasks.append(Task(rng.randrange(t), rng.randint(0, d), d, t))
+        yield TaskSystem(tasks), rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bounds_agree_with_simulation(seed, monkeypatch):
+    """Every bin answer, partition and certificate equals the
+    simulation-only answer; the grid reaches all three deciders."""
+    from repro.analysis import partitioned_certificate
+    from repro.baselines import partitioned
+
+    cases = list(_grid(seed))
+    bins = [list(system.tasks[: k + 1]) for system, _ in cases for k in range(system.n)]
+    assert [uniprocessor_edf_feasible(b) for b in bins] == [_simulation_only(b) for b in bins]
+
+    def answers():
+        return [
+            (
+                first_fit_partition(system, m).assignment,
+                exact_partition(system, m).assignment,
+                partitioned_certificate(system, m).to_dict(),
+            )
+            for system, m in cases
+        ]
+
+    fast = answers()
+    monkeypatch.setattr(partitioned, "uniprocessor_edf_feasible", _simulation_only)
+    assert fast == answers()
+
+    def density(b):
+        return sum(t.density for t in b)
+
+    def utilization(b):
+        return sum(t.utilization for t in b)
+
+    assert any(density(b) <= 1 for b in bins)
+    assert any(utilization(b) > 1 for b in bins)
+    assert any(density(b) > 1 >= utilization(b) for b in bins)

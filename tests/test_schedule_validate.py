@@ -146,3 +146,171 @@ class TestViolationDataclass:
 
         v = Violation("C1", "boom", task=1, slot=2)
         assert str(v) == "[C1] boom"
+
+
+# ---------------------------------------------------------------------------
+# parity: the array validator against the per-cell loop it replaced
+# ---------------------------------------------------------------------------
+
+def _validate_loop(schedule):
+    """The former per-cell validator, kept as the oracle: slot-major,
+    processor-minor, C3 before C1 within a cell, then the C4 counts."""
+    from repro.model import intervals
+    from repro.schedule import ValidationResult, Violation
+
+    system, platform = schedule.system, schedule.platform
+    T = schedule.horizon
+    violations = []
+    received = [[0] * (T // system[i].period) for i in range(system.n)]
+    table = schedule.table
+    for t in range(T):
+        seen_at_t = {}
+        for j in range(schedule.m):
+            i = int(table[j, t])
+            if i == IDLE:
+                continue
+            if i in seen_at_t:
+                violations.append(Violation(
+                    "C3", f"task {i} runs on processors {seen_at_t[i]} and {j} at slot {t}",
+                    task=i, slot=t, processor=j,
+                ))
+            else:
+                seen_at_t[i] = j
+            job = intervals.active_job(system[i], T, t)
+            if job is None:
+                violations.append(Violation(
+                    "C1", f"task {i} scheduled at slot {t} outside any availability window",
+                    task=i, slot=t, processor=j,
+                ))
+                continue
+            rate = platform.rate(i, j)
+            if rate == 0:
+                violations.append(Violation(
+                    "C4", f"task {i} scheduled on processor {j} with rate 0 at slot {t}",
+                    task=i, job=job, slot=t, processor=j,
+                ))
+            received[i][job] += rate
+    for i in range(system.n):
+        C = system[i].wcet
+        for job, got in enumerate(received[i]):
+            if got != C:
+                violations.append(Violation(
+                    "C4", f"job {job} of task {i} received {got} units, needs exactly {C}",
+                    task=i, job=job,
+                ))
+    return ValidationResult(tuple(violations))
+
+
+def _platform(kind, n, m, rng):
+    if kind == "identical":
+        return Platform.identical(m)
+    if kind == "uniform":
+        return Platform.uniform([rng.randint(1, 3) for _ in range(m)])
+    # heterogeneous with rate-0 cells (every task keeps one usable processor)
+    rows = []
+    for _ in range(n):
+        row = [rng.choice((0, 1, 1, 2)) for _ in range(m)]
+        row[rng.randrange(m)] = rng.randint(1, 2)
+        rows.append(row)
+    return Platform.heterogeneous(rows)
+
+
+def _mutants(table, n, rng):
+    """C1/C3/C4 mutations of ``table`` plus one random cell."""
+    m, T = table.shape
+    out = []
+    for _ in range(6):
+        t = table.copy()
+        kind = rng.randrange(4)
+        j, s = rng.randrange(m), rng.randrange(T)
+        if kind == 0:  # move a unit: C1 and/or C4
+            busy = np.argwhere(t != IDLE)
+            if len(busy):
+                j0, s0 = busy[rng.randrange(len(busy))]
+                t[j, s] = t[j0, s0]
+                t[j0, s0] = IDLE
+        elif kind == 1 and m > 1:  # duplicate a unit on another processor: C3
+            busy = np.argwhere(t != IDLE)
+            if len(busy):
+                j0, s0 = busy[rng.randrange(len(busy))]
+                t[(j0 + 1 + rng.randrange(m - 1)) % m, s0] = t[j0, s0]
+        elif kind == 2:  # drop a unit: C4
+            t[j, s] = IDLE
+        else:
+            t[j, s] = rng.randrange(-1, n)
+        out.append(t)
+    return out
+
+
+def _parity_cases(seed):
+    """Solved schedules over every platform kind, their mutants, random
+    tables and period-kT tables (tiled ones and clone-merged ones)."""
+    import random
+
+    from repro import solve
+    from repro.generator import GeneratorConfig, generate_instance
+    from repro.model import Task
+    from repro.model.transform import clone_for_arbitrary_deadlines
+    from repro.solvers.api import merge_clone_schedule
+
+    rng = random.Random(seed)
+    kinds = ("identical", "uniform", "heterogeneous")
+    for k in range(18):
+        inst = generate_instance(
+            GeneratorConfig(n=rng.randint(2, 5), tmax=rng.randint(3, 6), m=2),
+            rng.randrange(2**31),
+        )
+        system = inst.system
+        m = rng.randint(1, 3)
+        plat = _platform(kinds[k % 3], system.n, m, rng)
+        report = solve(system, plat, solver="csp2+dc", node_limit=2000, check=False)
+        if report.schedule is not None:
+            base = report.schedule.table
+        else:
+            base = np.array(
+                [[rng.randrange(-1, system.n) for _ in range(system.hyperperiod)]
+                 for _ in range(m)]
+            )
+        for table in [base, np.tile(base, (1, 2)), *_mutants(base, system.n, rng)]:
+            yield Schedule(system, plat, table)
+    # clone merging: a cloned system's schedule spans k hyperperiods of a
+    # constrained system over the same tasks
+    for k in range(6):
+        tasks = [
+            Task(offset=rng.randrange(3), wcet=1, deadline=rng.randint(2, 5),
+                 period=rng.randint(2, 3))
+            for _ in range(3)
+        ]
+        arbitrary = TaskSystem(tasks)
+        cloned, clone_map = clone_for_arbitrary_deadlines(arbitrary)
+        plat = Platform.identical(len(cloned))
+        report = solve(cloned, plat, solver="csp2+dc", node_limit=2000, check=False)
+        if report.schedule is None:
+            continue
+        merged = merge_clone_schedule(report.schedule, clone_map)
+        constrained = TaskSystem(
+            Task(offset=t.offset, wcet=t.wcet, deadline=min(t.deadline, t.period),
+                 period=t.period)
+            for t in tasks
+        )
+        assert merged.horizon % constrained.hyperperiod == 0
+        for table in [merged.table, *_mutants(merged.table, len(tasks), rng)]:
+            yield Schedule(constrained, plat, table)
+
+
+class TestArrayParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_violations_as_the_loop(self, seed):
+        cases = list(_parity_cases(seed))
+        kinds = set()
+        for sched in cases:
+            got = validate(sched)
+            assert got == _validate_loop(sched)
+            kinds.update(v.kind for v in got.violations)
+            kinds.update(
+                "rate0" for v in got.violations if "rate 0" in v.message
+            )
+        # the grid reaches every path, valid schedules included
+        assert {"C1", "C3", "C4", "rate0"} <= kinds
+        assert any(validate(s).ok for s in cases)
+        assert any(s.horizon > s.system.hyperperiod for s in cases)
