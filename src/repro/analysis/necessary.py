@@ -143,6 +143,24 @@ def _distinct(slots: np.ndarray, T: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
+def _demand_bound_ceiling(system: TaskSystem, m: int) -> int:
+    """``max over L of sum_i C_i max(0, (L - D_i) // T_i + 1) - m L``.
+
+    An interval of ``L`` slots wholly encloses at most
+    ``(L - D_i) // T_i + 1`` windows of task ``i``, whatever the task's
+    offset, so no scan interval's enclosed demand exceeds its capacity
+    by more than this.  The maximum sits on a step point
+    ``L = D_i + k T_i <= T``: the points are sorted and their ``C_i``
+    summed cumulatively.
+    """
+    T = system.hyperperiod
+    points = [np.arange(t.deadline, T + 1, t.period) for t in system]
+    wcets = np.repeat([t.wcet for t in system], [len(p) for p in points])
+    steps = np.concatenate(points)
+    order = np.argsort(steps, kind="stable")
+    return int((np.cumsum(wcets[order]) - m * steps[order]).max())
+
+
 def _enclosed_over_capacity(
     system: TaskSystem, m: int, max_cells: int, max_pairs: int
 ) -> "tuple[tuple[int, int, int] | None, bool]":
@@ -162,6 +180,8 @@ def _enclosed_over_capacity(
     total = system.total_demand()
     if total > m * T:
         return (0, T - 1, total), True
+    if T * T <= max_cells and _demand_bound_ceiling(system, m) <= 0:
+        return None, True  # no interval can be over capacity: skip the table
     spans = system.windows.spans()
     witness, tabled = demand_kernel.enclosed_excess_witness(
         spans, T, m, max_cells=max_cells

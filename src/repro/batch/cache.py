@@ -18,9 +18,10 @@ Two value shapes share the machinery:
 * :class:`ResultCache` — flat :class:`~repro.experiments.runner.RunRecord`
   dicts, the campaign memo ``run_batch`` consults;
 * :class:`ReportCache` — full :class:`~repro.solvers.problem.SolveReport`
-  documents (schedule table included), the solver service's shared memo
-  layer.  Point it at a *different* root than a :class:`ResultCache` —
-  both address by the same key, and the value shapes are incompatible.
+  documents (schedule table included) kept and handed back as their
+  canonical JSON text, the solver service's shared memo layer.  Point
+  it at a *different* root than a :class:`ResultCache` — both address
+  by the same key, and the value shapes are incompatible.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.solvers.problem import REPORT_KEYS
+
 __all__ = ["ResultCache", "ReportCache"]
 
 
 class _JsonFileCache:
     """Shared layout + atomic-write + tolerant-read machinery.
 
-    Subclasses define how a value becomes a JSON document
+    Subclasses define how a value becomes an entry's JSON text
     (:meth:`_encode`) and back (:meth:`_decode`); everything about paths,
     atomicity and corruption tolerance lives here once.
     """
@@ -49,10 +52,10 @@ class _JsonFileCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _encode(self, value) -> dict:
+    def _encode(self, value) -> str:
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def _decode(self, doc: dict):
+    def _decode(self, text: str):
         raise NotImplementedError  # pragma: no cover - abstract
 
     def get(self, key: str):
@@ -64,18 +67,19 @@ class _JsonFileCache:
         path = self._path(key)
         try:
             with open(path) as fh:
-                return self._decode(json.load(fh))
+                return self._decode(fh.read())
         except (OSError, ValueError, TypeError, KeyError):
             return None
 
     def put(self, key: str, value) -> None:
-        """Atomically persist one value under its key."""
+        """Atomically persist one value under its key, in one write."""
+        text = self._encode(value)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(self._encode(value), fh, separators=(",", ":"))
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -96,30 +100,33 @@ class ResultCache(_JsonFileCache):
     """Maps :func:`~repro.batch.cells.cell_key` hex digests (a cell's
     :func:`~repro.solvers.problem.solve_key`) to records."""
 
-    def _encode(self, value) -> dict:
-        return asdict(value)
+    def _encode(self, value) -> str:
+        return json.dumps(asdict(value), separators=(",", ":"))
 
-    def _decode(self, doc: dict):
+    def _decode(self, text: str):
         from repro.experiments.runner import RunRecord
 
-        return RunRecord(**doc)
+        return RunRecord(**json.loads(text))
 
 
 class ReportCache(_JsonFileCache):
     """Maps :func:`~repro.solvers.problem.solve_key` digests to full
-    :class:`~repro.solvers.problem.SolveReport` docs.
+    :class:`~repro.solvers.problem.SolveReport` documents, as text.
 
-    The solver service's memo layer: a report round-trips through its
-    own ``to_dict``/``from_dict`` (schedule table, stats and fault
-    payloads included), so a warm request is answered byte-equivalently
-    to the cold solve that produced it — only the request-scoped label
-    gets patched by the server.
+    The solver service's memo layer: ``put`` takes a report's canonical
+    text (:func:`~repro.service.protocol.report_text`, encoded once by
+    the worker that solved it) and writes those bytes; ``get`` hands the
+    same text back.  An entry that does not parse to an object with
+    exactly ``SolveReport.to_dict``'s keys, in order, is a miss, so a
+    hit's text can be patched and re-encoded into the bytes the cold
+    solve produced.
     """
 
-    def _encode(self, value) -> dict:
-        return value.to_dict()
+    def _encode(self, value: str) -> str:
+        return value
 
-    def _decode(self, doc: dict):
-        from repro.solvers.problem import SolveReport
-
-        return SolveReport.from_dict(doc)
+    def _decode(self, text: str) -> str:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or tuple(doc) != REPORT_KEYS:
+            raise ValueError("not a SolveReport document")
+        return text

@@ -92,58 +92,42 @@ class Model:
     # Convenience wrappers so encodings read close to the paper's notation.
     def add_at_most_one_true(self, bools: Sequence[Variable]) -> None:
         """``sum b_k <= 1`` over boolean variables (constraints (3)/(4))."""
-        from repro.csp.propagators import AtMostOneTrue
-
         self.add(AtMostOneTrue(bools))
 
     def add_exact_sum_bool(self, bools: Sequence[Variable], total: int) -> None:
         """``sum b_k == total`` over booleans (constraint (5))."""
-        from repro.csp.propagators import ExactSumBool
-
         self.add(ExactSumBool(bools, total))
 
     def add_weighted_exact_sum_bool(
         self, bools: Sequence[Variable], coefs: Sequence[int], total: int
     ) -> None:
         """``sum c_k b_k == total``, ``c_k >= 0`` (constraint (11))."""
-        from repro.csp.propagators import WeightedExactSumBool
-
         self.add(WeightedExactSumBool(bools, coefs, total))
 
     def add_count_eq(self, vars: Sequence[Variable], value: int, total: int) -> None:
         """``#{k : x_k == value} == total`` (constraint (9))."""
-        from repro.csp.propagators import CountEq
-
         self.add(CountEq(vars, value, total))
 
     def add_weighted_count_eq(
         self, vars: Sequence[Variable], coefs: Sequence[int], value: int, total: int
     ) -> None:
         """``sum_k c_k [x_k == value] == total`` (constraint (12))."""
-        from repro.csp.propagators import WeightedCountEq
-
         self.add(WeightedCountEq(vars, coefs, value, total))
 
     def add_all_different_except(
         self, vars: Sequence[Variable], except_value: int | None
     ) -> None:
         """Pairwise difference, ignoring ``except_value`` (constraint (8))."""
-        from repro.csp.propagators import AllDifferentExceptValue
-
         self.add(AllDifferentExceptValue(vars, except_value))
 
     def add_non_decreasing(self, vars: Sequence[Variable]) -> None:
         """``x_1 <= x_2 <= ..`` — the symmetry-breaking rule (10)."""
-        from repro.csp.propagators import NonDecreasing
-
         self.add(NonDecreasing(vars))
 
     def add_table(
         self, vars: Sequence[Variable], tuples: Iterable[Sequence[int]]
     ) -> None:
         """Positive table constraint: the tuple of values must be listed."""
-        from repro.csp.propagators import Table
-
         self.add(Table(vars, tuples))
 
     # -- introspection -----------------------------------------------------------
@@ -165,3 +149,17 @@ class Model:
 
     def __repr__(self) -> str:
         return f"Model(vars={self.n_variables}, constraints={self.n_constraints})"
+
+
+# Bound once, after Model and Variable exist: propagators imports this
+# module, so the import cannot sit at the top.
+from repro.csp.propagators import (  # noqa: E402
+    AllDifferentExceptValue,
+    AtMostOneTrue,
+    CountEq,
+    ExactSumBool,
+    NonDecreasing,
+    Table,
+    WeightedCountEq,
+    WeightedExactSumBool,
+)

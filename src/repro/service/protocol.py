@@ -83,6 +83,7 @@ __all__ = [
     "clamp_problem",
     "parse_solve_request",
     "encode",
+    "report_text",
     "hello_line",
     "report_line",
     "stats_line",
@@ -262,9 +263,24 @@ def parse_solve_request(
 
 # -- envelope builders ------------------------------------------------------
 
+#: ``json.dumps(doc, separators=(",", ":"))`` without building an
+#: encoder per call
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode(doc: dict) -> str:
     """One compact JSONL line (newline included)."""
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _compact(doc) + "\n"
+
+
+def report_text(doc: dict) -> str:
+    """The canonical text of a ``SolveReport.to_dict`` document.
+
+    The daemon handles a solved report only as this text: the worker
+    encodes it once, and the memo entry, the journal line and the
+    response line all carry these bytes.
+    """
+    return _compact(doc)
 
 
 def hello_line(
@@ -283,16 +299,12 @@ def hello_line(
     )
 
 
-def report_line(request_id: Any, key: str, report, cached: bool) -> str:
-    """A completed solve: the full ``SolveReport`` document."""
-    return encode(
-        {
-            "id": request_id,
-            "type": "report",
-            "key": key,
-            "cached": cached,
-            "report": report.to_dict(),
-        }
+def report_line(request_id: Any, key: str, text: str, cached: bool) -> str:
+    """A completed solve, its report spliced in as :func:`report_text`."""
+    return (
+        f'{{"id":{_compact(request_id)},"type":"report",'
+        f'"key":{_compact(key)},"cached":{_compact(cached)},'
+        f'"report":{text}}}\n'
     )
 
 

@@ -27,11 +27,15 @@ Request lifecycle:
    the solver and the options: what a campaign cell asking the same
    question is keyed by) is looked up in the shared
    :class:`~repro.batch.cache.ReportCache`; a hit is served without
-   re-solving (the response says ``"cached": true``), with only the
-   request-scoped ``label`` patched onto the cached report;
+   re-solving (the response says ``"cached": true``): the cached
+   document gets the request's own clamped problem (its ``label`` and
+   budgets) and ``index`` 0, and is encoded once;
 3. **execution** — a miss runs on the transport under a concurrency
-   semaphore (``jobs`` solves in flight); a transport fault becomes a
-   ``fault:*`` report, exactly as a campaign journals it;
+   semaphore (``jobs`` solves in flight); the worker returns the
+   report's canonical text (:func:`~repro.service.protocol.report_text`),
+   and the memo entry, the journal line and the response line carry
+   those bytes; a transport fault becomes a ``fault:*`` report, exactly
+   as a campaign journals it;
 4. **journal, then respond** — every completed request is appended to
    the crash-safe JSONL journal (flushed per line, torn tail trimmed on
    reopen) *before* its response line is written, so a daemon killed
@@ -53,7 +57,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -74,6 +78,7 @@ from repro.service.protocol import (
     ok_line,
     parse_solve_request,
     report_line,
+    report_text,
     stats_line,
 )
 from repro.solvers.problem import Problem, fault_report, solve_problem
@@ -82,17 +87,19 @@ from repro.solvers.registry import available_solvers
 __all__ = ["ServiceConfig", "SolverService", "ServiceHandle"]
 
 
-def _solve_request_worker(payload, attempt: int):
+def _solve_request_worker(payload, attempt: int) -> str:
     """Transport worker: solve one service request in a watched child.
 
     The payload is plain JSON-shaped data (problem dict, solver name,
     options dict) so it pickles into supervised children and process
-    pools alike; the returned :class:`~repro.solvers.problem.SolveReport`
-    pickles back.
+    pools alike.  The worker returns the report's canonical text
+    (:func:`~repro.service.protocol.report_text`), encoded here once:
+    the daemon writes those bytes to the memo, the journal and the
+    response without decoding them.
     """
     problem_dict, solver, options = payload
     problem = Problem.from_dict(problem_dict)
-    return solve_problem(problem, solver, **options)
+    return report_text(solve_problem(problem, solver, **options).to_dict())
 
 
 #: JSON types a request ``id`` may have (``bool`` is an ``int``): scalars,
@@ -250,14 +257,12 @@ class SolverService:
         return snap
 
     # -- blocking execution (runs in executor threads) ----------------------
-    def _journal_report(self, key: str, report) -> None:
+    def _journal_report(self, key: str, text: str) -> None:
         if self._journal_fh is None:
             return
-        line = json.dumps(
-            {"key": key, "report": report.to_dict()}, separators=(",", ":")
-        )
+        line = f'{{"key":{json.dumps(key)},"report":{text}}}\n'
         with self._journal_lock:
-            self._journal_fh.write(line + "\n")
+            self._journal_fh.write(line)
             self._journal_fh.flush()
 
     def _execute(self, req: SolveRequest) -> str:
@@ -272,11 +277,14 @@ class SolverService:
                 # the memo key ignores request-scoped bookkeeping; patch
                 # this request's own (clamped) problem back on so the
                 # client sees its label and budgets echoed
-                report = replace(hit, problem=req.problem, index=0)
+                doc = json.loads(hit)
+                doc["problem"] = req.problem.to_dict()
+                doc["index"] = 0
+                text = report_text(doc)
                 self._bump("served")
                 self._bump("cached")
-                self._journal_report(req.key, report)
-                return report_line(req.id, req.key, report, cached=True)
+                self._journal_report(req.key, text)
+                return report_line(req.id, req.key, text, cached=True)
         item = WorkItem(
             key=req.key,
             fn=_solve_request_worker,
@@ -286,21 +294,21 @@ class SolverService:
         results = list(self.transport.execute([item]))
         res = results[0]
         if res.fault is not None:
-            report = fault_report(
+            text = report_text(fault_report(
                 req.problem, req.solver, res.fault.kind, res.fault.detail,
                 attempts=res.fault.attempts,
-            )
+            ).to_dict())
             self._bump("faulted")
         else:
-            report = res.value
+            text = res.value
             if self.cache is not None:
                 # faults are execution accidents, not properties of the
                 # cell — only real answers enter the shared memo
-                self.cache.put(req.key, report)
+                self.cache.put(req.key, text)
         self._bump("served")
         self._bump("computed")
-        self._journal_report(req.key, report)
-        return report_line(req.id, req.key, report, cached=False)
+        self._journal_report(req.key, text)
+        return report_line(req.id, req.key, text, cached=False)
 
     # -- async plumbing -----------------------------------------------------
     async def _send(self, writer, wlock: asyncio.Lock, line: str) -> None:

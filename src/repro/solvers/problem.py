@@ -57,6 +57,7 @@ __all__ = [
     "DEFAULT_VARIABLE_LIMIT",
     "Problem",
     "SolveReport",
+    "REPORT_KEYS",
     "check_solvable",
     "solve_key",
     "solve_problem",
@@ -283,6 +284,13 @@ def _memory_guarded_spec(spec: SolverSpec) -> SolverSpec | None:
             base=spec.base, members=(guarded,) if guarded is not None else ()
         )
     return None if solver_info(spec).memory_bound else spec
+
+
+#: the keys of a :meth:`SolveReport.to_dict` document, in order
+REPORT_KEYS = (
+    "problem", "solver", "status", "winner", "decided_by", "elapsed",
+    "index", "stats", "schedule", "fault",
+)
 
 
 @dataclass

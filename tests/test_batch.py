@@ -1,13 +1,16 @@
 """Tests for the parallel batch layer (cells, cache, executor, CLI)."""
 
+import io
 import json
 import os
 import signal
+from dataclasses import asdict
 
 import pytest
 
 from repro.batch import (
     Cell,
+    ReportCache,
     ResultCache,
     cell_key,
     cells_for_matrix,
@@ -17,6 +20,8 @@ from repro.batch import (
 )
 from repro.experiments.runner import RunRecord, run_instances
 from repro.generator.random_systems import GeneratorConfig, generate_instances
+from repro.service.protocol import report_text
+from repro.solvers.problem import solve_problem
 
 SOLVERS = ["csp2+dc", "csp2"]
 TIME_LIMIT = 5.0  # generous: the tiny instances below always decide
@@ -124,6 +129,49 @@ class TestCache:
         cache.put(key, solve_cell(cells[0]))
         cache._path(key).write_text("{not json")
         assert cache.get(key) is None
+
+    @staticmethod
+    def _both_caches(tmp_path, cells):
+        """``(cache, key, value, object-path entry text)`` per cache kind:
+        the text is what the chunked ``json.dump`` of the value's
+        document wrote before entries became one string."""
+        cell = cells[0]
+        key = cell_key(cell)
+        record = solve_cell(cell)
+        report = solve_problem(cell.problem(), cell.solver)
+        out = []
+        for cache, value, doc in (
+            (ResultCache(tmp_path / "results"), record, asdict(record)),
+            (ReportCache(tmp_path / "reports"), report_text(report.to_dict()),
+             report.to_dict()),
+        ):
+            buf = io.StringIO()
+            json.dump(doc, buf, separators=(",", ":"))
+            out.append((cache, key, value, buf.getvalue()))
+        return out
+
+    def test_entry_files_match_the_chunked_dump(self, tmp_path, cells):
+        for cache, key, value, old_text in self._both_caches(tmp_path, cells):
+            cache.put(key, value)
+            assert cache._path(key).read_text() == old_text
+            assert cache.get(key) == value
+            assert not list(cache._path(key).parent.glob("*.tmp"))
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign"])
+    def test_unreadable_entry_is_a_miss(self, tmp_path, cells, damage):
+        for cache, key, value, old_text in self._both_caches(tmp_path, cells):
+            cache.put(key, value)
+            if damage == "truncated":
+                text = old_text[: len(old_text) // 2]
+            else:  # valid JSON that is neither a record nor a report
+                doc = json.loads(old_text)
+                doc.pop("status")
+                text = json.dumps(doc)
+            cache._path(key).write_text(text)
+            assert cache.get(key) is None
+            for other in ("[1, 2]", '{"key": 1}', "null"):
+                cache._path(key).write_text(other)
+                assert cache.get(key) is None
 
     def test_run_batch_warm_cache_is_byte_identical(self, tmp_path, cells):
         cache = tmp_path / "cache"

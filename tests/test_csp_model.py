@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.csp import Model, Variable
+from repro.csp import Model, Variable, propagators
 from repro.csp.propagators import CountEq, NonDecreasing
 
 
@@ -77,6 +77,8 @@ class TestModel:
         assert m.degrees() == [2, 2, 1]
 
     def test_wrapper_methods_build_right_types(self):
+        """Each wrapper posts its propagator class over exactly the
+        variables it was given."""
         m = Model()
         vs = [m.int_var(0, 3) for _ in range(3)]
         bs = [m.bool_var() for _ in range(3)]
@@ -88,17 +90,20 @@ class TestModel:
         m.add_all_different_except(vs, 3)
         m.add_non_decreasing(vs)
         m.add_table(vs[:2], [(0, 1)])
-        names = [type(c).__name__ for c in m.constraints]
-        assert names == [
-            "AtMostOneTrue",
-            "ExactSumBool",
-            "WeightedExactSumBool",
-            "CountEq",
-            "WeightedCountEq",
-            "AllDifferentExceptValue",
-            "NonDecreasing",
-            "Table",
+        expected = [
+            (propagators.AtMostOneTrue, bs),
+            (propagators.ExactSumBool, bs),
+            (propagators.WeightedExactSumBool, bs),
+            (propagators.CountEq, vs),
+            (propagators.WeightedCountEq, vs),
+            (propagators.AllDifferentExceptValue, vs),
+            (propagators.NonDecreasing, vs),
+            (propagators.Table, vs[:2]),
         ]
+        assert len(m.constraints) == len(expected)
+        for c, (cls, over) in zip(m.constraints, expected):
+            assert type(c) is cls
+            assert list(c.vars) == over
 
     def test_constraint_repr_truncates(self):
         m = Model()

@@ -2,6 +2,7 @@
 ``screen`` meta-solver, and decided_by provenance end to end."""
 
 import json
+import random
 
 import pytest
 
@@ -53,6 +54,34 @@ def collision() -> TaskSystem:
 def light_implicit() -> TaskSystem:
     """Implicit deadlines, U small: GFB fires on any m."""
     return TaskSystem.from_tuples([(0, 1, 4, 4), (0, 1, 8, 8)])
+
+
+def _interval_load_grid(rng, count=150):
+    """Seeded ``(system, m)`` pairs for the interval-load scans: random
+    offsets (so windows wrap), zero wcets, some ``D > T`` tasks (cloned
+    first), each system on ``m`` around ``ceil(U)``, plus systems built
+    with ``U = m`` exactly."""
+    cases = []
+    for _ in range(count):
+        tasks = []
+        for _ in range(rng.randint(1, 5)):
+            period = rng.choice([2, 3, 4, 6, 8, 12])
+            deadline = rng.choice([1, 2, rng.randint(1, period + 2)])
+            wcet = rng.randint(0, min(deadline, 4))
+            tasks.append((rng.randrange(period), wcet, deadline, period))
+        system = TaskSystem.from_tuples(tasks)
+        m = system.min_processors
+        cases += [(system, k) for k in sorted({max(1, m - 1), m, m + 1})]
+    for _ in range(count // 3):
+        period, m = rng.choice([2, 3, 4, 6]), rng.randint(1, 3)
+        units, tasks = m * period, []
+        while units:
+            wcet = rng.randint(1, min(units, period))
+            units -= wcet
+            tasks.append((rng.randrange(period), wcet,
+                          rng.randint(wcet, period), period))
+        cases.append((TaskSystem.from_tuples(tasks), m))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +142,32 @@ class TestNecessaryCertificates:
     def test_interval_load_total_demand_branch(self):
         cert = interval_load_certificate(overloaded(), 1)
         assert cert.proves_infeasible
+
+    def test_demand_bound_exit_changes_no_certificate(self, monkeypatch):
+        """The demand-bound ceiling skips only tables that find nothing:
+        on a seeded grid (offsets, wrapped windows, zero-wcet tasks,
+        arbitrary deadlines, ``U = m``) each certificate, witness and
+        detail included, equals the full table's, and the ceiling bounds
+        every excess the table finds."""
+        from repro.analysis import necessary
+
+        cases = _interval_load_grid(random.Random(2009))
+        with_exit = [interval_load_certificate(s, m) for s, m in cases]
+        ceilings = [
+            necessary._demand_bound_ceiling(necessary._constrained(s), m)
+            for s, m in cases
+        ]
+        monkeypatch.setattr(necessary, "_demand_bound_ceiling", lambda s, m: 1)
+        table = [interval_load_certificate(s, m) for s, m in cases]
+        assert [c.to_dict() for c in with_exit] == [c.to_dict() for c in table]
+        found = 0
+        for cert, ceiling, (s, m) in zip(table, ceilings, cases):
+            if cert.proves_infeasible and s.total_demand() <= m * s.hyperperiod:
+                found += 1
+                assert ceiling >= cert.witness["demand"] - cert.witness["capacity"]
+        exits = sum(c <= 0 for c in ceilings)
+        assert found > 10 and exits > 10
+        assert any(s.utilization == m for s, m in cases)
 
     def test_forced_demand_counts_partial_overlap(self):
         # A: window [0,9], C=9 (laxity 1); B: window [4,5], C=2 on m=1 —

@@ -1,5 +1,6 @@
 """Tests for the solver service (protocol, daemon, client, CLI serve)."""
 
+import io
 import json
 import random
 import socket
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,8 +29,14 @@ from repro.service.protocol import (
     ProtocolError,
     clamp_problem,
     parse_solve_request,
+    report_text,
 )
-from repro.solvers.problem import Problem, solve_problem
+from repro.solvers.problem import (
+    Problem,
+    SolveReport,
+    fault_report,
+    solve_problem,
+)
 
 TIME_LIMIT = 5.0
 
@@ -560,6 +568,67 @@ class TestProtocolFuzz:
             assert again.solve(make_problems(1)[0]) is not None
 
 
+#: one garbage connection's lines, each answered ``bad-request``; the
+#: last is cut off by the client's half-close, never terminated
+GARBAGE_LINES = [
+    b"{this is not json",
+    b'["stats", 1]',
+    b'{"id": {"nested": [1]}, "type": "stats"}',
+    b'{"id": 1, "type": "stats", "pad": "' + b"x" * MAX_LINE_BYTES + b'"}',
+    b'{"id": 2, "type": "sta',
+]
+
+
+def _garbage_session(addr):
+    """Send :data:`GARBAGE_LINES`, half-close, and read every reply."""
+    with socket.create_connection(addr, timeout=30) as sock:
+        rfile = sock.makefile("rb")
+        assert json.loads(rfile.readline())["type"] == "hello"
+        sock.sendall(b"\n".join(GARBAGE_LINES))
+        sock.shutdown(socket.SHUT_WR)
+        return [json.loads(line) for line in rfile]
+
+
+class TestGarbageConnections:
+    def test_concurrent_garbage_never_starves_a_good_client(self, service):
+        """16 connections of malformed lines at once, one well-formed
+        client solving meanwhile: every garbage line gets a structured
+        ``bad-request``, the good client its reports, and ``stats``
+        counts exactly the garbage."""
+        handle, client = service
+        sessions = 16
+        replies = [None] * sessions
+
+        def run(k):
+            replies[k] = _garbage_session(handle._addr)
+
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(sessions)]
+        for thread in threads:
+            thread.start()
+        reports = client.solve_many(make_problems(3))
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert [r.status_label for r in reports] == [
+            solve_problem(p, "csp2+dc").status_label for p in make_problems(3)
+        ]
+        for got in replies:
+            assert len(got) == len(GARBAGE_LINES)
+            for entry in got:
+                assert entry["type"] == "error"
+                assert entry["code"] == "bad-request"
+                assert entry["id"] is None
+        stats = client.stats()
+        assert stats["errors"] == sessions * len(GARBAGE_LINES)
+        assert stats["served"] == 3
+        # the daemon keeps serving, on the old connection and a new one
+        assert client.solve(make_problems(1)[0]) is not None
+        host, port = handle._addr
+        with ServiceClient.connect(host, port) as again:
+            assert again.stats()["errors"] == sessions * len(GARBAGE_LINES)
+
+
 class _GatedTransport:
     """Blocks every execution until the test releases the gate."""
 
@@ -651,6 +720,143 @@ class TestJournal:
         out = tmp_path / "merged.jsonl"
         report = merge_journals([tmp_path / "journal.jsonl"], out)
         assert report.records == 2 and report.duplicates == 1
+
+
+# -- byte identity against the object-path encoders ----------------------
+
+def _old_report_line(request_id, key, report, cached):
+    """The response line the daemon built from a ``SolveReport`` object."""
+    return json.dumps(
+        {"id": request_id, "type": "report", "key": key, "cached": cached,
+         "report": report.to_dict()},
+        separators=(",", ":"),
+    ) + "\n"
+
+
+def _old_journal_line(key, report):
+    """The journal line the daemon built from a ``SolveReport`` object."""
+    return json.dumps(
+        {"key": key, "report": report.to_dict()}, separators=(",", ":")
+    ) + "\n"
+
+
+def _old_memo_text(report):
+    """The memo entry ``ReportCache`` wrote through a chunked ``json.dump``."""
+    buf = io.StringIO()
+    json.dump(report.to_dict(), buf, separators=(",", ":"))
+    return buf.getvalue()
+
+
+def _old_hit(memo_text, problem):
+    """The report the daemon served on a hit: rebuilt, then replaced."""
+    return replace(
+        SolveReport.from_dict(json.loads(memo_text)), problem=problem, index=0
+    )
+
+
+def _byte_problems():
+    """One question per platform kind, clamped as the daemon clamps."""
+    base, = make_problems(1, seed=5)
+    return [
+        clamp_problem(
+            Problem.of(base.system, platform=platform, time_limit=TIME_LIMIT,
+                       label=f"first:{kind}"),
+            ServiceCaps(),
+        )
+        for kind, platform in (
+            ("identical", Platform.identical(2)),
+            ("uniform", Platform.uniform([2, 1])),
+            ("heterogeneous", Platform.heterogeneous([[1, 2], [2, 1], [1, 1]])),
+        )
+    ]
+
+
+class _PresolvedTransport:
+    """Answers each item with a report solved before the request, as the
+    worker encodes it, so the test holds the very report served."""
+
+    def __init__(self, reports):
+        self.reports = reports
+
+    def execute(self, items):
+        for item in items:
+            report = self.reports[item.key]
+            yield WorkResult(key=item.key, value=report_text(report.to_dict()))
+
+
+def _raw_session(addr, requests):
+    """Send each request after the previous answer; the raw reply lines."""
+    with socket.create_connection(addr, timeout=30) as sock:
+        rfile = sock.makefile("rb")
+        assert json.loads(rfile.readline())["type"] == "hello"
+        replies = []
+        for request in requests:
+            sock.sendall(json.dumps(request).encode() + b"\n")
+            replies.append(rfile.readline().decode())
+        return replies
+
+
+def _solve_request(request_id, problem):
+    return {"id": request_id, "type": "solve", "problem": problem.to_dict(),
+            "solver": "csp2+dc", "options": {}}
+
+
+class TestReportBytes:
+    """The daemon handles a report only as the text the worker encoded;
+    every byte the client, the journal and the memo see is still what
+    the ``SolveReport``-object encoders produced."""
+
+    def test_miss_and_hit_bytes_match_the_object_encoders(self, tmp_path):
+        problems = _byte_problems()
+        keys = [request_key(p) for p in problems]
+        reports = {
+            key: solve_problem(problem, "csp2+dc")
+            for key, problem in zip(keys, problems)
+        }
+        relabeled = [replace(p, label="second") for p in problems]
+        requests = [_solve_request(f"miss-{i}", p)
+                    for i, p in enumerate(problems)]
+        requests += [_solve_request(i, p) for i, p in enumerate(relabeled)]
+        config = unsupervised_config(tmp_path)
+        transport = _PresolvedTransport(reports)
+        with ServiceHandle(config, transport=transport) as handle:
+            replies = _raw_session(handle._addr, requests)
+        journal = (tmp_path / "journal.jsonl").read_text().splitlines(True)
+        misses, hits = replies[:3], replies[3:]
+        for i, (key, problem) in enumerate(zip(keys, problems)):
+            report = reports[key]
+            memo = tmp_path / "cache" / "reports" / key[:2] / f"{key}.json"
+            assert memo.read_text() == _old_memo_text(report)
+            assert misses[i] == _old_report_line(f"miss-{i}", key, report, False)
+            assert journal[i] == _old_journal_line(key, report)
+            hit = _old_hit(_old_memo_text(report), relabeled[i])
+            assert hits[i] == _old_report_line(i, key, hit, True)
+            assert journal[3 + i] == _old_journal_line(key, hit)
+            # a hit answers exactly what the miss did, apart from the
+            # echoed problem, the request id and the cached flag
+            miss_doc, hit_doc = json.loads(misses[i]), json.loads(hits[i])
+            assert hit_doc["report"].pop("problem") == relabeled[i].to_dict()
+            assert miss_doc["report"].pop("problem") == problem.to_dict()
+            for doc in (miss_doc, hit_doc):
+                del doc["id"], doc["cached"]
+            assert hit_doc == miss_doc
+        assert len(journal) == 6
+
+    def test_fault_bytes_match_the_object_encoders(self, tmp_path):
+        problems = _byte_problems()
+        config = unsupervised_config(tmp_path)
+        with ServiceHandle(config, transport=_FaultingTransport()) as handle:
+            replies = _raw_session(
+                handle._addr,
+                [_solve_request(i, p) for i, p in enumerate(problems)],
+            )
+        journal = (tmp_path / "journal.jsonl").read_text().splitlines(True)
+        for i, problem in enumerate(problems):
+            key = request_key(problem)
+            report = fault_report(problem, "csp2+dc", FAULT_CRASH, "SIGSEGV",
+                                  attempts=2)
+            assert replies[i] == _old_report_line(i, key, report, False)
+            assert journal[i] == _old_journal_line(key, report)
 
 
 class TestShutdown:
