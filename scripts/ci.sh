@@ -36,9 +36,9 @@ python benchmarks/bench_engine.py --check-schema "${TMPDIR:-/tmp}/bench_engine_s
 python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.before.json
 python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.after.json
 
-echo "== kernel-parity: kernels byte-identical to their references, engine wiring equal to its reference builder, engine, csp2 and certificate pins hold, csp2 search stacks, GC traffic and failed-state memo =="
+echo "== kernel-parity: kernels byte-identical to their references, engine wiring equal to its reference builder, engine, csp2 and certificate pins hold, bin tests equal simulation, csp2 search stacks, GC traffic and failed-state memo =="
 python -m pytest -q tests/test_kernel_parity.py tests/test_engine_wiring.py tests/test_engine_regression.py \
-    tests/test_csp2_regression.py tests/test_csp2_dedicated_unit.py tests/test_csp2_gc.py tests/test_csp2_memo.py
+    tests/test_csp2_regression.py tests/test_partitioned.py tests/test_csp2_dedicated_unit.py tests/test_csp2_gc.py tests/test_csp2_memo.py
 python benchmarks/bench_kernels.py --smoke --out "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
 python benchmarks/bench_kernels.py --check-schema "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
 python benchmarks/bench_kernels.py --check-schema benchmarks/BENCH_kernels.json

@@ -3,8 +3,8 @@
 Three layers, cheapest on top:
 
 * :mod:`repro.analysis.necessary` — infeasibility certificates (the
-  paper's ``r > 1`` filter plus per-task slack, interval-load and
-  forced-demand arguments) and :func:`processor_lower_bound`;
+  paper's ``r > 1`` filter plus per-task slack, the all-jobs cut,
+  interval-load and forced-demand arguments) and :func:`processor_lower_bound`;
 * :mod:`repro.analysis.sufficient` — feasibility certificates (GFB and
   density bounds, the exact ``m = 1`` EDF decision, first-fit packing
   and hyperperiod-simulation witnesses);
@@ -30,6 +30,7 @@ from repro.analysis.feasibility import (
     passes_utilization_filter,
 )
 from repro.analysis.necessary import (
+    all_jobs_cut_certificate,
     demand_over_capacity_witness,
     forced_demand_certificate,
     interval_load_certificate,
@@ -59,6 +60,7 @@ __all__ = [
     "utilization_exceeds",
     "utilization_certificate",
     "wcet_slack_certificate",
+    "all_jobs_cut_certificate",
     "interval_load_certificate",
     "forced_demand_certificate",
     "necessary_certificates",

@@ -59,12 +59,17 @@ def default_tests(
 ) -> "list[CascadeTest]":
     """The standard test order: cheapest-per-decision first.
 
-    O(n) arithmetic bounds open, the (work-gated) simulation witnesses
-    follow — on the paper's generator grid they decide the bulk of the
-    feasible instances at ~2 ms apiece — and the quadratic interval
-    arguments close, mopping up infeasible instances the utilization
-    filter missed.  ``simulate=False`` drops the simulation tier
-    entirely for a pure closed-form screen.
+    O(n) arithmetic bounds open, the simulation witnesses follow — on
+    the paper's generator grid they decide the bulk of the feasible
+    instances at ~2 ms apiece — and the necessary interval arguments
+    close, mopping up infeasible instances the utilization filter
+    missed: the all-jobs cut (one pass over the cycle) first, then the
+    quadratic interval load and forced demand.  ``state_limit`` bounds
+    the simulation tier's work in slot-tasks: the whole-system tests
+    abstain when ``hyperperiod x n x m`` is past it, while the partition
+    witness spends it bin by bin on the bins it actually simulates.
+    ``simulate=False`` drops the simulation tier entirely for a pure
+    closed-form screen.
     """
     tests: list[CascadeTest] = [
         necessary.utilization_certificate,
@@ -87,6 +92,7 @@ def default_tests(
             _gated(sufficient.edf_simulation_certificate),
         ]
     tests += [
+        necessary.all_jobs_cut_certificate,
         necessary.interval_load_certificate,
         necessary.forced_demand_certificate,
     ]

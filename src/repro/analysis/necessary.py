@@ -3,13 +3,17 @@
 The paper uses exactly one such filter — the utilization ratio ``r = U/m``
 (Table II counts the unsolved instances with ``r > 1`` that the filter
 would have pruned without any search).  This module turns that filter and
-three strictly stronger necessary conditions into
+four strictly stronger necessary conditions into
 :class:`~repro.analysis.certificates.Certificate`-producing tests, each a
 proof of infeasibility when it fires and an abstention otherwise:
 
 * ``necessary:utilization`` — ``U > m`` (the paper's ``r > 1``);
 * ``necessary:wcet-slack`` — some task has ``C_i > D_i`` (a job receives
   at most one execution unit per slot on identical processors);
+* ``necessary:all-jobs`` — the cut of every job at once: slot ``t`` runs
+  at most ``min(m, active(t))`` units, ``active(t)`` counting the windows
+  (wrapped ones included) that cover it, so a cycle whose total demand
+  exceeds the sum of those caps is infeasible;
 * ``necessary:interval-load`` — some scan interval ``[a, b]`` wholly
   contains job windows demanding more than ``m (b - a + 1)`` units
   (computed for *all* slot pairs by one rolling sweep over the
@@ -46,6 +50,7 @@ __all__ = [
     "utilization_exceeds",
     "utilization_certificate",
     "wcet_slack_certificate",
+    "all_jobs_cut_certificate",
     "interval_load_certificate",
     "forced_demand_certificate",
     "necessary_certificates",
@@ -128,6 +133,47 @@ def wcet_slack_certificate(system: TaskSystem, m: int) -> Certificate:
         )
     return Certificate.abstain(
         "necessary:wcet-slack", detail="every task has C <= D"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the all-jobs cut (per-slot caps over one cycle)
+# ---------------------------------------------------------------------------
+
+def all_jobs_cut_certificate(system: TaskSystem, m: int) -> Certificate:
+    """``sum_j C_j > sum_t min(m, active(t))`` proves infeasibility.
+
+    A job runs at most one unit per slot and a slot at most ``m`` units,
+    so slot ``t`` serves at most ``min(m, active(t))`` of the cycle's
+    demand, ``active(t)`` being the number of windows covering it (the
+    wrapped tails included).  A task's windows cover the same slots of
+    each of its periods, so the tasks of one period add one coverage
+    pattern to every ``T_i``-slot row of the cycle: one pass over ``T``
+    slots per distinct period.
+    """
+    _check_m(m)
+    system = _constrained(system)
+    cover: dict[int, np.ndarray] = {}
+    for task in system:
+        if task.wcet:
+            lag = (np.arange(task.period) - task.phase) % task.period
+            cover[task.period] = cover.get(task.period, 0) + (lag < task.deadline)
+    active = np.zeros(system.hyperperiod, dtype=np.int32)
+    for period, count in cover.items():
+        rows = active.reshape(-1, period)
+        rows += count
+    capacity = int(np.minimum(active, m).sum())
+    demand = system.total_demand()
+    if demand > capacity:
+        return Certificate.infeasible(
+            "necessary:all-jobs",
+            witness={"demand": demand, "capacity": capacity},
+            detail=f"all jobs demand {demand} > capacity {capacity} of "
+            f"min(m, active jobs) per slot",
+        )
+    return Certificate.abstain(
+        "necessary:all-jobs",
+        detail=f"all jobs demand {demand} <= capacity {capacity}",
     )
 
 
@@ -316,6 +362,7 @@ def necessary_certificates(system: TaskSystem, m: int) -> list[Certificate]:
     return [
         utilization_certificate(system, m),
         wcet_slack_certificate(system, m),
+        all_jobs_cut_certificate(system, m),
         interval_load_certificate(system, m),
         forced_demand_certificate(system, m),
     ]
@@ -332,6 +379,7 @@ def prove_infeasible(system: TaskSystem, m: int) -> Certificate | None:
     for test in (
         utilization_certificate,
         wcet_slack_certificate,
+        all_jobs_cut_certificate,
         interval_load_certificate,
         forced_demand_certificate,
     ):

@@ -19,9 +19,13 @@ argument, or by exhibiting one cyclic hyperperiod outright:
   exact global-EDF simulator (periodicity detection makes the verdict a
   proof) and hand back the produced cyclic schedule.
 
-Simulation-backed tests are gated by a work estimate
-(``hyperperiod x n x m``) so the cascade stays polynomial-time in
-practice: past ``state_limit`` they abstain instead of simulating.
+Simulation-backed tests are bounded by ``state_limit`` so the cascade
+stays polynomial-time in practice.  ``uniproc-edf`` and ``edf-sim``
+simulate the whole system and abstain when the estimate ``hyperperiod x
+n x m`` is past it.  ``partitioned-ff`` is charged for the work it
+actually simulates: a bin its bounds leave open costs ``lcm(bin periods)
+x |bin|`` slot-tasks, and a bin that no longer fits in what is left of
+the budget counts as full.
 
 All tests assume ``m`` identical processors and constrained deadlines
 (arbitrary-deadline systems are cloned first, Section VI-B).
@@ -44,8 +48,10 @@ __all__ = [
     "prove_feasible",
 ]
 
-#: default cap on simulation work (hyperperiod x n x m); past it the
-#: simulation-backed tests abstain instead of running
+#: default cap on simulation work, in slot-tasks: the whole-system tests
+#: abstain when ``hyperperiod x n x m`` is past it, and the partition
+#: witness stops simulating bins once their summed ``lcm(bin periods) x
+#: |bin|`` would pass it
 DEFAULT_STATE_LIMIT = 200_000
 
 
@@ -142,18 +148,18 @@ def partitioned_certificate(
 
     A partitioned schedule is trivially a valid global schedule, so a
     found partition proves feasibility; not finding one proves nothing
-    (global scheduling strictly dominates partitioning).
+    (global scheduling strictly dominates partitioning).  ``state_limit``
+    budgets the slot-tasks the bin simulations may spend; the witness
+    reports what they spent (``sim_work``, ``bins_simulated``).
     """
     _check_m(m)
     system = _constrained(system)
-    if _sim_work(system, m) > state_limit:
-        return Certificate.abstain(
-            "sufficient:partitioned-ff", detail="past the simulation budget"
-        )
     from repro.baselines.partitioned import first_fit_partition
 
     try:
-        part = first_fit_partition(system, m, max_cycles=max_cycles)
+        part = first_fit_partition(
+            system, m, max_cycles=max_cycles, budget=state_limit
+        )
     except RuntimeError:  # a bin simulation failed to converge
         return Certificate.abstain(
             "sufficient:partitioned-ff",
@@ -163,9 +169,17 @@ def partitioned_certificate(
         return Certificate.feasible(
             "sufficient:partitioned-ff",
             witness={"assignment": part.assignment,
-                     "bins_tried": part.partitions_tried},
+                     "bins_tried": part.partitions_tried,
+                     "sim_work": part.sim_work,
+                     "bins_simulated": part.bins_simulated},
             detail=f"first-fit partition onto {m} processor(s): "
             f"{part.assignment}",
+        )
+    if part.bins_refused:
+        return Certificate.abstain(
+            "sufficient:partitioned-ff",
+            detail=f"past the simulation budget after {part.bins_simulated} "
+            f"simulated bin(s) ({part.sim_work} slot-tasks)",
         )
     return Certificate.abstain(
         "sufficient:partitioned-ff", detail="first-fit found no partition"

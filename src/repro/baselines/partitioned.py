@@ -10,8 +10,9 @@ two paradigms can be compared on identical instances:
   utilization bounds where they decide, else by uniprocessor EDF
   simulation (EDF is optimal on one processor, and the simulator's
   periodicity detection makes the verdict a proof);
-* :func:`first_fit_partition` is the classic utilization-ordered
-  first-fit-decreasing heuristic;
+* :func:`first_fit_partition` is the classic first-fit-decreasing
+  heuristic, with running per-bin bound sums and an optional budget on
+  the work its bin simulations spend;
 * :func:`exact_partition` searches all task-to-processor assignments
   (set-partition enumeration with symmetry pruning), so "no partition
   exists" is also a proof.
@@ -25,6 +26,7 @@ is trivially a global one.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.baselines.priorities import global_edf
@@ -47,15 +49,62 @@ class PartitionResult:
     ``assignment[i]`` is the processor of task ``i``; None when no
     partition was found.  ``exact`` tells whether a negative answer is a
     proof (exhaustive search completed) or just the heuristic giving up.
+    ``sim_work`` counts the slot-tasks simulated (``lcm(bin periods) x
+    |bin|`` per simulated bin), ``bins_simulated`` the bins the bounds
+    left open, and ``bins_refused`` those open bins turned away because
+    their simulation did not fit in what was left of the budget.
     """
 
     assignment: list[int] | None
     exact: bool
     partitions_tried: int = 0
+    sim_work: int = 0
+    bins_simulated: int = 0
+    bins_refused: int = 0
 
     @property
     def found(self) -> bool:
         return self.assignment is not None
+
+
+def _numerators(tasks: Sequence[Task]) -> tuple[int, list[int], int, list[int]]:
+    """``(dscale, dnum, uscale, unum)``: each task's density
+    ``C / min(D, T)`` as ``dnum[i] / dscale`` over ``dscale =
+    lcm(min(D, T))``, and its utilization ``C / T`` as ``unum[i] /
+    uscale`` over ``uscale = lcm(T)`` — exact, and additive per bin."""
+    windows = [min(t.deadline, t.period) for t in tasks]
+    dscale = math.lcm(*windows)
+    uscale = math.lcm(*(t.period for t in tasks))
+    return (
+        dscale,
+        [t.wcet * (dscale // w) for t, w in zip(tasks, windows)],
+        uscale,
+        [t.wcet * (uscale // t.period) for t in tasks],
+    )
+
+
+def _bound_verdict(
+    density: int, dscale: int, utilization: int, uscale: int
+) -> bool | None:
+    """The bin bounds on exact numerators: a total density of at most 1
+    is sufficient for EDF on one processor, offsets included; a total
+    utilization above 1 overloads the hyperperiod; None when neither
+    decides and only the simulation can."""
+    if density <= dscale:
+        return True
+    if utilization > uscale:
+        return False
+    return None
+
+
+def _simulate_bin(tasks: list[Task], max_cycles: int) -> bool:
+    """The uniprocessor EDF simulation of one bin (a proof both ways)."""
+    sim = global_edf(TaskSystem(tasks), 1, max_cycles=max_cycles)
+    if sim.schedulable is None:
+        raise RuntimeError(
+            "uniprocessor simulation did not converge; raise max_cycles"
+        )
+    return bool(sim.schedulable)
 
 
 def uniprocessor_edf_feasible(tasks: list[Task], max_cycles: int = 64) -> bool:
@@ -69,45 +118,67 @@ def uniprocessor_edf_feasible(tasks: list[Task], max_cycles: int = 64) -> bool:
     bin neither bound decides runs the EDF simulation."""
     if not tasks:
         return True
-    windows = [min(t.deadline, t.period) for t in tasks]
-    scale = math.lcm(*windows)
-    if sum(t.wcet * (scale // d) for t, d in zip(tasks, windows)) <= scale:
-        return True
-    scale = math.lcm(*(t.period for t in tasks))
-    if sum(t.wcet * (scale // t.period) for t in tasks) > scale:
-        return False
-    sim = global_edf(TaskSystem(tasks), 1, max_cycles=max_cycles)
-    if sim.schedulable is None:
-        raise RuntimeError(
-            "uniprocessor simulation did not converge; raise max_cycles"
-        )
-    return bool(sim.schedulable)
+    dscale, dnum, uscale, unum = _numerators(tasks)
+    verdict = _bound_verdict(sum(dnum), dscale, sum(unum), uscale)
+    return _simulate_bin(tasks, max_cycles) if verdict is None else verdict
 
 
 def first_fit_partition(
-    system: TaskSystem, m: int, max_cycles: int = 64
+    system: TaskSystem,
+    m: int,
+    max_cycles: int = 64,
+    budget: int | None = None,
 ) -> PartitionResult:
-    """First-fit decreasing (by density) with the exact EDF bin test."""
+    """First-fit decreasing (by density) with the exact EDF bin test.
+
+    Each bin keeps running sums of its tasks' exact density and
+    utilization numerators, so the bounds of
+    :func:`uniprocessor_edf_feasible` cost two integer comparisons per
+    trial.  A bin they leave open is simulated only if its ``lcm(bin
+    periods) x |bin|`` slot-tasks fit in what is left of ``budget``
+    (None: no limit), which then pays that amount; a bin past the budget
+    counts as "does not fit", so the packing stays sound and first-fit
+    moves on to the next bin.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     order = sorted(
         range(system.n), key=lambda i: (system[i].density, i), reverse=True
     )
+    dscale, dnum, uscale, unum = _numerators(system.tasks)
     bins: list[list[Task]] = [[] for _ in range(m)]
+    density = [0] * m
+    utilization = [0] * m
+    hyper = [1] * m
     assignment = [-1] * system.n
-    tried = 0
+    result = PartitionResult(None, exact=False)
     for i in order:
-        placed = False
+        task = system[i]
         for j in range(m):
-            tried += 1
-            if uniprocessor_edf_feasible(bins[j] + [system[i]], max_cycles):
-                bins[j].append(system[i])
+            result.partitions_tried += 1
+            fits = _bound_verdict(
+                density[j] + dnum[i], dscale, utilization[j] + unum[i], uscale
+            )
+            if fits is None:
+                work = math.lcm(hyper[j], task.period) * (len(bins[j]) + 1)
+                if budget is not None and result.sim_work + work > budget:
+                    result.bins_refused += 1
+                    continue
+                result.sim_work += work
+                result.bins_simulated += 1
+                fits = _simulate_bin(bins[j] + [task], max_cycles)
+            if fits:
+                bins[j].append(task)
+                density[j] += dnum[i]
+                utilization[j] += unum[i]
+                hyper[j] = math.lcm(hyper[j], task.period)
                 assignment[i] = j
-                placed = True
                 break
-        if not placed:
-            return PartitionResult(None, exact=False, partitions_tried=tried)
-    return PartitionResult(assignment, exact=True, partitions_tried=tried)
+        else:
+            return result
+    result.assignment = assignment
+    result.exact = True
+    return result
 
 
 def exact_partition(

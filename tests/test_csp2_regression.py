@@ -18,11 +18,16 @@ spans in per-job Python loops:
   requires more tasks than processors as a fail: 33 identical cells
   moved, in ``fails`` only.
 * ``EXPECTED_CERTIFICATES`` — ``(test, verdict, witness, detail)`` of
-  every certificate the full cascade and the four necessary tests
+  every certificate the full cascade and the five necessary tests
   produce, on a grid that reaches both interval-load strategies (the
   all-pairs table and the candidate-pair fallback past
   ``MAX_TABLE_CELLS``) and both forced-demand outcomes (a witness, and
-  an abstention on the ``MAX_FORCED_PAIRS`` budget).
+  an abstention on the ``MAX_FORCED_PAIRS`` budget).  Re-captured when
+  the all-jobs cut joined the necessary tests (one new row per list;
+  ``gen-4-4-min-2``'s cascade is now decided by the cut, 35 > 34, where
+  forced demand decided it before) and the partition witness gained
+  ``sim_work`` and ``bins_simulated`` (no assignment or ``bins_tried``
+  moved).
 
 A change that moves any of these on purpose must re-capture the values
 and say so; a silent diff means the search or a certificate changed.
@@ -155,7 +160,7 @@ def _cert_rows(certs):
 
 
 def certificate_record(case):
-    """The cascade's certificates, the four necessary certificates, the
+    """The cascade's certificates, the five necessary certificates, the
     processor lower bound and the enclosed-demand witness of one case."""
     system, m = _cert_instance(case)
     return {
@@ -407,6 +412,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.007 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 15 <= capacity 55'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, 'no over-forced interval'),
         ],
@@ -424,6 +430,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.279 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 12900 <= capacity 31501'),
             ('necessary:interval-load', 'unknown', {}, 'hyperperiod 46189 past the interval-table and candidate-pair budgets'),
             ('necessary:forced-demand', 'unknown', {}, '11629x11629 candidate intervals past the pair budget 4096'),
         ],
@@ -441,6 +448,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.012 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 25 <= capacity 51'),
             ('necessary:interval-load', 'infeasible', {'interval': [0, 1], 'demand': 4, 'capacity': 2}, 'slots [0, 1] enclose demand 4 > capacity 2'),
             ('necessary:forced-demand', 'infeasible', {'interval': [0, 1], 'demand': 4, 'capacity': 2}, 'slots [0, 1] force demand 4 > capacity 2'),
         ],
@@ -458,6 +466,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.005 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 10 <= capacity 16'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, 'no over-forced interval'),
         ],
@@ -471,6 +480,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'infeasible', {'utilization': '25/12', 'm': 2, 'ratio': 1.0416666666666667}, 'U = 2.083 > m = 2 (r = 1.042)'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'infeasible', {'demand': 25, 'capacity': 22}, 'all jobs demand 25 > capacity 22 of min(m, active jobs) per slot'),
             ('necessary:interval-load', 'infeasible', {'interval': [0, 11], 'demand': 25, 'capacity': 24}, 'slots [0, 11] enclose demand 25 > capacity 24'),
             ('necessary:forced-demand', 'infeasible', {'interval': [0, 3], 'demand': 9, 'capacity': 8}, 'slots [0, 3] force demand 9 > capacity 8'),
         ],
@@ -486,12 +496,12 @@ EXPECTED_CERTIFICATES = {
             ('sufficient:uniproc-edf', 'unknown', {}, 'applies to m = 1 only'),
             ('sufficient:partitioned-ff', 'unknown', {}, 'first-fit found no partition'),
             ('sufficient:edf-sim', 'unknown', {}, 'EDF missed a deadline (not an infeasibility proof)'),
-            ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
-            ('necessary:forced-demand', 'infeasible', {'interval': [5, 6], 'demand': 7, 'capacity': 6}, 'slots [5, 6] force demand 7 > capacity 6'),
+            ('necessary:all-jobs', 'infeasible', {'demand': 35, 'capacity': 34}, 'all jobs demand 35 > capacity 34 of min(m, active jobs) per slot'),
         ],
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.972 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'infeasible', {'demand': 35, 'capacity': 34}, 'all jobs demand 35 > capacity 34 of min(m, active jobs) per slot'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'infeasible', {'interval': [5, 6], 'demand': 7, 'capacity': 6}, 'slots [5, 6] force demand 7 > capacity 6'),
         ],
@@ -507,12 +517,14 @@ EXPECTED_CERTIFICATES = {
             ('sufficient:uniproc-edf', 'unknown', {}, 'applies to m = 1 only'),
             ('sufficient:partitioned-ff', 'unknown', {}, 'first-fit found no partition'),
             ('sufficient:edf-sim', 'unknown', {}, 'EDF missed a deadline (not an infeasibility proof)'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 209 <= capacity 240'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, 'no over-forced interval'),
         ],
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.871 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 209 <= capacity 240'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, 'no over-forced interval'),
         ],
@@ -526,6 +538,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'infeasible', {'utilization': '3', 'm': 1, 'ratio': 3.0}, 'U = 3.000 > m = 1 (r = 3.000)'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'infeasible', {'demand': 72, 'capacity': 24}, 'all jobs demand 72 > capacity 24 of min(m, active jobs) per slot'),
             ('necessary:interval-load', 'infeasible', {'interval': [0, 23], 'demand': 72, 'capacity': 24}, 'slots [0, 23] enclose demand 72 > capacity 24'),
             ('necessary:forced-demand', 'infeasible', {'interval': [0, 1], 'demand': 3, 'capacity': 2}, 'slots [0, 1] force demand 3 > capacity 2'),
         ],
@@ -539,6 +552,7 @@ EXPECTED_CERTIFICATES = {
         'necessary': [
             ('necessary:utilization', 'infeasible', {'utilization': '195/56', 'm': 1, 'ratio': 3.482142857142857}, 'U = 3.482 > m = 1 (r = 3.482)'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'infeasible', {'demand': 195, 'capacity': 56}, 'all jobs demand 195 > capacity 56 of min(m, active jobs) per slot'),
             ('necessary:interval-load', 'infeasible', {'interval': [0, 55], 'demand': 195, 'capacity': 56}, 'slots [0, 55] enclose demand 195 > capacity 56'),
             ('necessary:forced-demand', 'infeasible', {'interval': [0, 0], 'demand': 2, 'capacity': 1}, 'slots [0, 0] force demand 2 > capacity 1'),
         ],
@@ -554,12 +568,14 @@ EXPECTED_CERTIFICATES = {
             ('sufficient:uniproc-edf', 'unknown', {}, 'applies to m = 1 only'),
             ('sufficient:partitioned-ff', 'unknown', {}, 'first-fit found no partition'),
             ('sufficient:edf-sim', 'unknown', {}, 'EDF missed a deadline (not an infeasibility proof)'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 572 <= capacity 648'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, '120x109 candidate intervals past the pair budget 4096'),
         ],
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.851 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 572 <= capacity 648'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, '120x109 candidate intervals past the pair budget 4096'),
         ],
@@ -573,11 +589,12 @@ EXPECTED_CERTIFICATES = {
             ('sufficient:gfb', 'unknown', {}, 'deadlines not implicit (D != T)'),
             ('sufficient:density', 'unknown', {}, 'delta_sum = 3.119 > m - (m-1)*delta_max = 1.000'),
             ('sufficient:uniproc-edf', 'unknown', {}, 'applies to m = 1 only'),
-            ('sufficient:partitioned-ff', 'feasible', {'assignment': [1, 0, 2, 2, 2, 1], 'bins_tried': 14}, 'first-fit partition onto 3 processor(s): [1, 0, 2, 2, 2, 1]'),
+            ('sufficient:partitioned-ff', 'feasible', {'assignment': [1, 0, 2, 2, 2, 1], 'bins_tried': 14, 'sim_work': 48, 'bins_simulated': 1}, 'first-fit partition onto 3 processor(s): [1, 0, 2, 2, 2, 1]'),
         ],
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.889 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 64 <= capacity 72'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, 'no over-forced interval'),
         ],
@@ -591,11 +608,12 @@ EXPECTED_CERTIFICATES = {
             ('sufficient:gfb', 'unknown', {}, 'deadlines not implicit (D != T)'),
             ('sufficient:density', 'unknown', {}, 'delta_sum = 5.183 > m - (m-1)*delta_max = 1.000'),
             ('sufficient:uniproc-edf', 'unknown', {}, 'applies to m = 1 only'),
-            ('sufficient:partitioned-ff', 'feasible', {'assignment': [1, 0, 0, 3, 2, 2, 3, 1], 'bins_tried': 20}, 'first-fit partition onto 4 processor(s): [1, 0, 0, 3, 2, 2, 3, 1]'),
+            ('sufficient:partitioned-ff', 'feasible', {'assignment': [1, 0, 0, 3, 2, 2, 3, 1], 'bins_tried': 20, 'sim_work': 618, 'bins_simulated': 9}, 'first-fit partition onto 4 processor(s): [1, 0, 0, 3, 2, 2, 3, 1]'),
         ],
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.827 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 2083 <= capacity 2500'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, '487x522 candidate intervals past the pair budget 4096'),
         ],
@@ -609,11 +627,12 @@ EXPECTED_CERTIFICATES = {
             ('sufficient:gfb', 'unknown', {}, 'deadlines not implicit (D != T)'),
             ('sufficient:density', 'unknown', {}, 'delta_sum = 4.071 > m - (m-1)*delta_max = 1.000'),
             ('sufficient:uniproc-edf', 'unknown', {}, 'applies to m = 1 only'),
-            ('sufficient:partitioned-ff', 'feasible', {'assignment': [1, 1, 2, 1, 0, 1, 0, 1], 'bins_tried': 15}, 'first-fit partition onto 3 processor(s): [1, 1, 2, 1, 0, 1, 0, 1]'),
+            ('sufficient:partitioned-ff', 'feasible', {'assignment': [1, 1, 2, 1, 0, 1, 0, 1], 'bins_tried': 15, 'sim_work': 2685, 'bins_simulated': 8}, 'first-fit partition onto 3 processor(s): [1, 1, 2, 1, 0, 1, 0, 1]'),
         ],
         'necessary': [
             ('necessary:utilization', 'unknown', {}, 'r = U/m = 0.834 <= 1'),
             ('necessary:wcet-slack', 'unknown', {}, 'every task has C <= D'),
+            ('necessary:all-jobs', 'unknown', {}, 'all jobs demand 1982 <= capacity 2376'),
             ('necessary:interval-load', 'unknown', {}, 'no over-demanded scan interval'),
             ('necessary:forced-demand', 'unknown', {}, '523x468 candidate intervals past the pair budget 4096'),
         ],

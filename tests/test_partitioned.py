@@ -186,18 +186,26 @@ def test_bounds_agree_with_simulation(seed, monkeypatch):
     assert [uniprocessor_edf_feasible(b) for b in bins] == [_simulation_only(b) for b in bins]
 
     def answers():
-        return [
-            (
+        rows, work = [], []
+        for system, m in cases:
+            cert = partitioned_certificate(system, m).to_dict()
+            work.append(cert["witness"].pop("sim_work", 0))
+            cert["witness"].pop("bins_simulated", None)
+            rows.append((
                 first_fit_partition(system, m).assignment,
                 exact_partition(system, m).assignment,
-                partitioned_certificate(system, m).to_dict(),
-            )
-            for system, m in cases
-        ]
+                cert,
+            ))
+        return rows, work
 
-    fast = answers()
-    monkeypatch.setattr(partitioned, "uniprocessor_edf_feasible", _simulation_only)
-    assert fast == answers()
+    fast, fast_work = answers()
+    # the simulation-only seam: no bin is decided by its bounds
+    monkeypatch.setattr(partitioned, "_bound_verdict", lambda *sums: None)
+    slow, slow_work = answers()
+    assert fast == slow
+    # the bounds only ever save simulation work
+    assert all(f <= w for f, w in zip(fast_work, slow_work))
+    assert sum(fast_work) < sum(slow_work)
 
     def density(b):
         return sum(t.density for t in b)
@@ -208,3 +216,69 @@ def test_bounds_agree_with_simulation(seed, monkeypatch):
     assert any(density(b) <= 1 for b in bins)
     assert any(utilization(b) > 1 for b in bins)
     assert any(density(b) > 1 >= utilization(b) for b in bins)
+
+
+def _open_bins():
+    """Three tasks whose shared bin the bounds leave open from the second
+    task on (density above 1, utilization at most 1): first-fit simulates
+    8 slot-tasks for ``{0, 1}`` and then 24 for ``{0, 1, 2}``."""
+    return TaskSystem.from_tuples([(0, 1, 1, 2), (0, 1, 2, 4), (0, 1, 4, 8)])
+
+
+class TestSimulationBudget:
+    def test_unbudgeted_packing_charges_each_simulated_bin(self):
+        res = first_fit_partition(_open_bins(), 1)
+        assert res.assignment == [0, 0, 0]
+        assert (res.sim_work, res.bins_simulated, res.bins_refused) == (32, 2, 0)
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        from repro.baselines import partitioned
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a refused bin must not be simulated")
+
+        monkeypatch.setattr(partitioned, "global_edf", boom)
+
+    def test_bin_past_the_budget_is_refused_unsimulated(self, no_simulation):
+        res = first_fit_partition(_open_bins(), 1, budget=7)
+        assert not res.found and not res.exact
+        assert (res.sim_work, res.bins_simulated, res.bins_refused) == (0, 0, 1)
+
+    def test_refused_bin_moves_first_fit_on(self, no_simulation):
+        # neither the second task (8 slot-tasks) nor the third (16) can
+        # afford a simulation of bin 0, so each moves on to bin 1, where
+        # the density bound fits them without one
+        res = first_fit_partition(_open_bins(), 2, budget=7)
+        assert res.assignment == [0, 1, 1]
+        assert (res.sim_work, res.bins_simulated, res.bins_refused) == (0, 0, 2)
+
+    def test_budget_is_charged_cumulatively(self):
+        # 8 slot-tasks fit, the next bin's 24 do not fit in the 23 left
+        res = first_fit_partition(_open_bins(), 1, budget=31)
+        assert not res.found
+        assert (res.sim_work, res.bins_simulated, res.bins_refused) == (8, 1, 1)
+        assert first_fit_partition(_open_bins(), 1, budget=32).found
+
+    def test_certificate_reports_simulated_work(self):
+        from repro.analysis import partitioned_certificate
+
+        cert = partitioned_certificate(_open_bins(), 1)
+        assert cert.proves_feasible
+        assert cert.witness == {"assignment": [0, 0, 0], "bins_tried": 3,
+                                "sim_work": 32, "bins_simulated": 2}
+
+    def test_budget_abstention_counts_simulated_bins(self):
+        from repro.analysis import partitioned_certificate
+
+        cert = partitioned_certificate(_open_bins(), 1, state_limit=31)
+        assert not cert.decided
+        assert cert.detail == (
+            "past the simulation budget after 1 simulated bin(s) "
+            "(8 slot-tasks)"
+        )
+        # a packing that fails on its bounds alone is no budget story
+        hopeless = TaskSystem.from_tuples([(0, 2, 2, 2)] * 3)
+        assert partitioned_certificate(hopeless, 2, state_limit=1).detail == (
+            "first-fit found no partition"
+        )

@@ -5,9 +5,12 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     Certificate,
+    all_jobs_cut_certificate,
     default_tests,
     density_certificate,
     edf_simulation_certificate,
@@ -23,7 +26,7 @@ from repro.analysis import (
     utilization_exceeds,
     wcet_slack_certificate,
 )
-from repro.model import Platform, TaskSystem
+from repro.model import Platform, Task, TaskSystem
 from repro.schedule import validate
 from repro.solvers import (
     Feasibility,
@@ -54,6 +57,23 @@ def collision() -> TaskSystem:
 def light_implicit() -> TaskSystem:
     """Implicit deadlines, U small: GFB fires on any m."""
     return TaskSystem.from_tuples([(0, 1, 4, 4), (0, 1, 8, 8)])
+
+
+def screen_item_25() -> TaskSystem:
+    """Item 25 of the ``perfbench`` ``screen`` corpus (m = 4, T = 36036)."""
+    return TaskSystem.from_tuples([
+        (9, 5, 10, 11), (1, 6, 9, 11), (1, 8, 13, 13), (6, 6, 8, 9),
+        (5, 2, 4, 6), (6, 2, 2, 13), (2, 4, 7, 14), (11, 7, 9, 12),
+    ])
+
+
+def screen_item_31() -> TaskSystem:
+    """Item 31 of the ``perfbench`` ``screen`` corpus (m = 5, T = 360)."""
+    return TaskSystem.from_tuples([
+        (0, 1, 3, 4), (0, 9, 10, 10), (1, 9, 10, 10), (6, 7, 9, 9),
+        (4, 4, 7, 8), (3, 5, 8, 10), (0, 4, 5, 6), (6, 3, 4, 8),
+        (8, 1, 4, 10),
+    ])
 
 
 def _interval_load_grid(rng, count=150):
@@ -190,11 +210,83 @@ class TestNecessaryCertificates:
         for fn in (
             utilization_certificate,
             wcet_slack_certificate,
+            all_jobs_cut_certificate,
             interval_load_certificate,
             forced_demand_certificate,
         ):
             with pytest.raises(ValueError):
                 fn(running_example(), 0)
+
+
+class TestAllJobsCut:
+    def test_fires_where_interval_load_cannot(self):
+        # T = 4 on one processor: A's window wraps ({3, 0}) and B's sits
+        # inside it, so 3 units share the 2 slots any job covers; no
+        # interval encloses A's wrapped window, and U = 3/4
+        s = TaskSystem.from_tuples([(3, 2, 2, 4), (0, 1, 1, 4)])
+        cert = all_jobs_cut_certificate(s, 1)
+        assert cert.proves_infeasible
+        assert cert.witness == {"demand": 3, "capacity": 2}
+        assert not interval_load_certificate(s, 1).decided
+
+    def test_wrapped_tails_count_as_capacity(self):
+        # one job whose window wraps from slot 1 into slot 0 of the next
+        # cycle: both slots serve it, so its 2 units fit
+        cert = all_jobs_cut_certificate(TaskSystem.from_tuples([(1, 2, 2, 2)]), 1)
+        assert not cert.decided
+        assert cert.detail == "all jobs demand 2 <= capacity 2"
+
+    def test_caps_each_slot_at_m(self):
+        # three synchronous unit jobs in one slot: m = 2 runs only two
+        s = TaskSystem.from_tuples([(0, 1, 1, 4)] * 3)
+        assert all_jobs_cut_certificate(s, 2).witness == {
+            "demand": 3, "capacity": 2,
+        }
+        assert not all_jobs_cut_certificate(s, 3).decided
+
+    def test_refutes_screen_corpus_item(self):
+        """``screen`` corpus item 31: every other test abstains, and
+        csp2+dc and sat stay undecided after minutes, but one cycle's
+        1789 units of demand exceed the 1788 that the slots' job counts
+        let five processors run."""
+        outcome = run_cascade(screen_item_31(), 5)
+        assert outcome.verdict is Feasibility.INFEASIBLE
+        assert outcome.decided.test_name == "necessary:all-jobs"
+        assert outcome.decided.witness == {"demand": 1789, "capacity": 1788}
+
+
+def _wrapping_systems():
+    """Small identical-platform systems whose random offsets make windows
+    wrap past the hyperperiod (``O + D > T``)."""
+    task = st.sampled_from([2, 3, 4, 6]).flatmap(
+        lambda t: st.integers(1, t).flatmap(
+            lambda d: st.tuples(
+                st.integers(0, t - 1), st.integers(1, d), st.just(d), st.just(t)
+            )
+        )
+    )
+    return st.lists(task, min_size=1, max_size=5).map(
+        lambda params: TaskSystem([Task(*p) for p in params])
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wrapping_systems(), st.integers(1, 3))
+@example(TaskSystem.from_tuples([(3, 2, 2, 4), (0, 1, 1, 4)]), 1)
+@example(TaskSystem.from_tuples([(1, 2, 2, 2), (1, 1, 1, 2)]), 1)
+@example(TaskSystem.from_tuples([(0, 1, 1, 4)] * 3), 2)
+def test_all_jobs_cut_never_contradicts_exact(system, m):
+    """A fired cut is an infeasibility proof: neither the exact global-EDF
+    test nor csp2+dc may find a schedule for the system."""
+    cert = all_jobs_cut_certificate(system, m)
+    if not cert.decided:
+        return
+    assert cert.witness["demand"] > cert.witness["capacity"]
+    platform = Platform.identical(m)
+    edf = create_solver("edf-exact", system, platform).solve(time_limit=20)
+    assert edf.status is not Feasibility.FEASIBLE, system
+    exact = create_solver("csp2+dc", system, platform).solve(time_limit=20)
+    assert exact.status is Feasibility.INFEASIBLE, system
 
 
 class TestProcessorLowerBound:
@@ -248,6 +340,21 @@ class TestSufficientCertificates:
         assert cert.proves_feasible
         assert len(cert.witness["assignment"]) == s.n
 
+    def test_partitioned_budget_charges_simulated_bins(self):
+        """``screen`` corpus item 25: ``T x n x m`` = 36036 x 8 x 4 is far
+        past the default budget, yet the bins first-fit simulates cost
+        1294 slot-tasks, so the packing runs and proves feasibility."""
+        system = screen_item_25()
+        cert = partitioned_certificate(system, 4)
+        assert cert.proves_feasible
+        assert cert.witness == {
+            "assignment": [2, 2, 3, 1, 1, 0, 3, 0], "bins_tried": 20,
+            "sim_work": 1294, "bins_simulated": 6,
+        }
+        assert run_cascade(system, 4).decided.test_name == (
+            "sufficient:partitioned-ff"
+        )
+
     def test_edf_sim_witness_validates(self):
         cert = edf_simulation_certificate(light_implicit(), 2)
         assert cert.proves_feasible
@@ -299,11 +406,13 @@ class TestCascade:
         assert back["decided_by"] == "sufficient:uniproc-edf"
 
     def test_closed_form_tier_catches_collision(self):
-        # without the simulation tier the interval-load table provides
-        # the same infeasibility proof, just later in the cascade
+        # without the simulation tier the closing necessary tier provides
+        # the same infeasibility proof, just later in the cascade: the
+        # all-jobs cut opens it, and interval load alone proves it too
         outcome = run_cascade(collision(), 1, simulate=False)
         assert outcome.verdict is Feasibility.INFEASIBLE
-        assert outcome.decided.test_name == "necessary:interval-load"
+        assert outcome.decided.test_name == "necessary:all-jobs"
+        assert interval_load_certificate(collision(), 1).proves_infeasible
 
     def test_explicit_tests_reject_options(self):
         with pytest.raises(ValueError, match="default test list"):
