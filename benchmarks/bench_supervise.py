@@ -1,4 +1,4 @@
-"""Supervision-overhead benchmark: watched children vs the plain pool.
+"""Supervision-overhead benchmark: watched children vs in-process solving.
 
 Measures what fault tolerance costs on a pinned seeded grid of tiny
 cells, where per-cell solve time is small and the per-cell overhead of

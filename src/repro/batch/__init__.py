@@ -12,8 +12,8 @@ campaigns into first-class objects:
 * :mod:`repro.batch.cache` — a content-addressed on-disk cache so any
   cell ever solved under the same (system, solver, budget, seed) key is
   never solved again, across campaigns;
-* :mod:`repro.batch.executor` — :func:`run_batch`: process-pool
-  execution with one worker per ``--jobs``, streaming JSONL journaling,
+* :mod:`repro.batch.executor` — :func:`run_batch`: parallel execution
+  with one watched worker per ``--jobs``, streaming JSONL journaling,
   and crash-safe ``--resume``;
 * :mod:`repro.batch.supervise` — :class:`SupervisedWorker` (and its
   single-use form :func:`run_supervised`): work units in a watched
@@ -25,7 +25,7 @@ campaigns into first-class objects:
   fault injection (crash / hang / oom / error / torn journal writes)
   for testing all of the above without real hardware failures;
 * :mod:`repro.batch.transport` — the :class:`Transport` execution seam:
-  :class:`LocalPoolTransport` is the serial/pool/supervised local path
+  :class:`LocalPoolTransport` is the in-process/supervised local path
   and the only code that starts or watches worker processes —
   ``run_batch``, :func:`~repro.solvers.problem.solve_iter`, the
   ``portfolio:`` race (a supervised stream closed at the first decisive

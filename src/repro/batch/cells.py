@@ -10,8 +10,8 @@ the same system (and the solver service asked the same question) hit
 the same cache entry.
 
 :func:`solve_cell` is the single worker function both the serial runner
-and the process pool execute; keeping it here (module level, importable
-by qualified name) is what makes it picklable.
+and the watched children execute; keeping it here (module level,
+importable by qualified name) is what makes it picklable.
 """
 
 from __future__ import annotations

@@ -13,23 +13,23 @@ three sources each record came from —
    re-run) skip any cell ever solved under the same key;
 3. fresh **computation**: remaining cells are deduplicated by key and
    handed to a :class:`~repro.batch.transport.Transport` — by default a
-   :class:`~repro.batch.transport.LocalPoolTransport` reproducing the
-   historical serial / process-pool / supervised strategies exactly.
+   :class:`~repro.batch.transport.LocalPoolTransport`, which solves in
+   process at ``jobs=1`` and in watched children otherwise.
 
 Fault tolerance: a campaign *always completes*.  A cell whose execution
 dies — worker SIGKILLed by the OOM killer, a hang past the watchdog, an
 unhandled exception — is retried a bounded number of times (seeded
 deterministic backoff) in supervised children
 (:mod:`repro.batch.supervise`), then journaled as a ``fault:*`` record
-like any other result.  The default pool path escalates failed cells to
-the supervised path instead of letting ``BrokenProcessPool`` abort the
-campaign; ``supervised=True`` (forced on whenever chaos injection is
-configured) runs *every* computed cell in a watched child with an
-optional address-space rlimit.  Watched children are reused: a child
-that answered cleanly takes the next cell, a child is recycled after
-any fault or a fixed number of cells, and every retry runs in a fresh
-child.  All of that now lives behind the
-transport seam, so other consumers (the solver service) inherit it.
+like any other result.  With ``jobs > 1``, or ``supervised=True``
+(forced on whenever chaos injection is configured), *every* computed
+cell runs in a watched child under the ``time_limit + grace`` watchdog
+and the optional address-space rlimit; at ``jobs=1`` without
+supervision a cell that raises in process escalates to a watched child.
+Watched children are reused: a child that answered cleanly takes the
+next cell, a child is recycled after any fault or a fixed number of
+cells, and every retry runs in a fresh child.  All of that lives behind
+the transport seam, so other consumers (the solver service) inherit it.
 
 Determinism: a cell's outcome depends only on its content (system, solver,
 budgets, seed), never on scheduling, so ``jobs=N`` produces the same
@@ -148,7 +148,10 @@ def run_batch(
     cells:
         The campaign, typically :func:`~repro.batch.cells.cells_for_matrix`.
     jobs:
-        Worker processes; ``1`` runs in-process (no pool, no pickling).
+        Worker processes; ``1`` runs in-process (no child, no pickling)
+        unless ``supervised``.  A ``portfolio:`` cell runs its members
+        sequentially in a worker, because a supervised child may not
+        start processes of its own.
     cache:
         A :class:`ResultCache` or a directory path for one; ``None``
         disables cross-campaign caching.  Fault records never enter the
@@ -164,16 +167,17 @@ def run_batch(
         (from whichever source).  A callback that raises is disabled with
         a warning — user code must never abort journaling mid-campaign.
     supervised:
-        Run every computed cell in a watched child process (watchdog +
-        optional rlimit + fault classification; clean children are
-        reused, faulted ones recycled).  Without it
-        the pool fast path is used and only *failing* cells escalate to
-        supervision.  Forced on whenever ``chaos`` is set.
+        Run every computed cell in a watched child process even at
+        ``jobs=1`` (watchdog + optional rlimit + fault classification;
+        clean children are reused, faulted ones recycled).  With
+        ``jobs > 1`` cells always run that way.  Forced on whenever
+        ``chaos`` is set.
     retries:
         Extra supervised attempts granted to a faulted cell before it is
         journaled as ``fault:*``.
     memory_limit:
-        Per-child ``RLIMIT_AS`` in bytes (supervised executions only).
+        Per-child ``RLIMIT_AS`` in bytes; applies to every watched
+        child, so to every cell unless ``jobs=1`` runs in process.
     chaos:
         Opt-in deterministic fault injection
         (:class:`~repro.batch.chaos.ChaosConfig`); implies supervision.
@@ -189,9 +193,9 @@ def run_batch(
         Execution backend for computed cells.  ``None`` builds the
         :class:`~repro.batch.transport.LocalPoolTransport` implied by
         ``jobs``/``supervised``/``retries``/``memory_limit``/``grace``/
-        ``backoff`` — the historical behavior; passing one explicitly
-        overrides all of those execution knobs (caching, journaling and
-        ordering are unaffected).
+        ``backoff``; passing one explicitly overrides all of those
+        execution knobs (caching, journaling and ordering are
+        unaffected).
 
     Returns
     -------

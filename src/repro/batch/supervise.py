@@ -1,11 +1,10 @@
 """Supervised execution: watched children, one classified verdict per item.
 
-The process pool treats a dead worker as a catastrophe
-(``BrokenProcessPool`` aborts everything in flight).  The paper's own
-experiments say workers *will* die — CSP1 "runs out of memory on large
-instances" — so campaigns need the opposite stance: a child process is
-*expected* to be killable, and its death is a classifiable result, not
-an exception.
+The paper's own experiments say workers *will* die — CSP1 "runs out of
+memory on large instances" — so a child process here is *expected* to
+be killable, and its death is a classifiable result of its own item,
+not an exception that takes the other items down with it.  This module
+holds the only code in the repo that starts worker processes.
 
 A :class:`SupervisedWorker` is one child that answers work items until
 it is closed or faults; :func:`run_supervised` is the single-use case.
@@ -30,8 +29,7 @@ number of items); the watchdog and the classification here are the same
 for a fresh child and a warm one.
 
 ``fn`` must be a module-level callable and ``payload`` plain picklable
-data (the R4 pickle-safety lint enforces both), exactly like the pool
-and race primitives.
+data (the R4 pickle-safety lint enforces both).
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """Pluggable execution transports: *how* keyed work units run.
 
-:func:`~repro.batch.executor.run_batch` historically hard-wired three
-execution strategies — in-process serial, a ``ProcessPoolExecutor`` with
-escalation of failed cells, and supervised one-shot children with
-bounded retries.  This module extracts that seam into a :class:`Transport`
-protocol so other consumers (the solver service daemon in
-:mod:`repro.service`) can run work on the exact same machinery without
-going through campaign bookkeeping:
+:func:`~repro.batch.executor.run_batch` runs its cells one of two ways:
+in process, or in watched children with bounded retries.  This module
+puts that choice behind a :class:`Transport` protocol so other consumers
+(the solver service daemon in :mod:`repro.service`) can run work on the
+exact same machinery without going through campaign bookkeeping:
 
 * a :class:`WorkItem` is one keyed execution request: a module-level
   worker ``fn``, a plain picklable ``payload``, and an optional wall
@@ -14,23 +12,22 @@ going through campaign bookkeeping:
 * a :class:`WorkResult` is how it ended: the worker's return value, or a
   classified :class:`~repro.batch.supervise.FaultRecord` once retries
   are exhausted, plus the attempt count;
-* :class:`LocalPoolTransport` is the local path: serial / pool /
-  supervised execution with deterministic seeded retry backoff and
-  escalation of pool failures to supervision.  Its supervised children
-  are reused across items — a child that answered cleanly takes the
-  next item; a child is recycled after any fault or a fixed number of
-  items, and every retry runs in a fresh child.  It is the only code in
-  the repo that starts or watches worker processes: ``run_batch``,
+* :class:`LocalPoolTransport` is the local path: in-process or
+  supervised execution with deterministic seeded retry backoff; an
+  in-process item that raises escalates to supervision.  Its supervised
+  children are reused across items — a child that answered cleanly
+  takes the next item; a child is recycled after any fault or a fixed
+  number of items, and every retry runs in a fresh child.  It is the
+  only code in the repo that starts or watches worker processes (it
+  starts them through :mod:`repro.batch.supervise`): ``run_batch``,
   :func:`~repro.solvers.problem.solve_iter`, the racing portfolio and
   the solver service all run on it.
 
 Closing an ``execute()`` stream early cancels it: its queued items never
-start, and the processes running its items are terminated — supervised
-children and pool workers alike.  The thread that owns each killed
-child (for pool workers, the pool's manager thread) still reaps it.
-That is what a race is built from — the ``portfolio:`` meta-solver
-consumes a stream until the first decisive member answers, then closes
-it.
+start, and the children running its items are terminated.  The thread
+that watches each killed child still reaps it.  That is what a race is
+built from — the ``portfolio:`` meta-solver consumes a stream until the
+first decisive member answers, then closes it.
 
 Workers are invoked as ``fn(payload, attempt)`` with a 0-based attempt
 number so fault-injection hooks (chaos) can salt their draws per
@@ -42,7 +39,6 @@ be module-level / plain data (the R4 pickle-safety contract).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -115,8 +111,8 @@ class WorkResult:
     Exactly one of ``value`` / ``fault`` is meaningful: ``fault is
     None`` and ``value`` is the worker's return, or ``fault`` is the
     classified record of the *last* failed attempt.  ``attempts`` counts
-    every execution that happened (pool attempts included), so consumers
-    derive "was retried" as ``attempts > 1``.
+    every execution that happened (a failed in-process attempt
+    included), so consumers derive "was retried" as ``attempts > 1``.
     """
 
     key: str
@@ -144,26 +140,10 @@ class Transport(Protocol):
         ...  # pragma: no cover - protocol signature
 
 
-def _call(fn: Callable, payload: Any, attempt: int) -> Any:
-    """Pool worker shim: invoke ``fn(payload, attempt)`` (picklable)."""
-    return fn(payload, attempt)
-
-
 def _supervised_call(packed: tuple) -> Any:
     """Supervised-child shim: unpack ``(fn, payload, attempt)`` and run."""
     fn, payload, attempt = packed
     return fn(payload, attempt)
-
-
-def _terminate_workers(pool) -> None:
-    """Terminate a process pool's workers; its manager thread reaps them
-    and fails their futures, which nobody reads any more."""
-    terminate = getattr(pool, "terminate_workers", None)  # Python 3.14+
-    if terminate is not None:
-        terminate()
-        return
-    for proc in list((pool._processes or {}).values()):
-        proc.terminate()
 
 
 class _Stream:
@@ -203,18 +183,17 @@ class _Stream:
 class LocalPoolTransport:
     """Today's local execution path behind the :class:`Transport` seam.
 
-    Three strategies, selected exactly as ``run_batch`` always has:
+    Two strategies:
 
-    * ``supervised=True`` — every item runs in a watched child
-      (:class:`~repro.batch.supervise.SupervisedWorker`) with bounded
-      deterministic retries; ``jobs`` watcher threads wait in parallel;
-    * ``jobs == 1`` — in-process execution (no pool, no pickling,
-      bit-compatible with the historical serial runner); a raising item
-      escalates to the supervised retry loop;
-    * ``jobs > 1`` — a ``ProcessPoolExecutor`` fast path; any failed
-      future (including a pool-breaking worker death) escalates to
-      supervised children in original item order, so a batch *always
-      completes*.
+    * ``jobs == 1`` and not ``supervised`` — in-process execution (no
+      child, no pickling, bit-compatible with the historical serial
+      runner); a raising item escalates to the supervised retry loop;
+    * otherwise — every item runs in a watched child
+      (:class:`~repro.batch.supervise.SupervisedWorker`) under the
+      ``wall_limit + grace`` watchdog and the optional ``memory_limit``,
+      with bounded deterministic retries; ``jobs`` watcher threads wait
+      in parallel.  One child's death touches no other item, so a batch
+      *always completes*.
 
     Supervised children are reused: a child that answered cleanly goes
     back to a lock-protected idle list and takes the next item, so a
@@ -303,9 +282,10 @@ class LocalPoolTransport:
         is closed, and each retry runs in a freshly spawned child.
 
         ``base_attempts`` counts executions already burned elsewhere (a
-        failed pool attempt); it rides into ``WorkResult.attempts`` but
-        not into the fault record, whose ``attempts`` is the supervised
-        loop's own count (the historical journal-visible convention).
+        failed in-process attempt); it rides into ``WorkResult.attempts``
+        but not into the fault record, whose ``attempts`` is the
+        supervised loop's own count (the historical journal-visible
+        convention).
 
         Returns None, without running anything more, once ``stream`` has
         been closed: nobody is left to read the result.
@@ -352,20 +332,17 @@ class LocalPoolTransport:
             attempts=base_attempts + self.retries + 1,
         )
 
-    def _execute_supervised(
-        self, items: Sequence[WorkItem], base_attempts: int = 0,
-        ordered: bool = False,
-    ) -> Iterator[WorkResult]:
+    def _execute_supervised(self, items: Sequence[WorkItem]) -> Iterator[WorkResult]:
         """Run these items in watched children, ``jobs`` wide.
 
-        Results come in completion order, or in item order when
-        ``ordered``.  Closing the generator early cancels the stream.
+        Results come in completion order.  Closing the generator early
+        cancels the stream.
         """
         if self.jobs == 1 or len(items) == 1:
             # one item at a time in this thread: while the consumer holds
             # a result no child is running, and closing stops the loop
             for item in items:
-                yield self._run_with_retries(item, base_attempts)
+                yield self._run_with_retries(item)
             return
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
@@ -374,13 +351,11 @@ class LocalPoolTransport:
         # its own checked-out worker, so no two items share a child
         with ThreadPoolExecutor(max_workers=self.jobs) as waiters:
             tasks = [
-                waiters.submit(
-                    self._run_with_retries, item, base_attempts, stream
-                )
+                waiters.submit(self._run_with_retries, item, stream=stream)
                 for item in items
             ]
             try:
-                for fut in tasks if ordered else as_completed(tasks):
+                for fut in as_completed(tasks):
                     yield fut.result()
             finally:
                 # a no-op once every item is done; after an early close
@@ -400,73 +375,11 @@ class LocalPoolTransport:
             else:
                 yield WorkResult(key=item.key, value=value, attempts=1)
 
-    # -- pool path ----------------------------------------------------------
-    def _execute_pool(self, items: Sequence[WorkItem]) -> Iterator[WorkResult]:
-        """Run these items on a process pool, in completion order.
-
-        At most ``jobs`` items are submitted at a time, so the pool never
-        holds a queue of its own: closing the generator early terminates
-        the workers still running items and shuts the pool down without
-        waiting, so the rest never start.
-        """
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            BrokenExecutor,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        escalate: set[int] = set()
-        queued = iter(items)
-        running: dict = {}
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-
-        def submit(item: WorkItem) -> None:
-            try:
-                running[pool.submit(_call, item.fn, item.payload, 0)] = item
-            except BrokenExecutor:
-                # a worker died: this item and every queued one recover
-                # in supervised children below
-                escalate.update(id(it) for it in (item, *queued))
-
-        try:
-            for item in itertools.islice(queued, self.jobs):
-                submit(item)
-            while running:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    item = running.pop(fut)
-                    following = next(queued, None)
-                    if following is not None:
-                        submit(following)
-                    try:
-                        value = fut.result()
-                    except Exception:
-                        # a worker exception or a broken pool (one
-                        # SIGKILLed worker fails every in-flight future):
-                        # never abort — escalate those items below
-                        escalate.add(id(item))
-                        continue
-                    yield WorkResult(key=item.key, value=value, attempts=1)
-        finally:
-            if running:
-                _terminate_workers(pool)
-            pool.shutdown(wait=not running, cancel_futures=True)
-        if escalate:
-            # recovery pass in original item order: pool-breakage
-            # victims simply succeed here, repeat offenders classify
-            yield from self._execute_supervised(
-                [it for it in items if id(it) in escalate],
-                base_attempts=1, ordered=True,
-            )
-
     def execute(self, items: Sequence[WorkItem]) -> Iterator[WorkResult]:
         """Run every item on the configured local strategy."""
         if not items:
             return
-        if self.supervised:
-            yield from self._execute_supervised(items)
-        elif self.jobs == 1:
+        if self.jobs == 1 and not self.supervised:
             yield from self._execute_serial(items)
         else:
-            yield from self._execute_pool(items)
+            yield from self._execute_supervised(items)

@@ -854,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--time-limit", type=float, default=1.0,
                    help="per-cell wall budget (seconds)")
     b.add_argument("--jobs", "-j", type=int, default=1,
-                   help="worker processes (1 = serial, in-process)")
+                   help="watched worker processes (1 = serial, in-process)")
     b.add_argument("--cache-dir", default=None,
                    help="content-addressed result cache shared across campaigns")
     b.add_argument("--output", "-o", default="batch-results.jsonl",
@@ -862,13 +862,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--resume", action="store_true",
                    help="skip cells already completed in --output")
     b.add_argument("--supervised", action="store_true",
-                   help="run every cell in a watched child process "
-                   "(watchdog, fault classification, optional rlimit)")
+                   help="run every cell in a watched child process even "
+                   "with --jobs 1, as --jobs > 1 always does (watchdog, "
+                   "fault classification, optional rlimit)")
     b.add_argument("--retries", type=int, default=1,
                    help="extra supervised attempts for a faulted cell "
                    "before it is journaled as fault:*")
     b.add_argument("--memory-limit", type=int, default=None, metavar="BYTES",
-                   help="per-child RLIMIT_AS (supervised executions only)")
+                   help="per-child RLIMIT_AS (every cell unless --jobs 1 "
+                   "runs it in-process)")
     b.add_argument("--fault-resume", choices=("skip", "retry"), default="skip",
                    help="what --resume does with journaled fault:* cells: "
                    "serve them as-is, or recompute them")
@@ -914,10 +916,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra supervised attempts before a request is "
                     "answered fault:*")
     sv.add_argument("--memory-limit", type=int, default=None, metavar="BYTES",
-                    help="per-child RLIMIT_AS (supervised solves only)")
+                    help="per-child RLIMIT_AS (ignored with --unsupervised)")
     sv.add_argument("--unsupervised", action="store_true",
-                    help="solve in-process instead of watched children "
-                    "(faster; a crashing solve takes the daemon down)")
+                    help="solve in the daemon's own process instead of "
+                    "watched children (no watchdog, no --memory-limit; a "
+                    "crashing solve takes the daemon down)")
     sv.add_argument("--no-remote-shutdown", action="store_true",
                     help="ignore 'shutdown' requests from clients")
     sv.set_defaults(func=_cmd_serve)

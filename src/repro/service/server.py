@@ -91,8 +91,8 @@ def _solve_request_worker(payload, attempt: int) -> str:
     """Transport worker: solve one service request in a watched child.
 
     The payload is plain JSON-shaped data (problem dict, solver name,
-    options dict) so it pickles into supervised children and process
-    pools alike.  The worker returns the report's canonical text
+    options dict) so it pickles into supervised children.  The worker
+    returns the report's canonical text
     (:func:`~repro.service.protocol.report_text`), encoded here once:
     the daemon writes those bytes to the memo, the journal and the
     response without decoding them.

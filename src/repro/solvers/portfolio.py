@@ -34,10 +34,14 @@ the wall budget is spent, the first member to report ends the race.
 order, in process, which is fully deterministic and useful for tests
 and single-core boxes.  A portfolio solved inside a daemonic process —
 a supervised child of a campaign or of the solver service — runs the
-same way, because such a process may not start children.  With a
-fixed seed the *verdict* is deterministic either way; under true racing
-the reported winner can depend on machine load whenever two members
-would both answer — the first to finish wins.
+same way, because such a process may not start children.  That covers
+every ``portfolio:`` cell of ``run_batch``/``solve_iter`` with
+``jobs > 1``: those cells run in supervised children, so their members
+run sequentially (``stats.extra["portfolio"]["mode"] ==
+"sequential"``) and the campaign's own ``jobs`` is the parallelism.
+With a fixed seed the *verdict* is deterministic either way; under true
+racing the reported winner can depend on machine load whenever two
+members would both answer — the first to finish wins.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ engine, :func:`solve_problem`:
   campaign ``ResultCache``, the solver service's ``ReportCache``) is
   addressed by it.
 
-:func:`solve_iter` fans a ``problems x solvers`` matrix out over worker
-processes (the batch layer's
+:func:`solve_iter` fans a ``problems x solvers`` matrix out over watched
+worker processes (the batch layer's
 :class:`~repro.batch.transport.LocalPoolTransport`) and *yields* reports
 as cells complete, so campaign drivers can stream results instead of
 blocking on the whole matrix.
@@ -582,7 +582,7 @@ def fault_report(
 def _fault_report(
     entry, kind: str, detail: str, attempts: int = 1
 ) -> SolveReport:
-    """:func:`fault_report` for one solve_iter pool entry."""
+    """:func:`fault_report` for one solve_iter matrix entry."""
     index, problem, solver, _check, _options = entry
     return fault_report(
         problem, solver, kind, detail, attempts=attempts, index=index
@@ -618,9 +618,13 @@ def solve_iter(
         One name/spec or a sequence; every solver runs on every problem.
     jobs:
         ``1`` solves serially in matrix order (problem-major,
-        solver-minor); ``N > 1`` fans cells out over ``N`` worker
-        processes and yields reports *as they complete* — use each
-        report's :attr:`~SolveReport.index` to restore matrix order.
+        solver-minor); ``N > 1`` fans cells out over ``N`` warm
+        supervised children and yields reports *as they complete* — use
+        each report's :attr:`~SolveReport.index` to restore matrix
+        order.  Each such cell runs under the transport's watchdog (its
+        ``time_limit`` plus the default grace).  A ``portfolio:`` cell
+        runs its members sequentially there, because a supervised child
+        may not start processes of its own.
     check:
         Validate returned schedules against C1-C4.
     options:
@@ -630,13 +634,13 @@ def solve_iter(
     on_fault:
         ``"raise"`` (default) makes a failing cell end the stream: with
         ``jobs=1`` its own exception propagates; with ``jobs > 1`` the
-        cell is re-run once in a supervised child and, if it fails there
+        cell is re-run once in a fresh child and, if it fails there
         too, a ``RuntimeError`` naming the fault's kind and carrying the
         child's traceback is raised.  ``"record"`` makes the matrix
-        fault-tolerant: a cell whose execution raises or whose worker
-        dies (even a pool-breaking SIGKILL) yields a ``fault:*`` report
-        instead of aborting the stream; pool-breakage victims are
-        re-run once in supervised children before being classified.
+        fault-tolerant: a cell whose execution raises, whose child dies
+        or whose child overruns the watchdog yields a ``fault:*`` report
+        instead of aborting the stream; with ``jobs > 1`` it is re-run
+        once in a fresh child first, so it reports ``attempts == 2``.
 
     Yields
     ------
@@ -677,14 +681,14 @@ def solve_iter(
         return
     from repro.batch.transport import LocalPoolTransport, WorkItem
 
-    # the transport's pool path: a failed cell (a raising solver, or an
-    # innocent victim of a SIGKILL that broke the pool) re-runs once in
-    # a supervised child; repeat offenders come back classified
+    # warm supervised children: a failed cell (a raising solver, a dead
+    # or hung child) re-runs once in a fresh child; repeat offenders
+    # come back classified
     items = [
         WorkItem(str(entry[0]), _solve_entry, entry, entry[1].time_limit)
         for entry in entries
     ]
-    with LocalPoolTransport(jobs=jobs, retries=0) as transport:
+    with LocalPoolTransport(jobs=jobs, retries=1) as transport:
         for res in transport.execute(items):
             entry = entries[int(res.key)]
             if res.fault is None:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import signal
+import time
 from dataclasses import asdict
 
 import pytest
@@ -305,6 +306,24 @@ def _solve_or_raise(cell):
     return solve_cell(cell)
 
 
+def _solve_or_hang(cell):
+    """Worker stand-in: overrun the victim's budget by seconds."""
+    if cell.instance_seed == _VICTIM_SEED:
+        time.sleep(8.0)
+    return solve_cell(cell)
+
+
+def _solve_or_balloon(cell):
+    """Worker stand-in: reserve 3 GiB of address space on the victim's
+    cells (``np.zeros`` maps it lazily, so without an rlimit it costs
+    no physical memory)."""
+    if cell.instance_seed == _VICTIM_SEED:
+        import numpy as np
+
+        np.zeros(3 << 30, dtype=np.uint8)
+    return solve_cell(cell)
+
+
 class TestFaultTolerance:
     """A campaign always completes; dead cells become fault:* records."""
 
@@ -320,8 +339,9 @@ class TestFaultTolerance:
     def test_sigkilled_pool_worker_does_not_abort_the_campaign(
         self, tmp_path, monkeypatch, instances, cells
     ):
-        """A SIGKILLed worker breaks the pool; the campaign must still
-        complete, with the victim journaled as a fault record."""
+        """A SIGKILLed warm child takes down only its own cell: the
+        campaign completes, with the victim journaled as a fault
+        record and every other cell clean."""
         self._mark_victim(monkeypatch, instances)
         monkeypatch.setattr(
             "repro.batch.executor.solve_cell", _solve_or_sigkill
@@ -337,6 +357,47 @@ class TestFaultTolerance:
         assert all(not r.status.startswith("fault:") for r in survivors)
         assert set(load_journal(journal)) == {cell_key(c) for c in cells}
         assert report.faults == len(victims)
+
+    def test_hanging_cell_under_parallel_jobs_times_out(
+        self, tmp_path, monkeypatch, instances
+    ):
+        """Unsupervised ``jobs=2`` cells run under the watchdog: the
+        victim's cells end ``fault:timeout`` at budget + grace instead
+        of running on, and the campaign finishes in bounded time."""
+        self._mark_victim(monkeypatch, instances)
+        monkeypatch.setattr("repro.batch.executor.solve_cell", _solve_or_hang)
+        cells = cells_for_matrix(instances[:3], SOLVERS, 1.0)
+        journal = tmp_path / "r.jsonl"
+        t0 = time.monotonic()
+        report = run_batch(cells, jobs=2, journal=journal, retries=0,
+                           grace=0.5)
+        assert time.monotonic() - t0 < 6.0
+        journaled = load_journal(journal)
+        for cell in cells:
+            status = journaled[cell_key(cell)]["status"]
+            if cell.instance_seed == instances[0].seed:
+                assert status == "fault:timeout"
+            else:
+                assert not status.startswith("fault:")
+        assert report.faults == len(SOLVERS)
+
+    def test_memory_limit_applies_to_parallel_cells(
+        self, monkeypatch, instances, cells
+    ):
+        """``memory_limit`` binds every ``jobs=2`` child, not only
+        supervised runs: the victim's over-limit cells end
+        ``fault:oom``."""
+        self._mark_victim(monkeypatch, instances)
+        monkeypatch.setattr(
+            "repro.batch.executor.solve_cell", _solve_or_balloon
+        )
+        report = run_batch(cells[:4], jobs=2, retries=0,
+                           memory_limit=2 << 30)
+        for record in report.records:
+            if record.instance_seed == instances[0].seed:
+                assert record.status == "fault:oom"
+            else:
+                assert not record.status.startswith("fault:")
 
     def test_inprocess_failure_escalates_to_supervision(
         self, tmp_path, monkeypatch, instances, cells

@@ -354,8 +354,10 @@ class TestFaultTolerantCampaign:
         assert reports[0].decided_by == "supervisor:error"
         assert "deliberate solver explosion" in reports[0].fault["detail"]
 
-    def test_solve_iter_pool_recovery_keeps_cell_order(self, bomb):
-        """Pool failures re-run once, supervised, in matrix order."""
+    def test_solve_iter_parallel_fault_reruns_once_in_a_fresh_child(
+        self, bomb
+    ):
+        """A failing cell re-runs once in a fresh child, then classifies."""
         from repro.solvers.problem import solve_iter
 
         problems = [feasible_problem()] * 3
@@ -364,11 +366,9 @@ class TestFaultTolerantCampaign:
         ))
         assert sorted(r.index for r in reports) == list(range(6))
         faults = [r for r in reports if r.fault is not None]
-        # the recovery pass yields after the pool, in cell order
-        assert [r.index for r in faults] == [0, 2, 4]
-        assert reports[-3:] == faults
+        assert sorted(r.index for r in faults) == [0, 2, 4]
         assert all(r.status_label == "fault:error" for r in faults)
-        # one pool attempt + one supervised attempt
+        # two attempts, each in its own child
         assert all(r.fault["attempts"] == 2 for r in faults)
         assert all(
             r.status_label == "feasible" for r in reports if r.fault is None

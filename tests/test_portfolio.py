@@ -280,3 +280,21 @@ class TestPortfolioConstruction:
         report = run_batch(cells)
         assert report.records[0].status == "feasible"
         assert report.records[0].solver == "portfolio:csp2+dc,sat"
+
+    @pytest.mark.parametrize("problems", [1, 2])
+    def test_parallel_campaign_runs_members_sequentially(self, problems):
+        """Under ``jobs > 1`` each cell runs in a daemonic supervised
+        child, which may not start processes: the portfolio runs its
+        members in order there and reaches the ``jobs=1`` verdict."""
+        from repro.solvers.problem import Problem, solve_iter
+
+        problem = Problem.of(running_example(), m=2, time_limit=20.0)
+        solver = ["portfolio:csp2+dc,sat"]
+        (serial,) = solve_iter(problem, solver, jobs=1)
+        parallel = list(solve_iter([problem] * problems, solver, jobs=2))
+        assert len(parallel) == problems
+        for report in parallel:
+            assert report.status_label == serial.status_label == "feasible"
+            meta = report.result.stats.extra["portfolio"]
+            assert meta["mode"] == "sequential"
+            assert meta["winner"] == "csp2+dc"

@@ -76,6 +76,11 @@ def _hang(payload, attempt):
     time.sleep(3600.0)
 
 
+def _sleep_six(payload, attempt):
+    time.sleep(6.0)
+    return payload
+
+
 def _balloon(payload, attempt):
     return len(bytearray(3 << 30))
 
@@ -193,28 +198,46 @@ class TestSupervisedPath:
 
 
 class TestPoolPath:
+    """``jobs > 1`` without ``supervised``: warm watched children too."""
+
     def test_pool_success(self):
         items = [WorkItem(f"k{i}", _double, i) for i in range(6)]
-        results = list(LocalPoolTransport(jobs=2).execute(items))
+        with LocalPoolTransport(jobs=2) as transport:
+            results = list(transport.execute(items))
+            assert 1 <= transport.workers_spawned <= 2
         assert {r.key: r.value for r in results} == {
             f"k{i}": i * 2 for i in range(6)
         }
         assert all(r.ok and r.attempts == 1 for r in results)
 
-    def test_pool_failure_escalates_then_classifies(self):
+    def test_pool_failure_retries_in_a_fresh_child_then_classifies(self):
         items = [
             WorkItem("good", _double, 5),
             WorkItem("bad", _always_raises, "p"),
         ]
-        results = {
-            r.key: r
-            for r in LocalPoolTransport(jobs=2, retries=0).execute(items)
-        }
-        assert results["good"].ok and results["good"].value == 10
-        bad = results["bad"]
-        assert not bad.ok and bad.fault.kind == FAULT_ERROR
-        # one pool attempt + one supervised recovery attempt
-        assert bad.attempts == 2 and bad.fault.attempts == 1
+        for retries in (0, 1):
+            transport = LocalPoolTransport(jobs=2, retries=retries)
+            results = {r.key: r for r in transport.execute(items)}
+            assert results["good"].ok and results["good"].value == 10
+            bad = results["bad"]
+            assert not bad.ok and bad.fault.kind == FAULT_ERROR
+            # no in-process attempt is burned: every attempt is a child's
+            assert bad.attempts == bad.fault.attempts == retries + 1
+
+    def test_overrunning_item_ends_fault_timeout(self):
+        """The watchdog covers unsupervised ``jobs > 1`` items: a 6 s
+        item with a 0.5 s budget is terminated at budget + grace while
+        its quick neighbour answers."""
+        items = [
+            WorkItem("slow", _sleep_six, "s", wall_limit=0.5),
+            WorkItem("quick", _double, 4, wall_limit=0.5),
+        ]
+        t0 = time.monotonic()
+        with LocalPoolTransport(jobs=2, retries=0, grace=0.5) as transport:
+            results = {r.key: r for r in transport.execute(items)}
+        assert time.monotonic() - t0 < 3.0
+        assert results["slow"].fault.kind == FAULT_TIMEOUT
+        assert results["quick"].ok and results["quick"].value == 8
 
 
 class TestWarmPool:
@@ -357,9 +380,10 @@ class TestEarlyClose:
     """Closing a supervised stream early cancels the rest of it."""
 
     def test_closing_a_pool_stream_never_starts_queued_cells(self):
-        """The pool path: six 2 s cells on two workers, closed after the
-        first report, return at once; the cells still running finish
-        within their budget and the queued ones never start."""
+        """``solve_iter(jobs=2)``: six 2 s cells on two warm children,
+        closed after the first report, return at once; the children
+        running cells are gone well within the budget, and the queued
+        cells never start."""
         import multiprocessing
 
         from repro.solvers.problem import Problem, solve_iter
@@ -377,16 +401,16 @@ class TestEarlyClose:
         t0 = time.monotonic()
         stream.close()
         assert time.monotonic() - t0 < 1.0
-        # the running cells end within their 2 s budget; had the queued
-        # ones started, the workers would stay busy for 4 s more
+        # the running children are terminated; had the queued cells
+        # started, the children would stay busy for 4 s more
         deadline = time.monotonic() + 3.5
         while any(p.is_alive() for p in pool):
             assert time.monotonic() < deadline, "queued cells ran"
             time.sleep(0.05)
 
     def test_closing_a_pool_stream_terminates_its_running_workers(self, capfd):
-        """Six 2 s cells on two pool workers, closed after the first
-        report: the workers still running cells are gone within 1 s,
+        """Six 2 s cells on two warm children, closed after the first
+        report: the children still running cells are gone within 1 s,
         without a traceback on stderr."""
         import multiprocessing
 
@@ -406,7 +430,7 @@ class TestEarlyClose:
         stream.close()
         deadline = time.monotonic() + 1.0
         while any(p.is_alive() for p in pool):
-            assert time.monotonic() < deadline, "pool workers still running"
+            assert time.monotonic() < deadline, "children still running"
             time.sleep(0.02)
         assert "Traceback" not in capfd.readouterr().err
 
