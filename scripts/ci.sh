@@ -1,8 +1,8 @@
 #!/bin/sh
 # Minimal CI: contract lint first (fastest, most specific), then the
 # docstring guard, registry-docs drift guard, perf smokes, the repo
-# benchmark's own tests, the process-manager contract and the tier-1
-# test suite.
+# benchmark's own tests, the one-path guards (process manager, outcome
+# builders) and the tier-1 test suite.
 # Usage: sh scripts/ci.sh   (from the repo root; no install required)
 set -eu
 cd "$(dirname "$0")/.."
@@ -78,8 +78,9 @@ python scripts/serve_smoke.py
 echo "== perfbench: repo benchmark harness tests (outside tier-1's testpaths) =="
 python -m pytest -q perfbench/tests
 
-echo "== process-manager: warm watched children are the one parallel path, and only batch/supervise.py creates processes =="
-python -m pytest -q tests/test_transport.py tests/test_supervise.py tests/test_racing.py tests/test_process_manager.py
+echo "== one-path guards: warm watched children are the one parallel path, only batch/supervise.py creates processes, and each outcome has one builder =="
+python -m pytest -q tests/test_transport.py tests/test_supervise.py tests/test_racing.py tests/test_process_manager.py \
+    tests/test_outcome_builders.py
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q

@@ -5,13 +5,14 @@ The paper's experiments (Tables I-IV) are big matrices of independent
 to lose to a crash at cell 4,987 of 5,000.  This package turns such
 campaigns into first-class objects:
 
-* :mod:`repro.batch.cells` — the picklable work unit and the single
-  worker function (:func:`solve_cell`) every execution path shares; a
-  cell's key is :func:`repro.solvers.problem.solve_key` of the question
-  it asks, the one memo key the solver service uses too;
-* :mod:`repro.batch.cache` — a content-addressed on-disk cache so any
-  cell ever solved under the same (system, solver, budget, seed) key is
-  never solved again, across campaigns;
+* :mod:`repro.batch.cells` — the picklable work unit (a
+  :class:`~repro.solvers.problem.Problem` plus a solver name) and the
+  single worker function (:func:`solve_cell`) every execution path
+  shares; a cell's key is :func:`repro.solvers.problem.solve_key` of
+  the question it asks, the one memo key the solver service uses too;
+* :mod:`repro.batch.cache` — :class:`ResultCache`, the content-addressed
+  on-disk text store under both memos, so any cell ever solved under
+  the same key is never solved again, across campaigns;
 * :mod:`repro.batch.executor` — :func:`run_batch`: parallel execution
   with one watched worker per ``--jobs``, streaming JSONL journaling,
   and crash-safe ``--resume``;
@@ -41,7 +42,7 @@ layer (``jobs=1``, no cache) and every table/benchmark driver and the
 ``repro batch`` CLI route through it.
 """
 
-from repro.batch.cache import ReportCache, ResultCache
+from repro.batch.cache import ResultCache
 from repro.batch.cells import Cell, cell_key, cells_for_matrix, solve_cell
 from repro.batch.chaos import ChaosConfig, ChaosError
 from repro.batch.executor import BatchReport, run_batch
@@ -73,7 +74,6 @@ __all__ = [
     "cells_for_matrix",
     "solve_cell",
     "ResultCache",
-    "ReportCache",
     "BatchReport",
     "load_journal",
     "trim_torn_tail",

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk caches for batch campaigns and the service.
+"""The content-addressed on-disk cache behind campaigns and the service.
 
 Layout: one JSON file per entry under ``<root>/<key[:2]>/<key>.json``
 (two-level fan-out keeps directories small on big campaigns).  Writes go
@@ -13,37 +13,32 @@ through :func:`repro.batch.cells.cell_key`), so the only race is two
 processes computing the same question, and either's ``os.replace`` wins
 harmlessly.
 
-Two value shapes share the machinery:
+A :class:`ResultCache` stores and returns text; what the text holds is
+its consumer's business, and each consumer parses an entry once and
+treats a document of the wrong shape as a miss:
 
-* :class:`ResultCache` — flat :class:`~repro.experiments.runner.RunRecord`
-  dicts, the campaign memo ``run_batch`` consults;
-* :class:`ReportCache` — full :class:`~repro.solvers.problem.SolveReport`
-  documents (schedule table included) kept and handed back as their
-  canonical JSON text, the solver service's shared memo layer.  Point
-  it at a *different* root than a :class:`ResultCache` — both address
-  by the same key, and the value shapes are incompatible.
+* ``run_batch`` keeps flat :class:`~repro.experiments.runner.RunRecord`
+  documents (its campaign memo);
+* the solver service keeps full
+  :class:`~repro.solvers.problem.SolveReport` documents (schedule table
+  included) under ``<cache_dir>/reports``.
+
+Point the two at different roots: both address by the same key, and a
+record is not a report.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
-from repro.solvers.problem import REPORT_KEYS
-
-__all__ = ["ResultCache", "ReportCache"]
+__all__ = ["ResultCache"]
 
 
-class _JsonFileCache:
-    """Shared layout + atomic-write + tolerant-read machinery.
-
-    Subclasses define how a value becomes an entry's JSON text
-    (:meth:`_encode`) and back (:meth:`_decode`); everything about paths,
-    atomicity and corruption tolerance lives here once.
-    """
+class ResultCache:
+    """Maps :func:`~repro.solvers.problem.solve_key` hex digests to the
+    JSON text of their outcome."""
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
@@ -52,28 +47,16 @@ class _JsonFileCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _encode(self, value) -> str:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _decode(self, text: str):
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def get(self, key: str):
-        """The cached value, or None.
-
-        Unreadable/corrupt entries (e.g. an out-of-band partial copy) are
-        treated as misses, never errors — the work is simply recomputed.
-        """
-        path = self._path(key)
+    def get(self, key: str) -> str | None:
+        """The entry's text, or None when it is missing or unreadable."""
         try:
-            with open(path) as fh:
-                return self._decode(fh.read())
-        except (OSError, ValueError, TypeError, KeyError):
+            with open(self._path(key)) as fh:
+                return fh.read()
+        except (OSError, ValueError):  # ValueError: not decodable text
             return None
 
-    def put(self, key: str, value) -> None:
-        """Atomically persist one value under its key, in one write."""
-        text = self._encode(value)
+    def put(self, key: str, text: str) -> None:
+        """Atomically persist one entry's text under its key, in one write."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -94,39 +77,3 @@ class _JsonFileCache:
     def __len__(self) -> int:
         """Number of cached entries (walks the fan-out directories)."""
         return sum(1 for _ in self.root.glob("??/*.json"))
-
-
-class ResultCache(_JsonFileCache):
-    """Maps :func:`~repro.batch.cells.cell_key` hex digests (a cell's
-    :func:`~repro.solvers.problem.solve_key`) to records."""
-
-    def _encode(self, value) -> str:
-        return json.dumps(asdict(value), separators=(",", ":"))
-
-    def _decode(self, text: str):
-        from repro.experiments.runner import RunRecord
-
-        return RunRecord(**json.loads(text))
-
-
-class ReportCache(_JsonFileCache):
-    """Maps :func:`~repro.solvers.problem.solve_key` digests to full
-    :class:`~repro.solvers.problem.SolveReport` documents, as text.
-
-    The solver service's memo layer: ``put`` takes a report's canonical
-    text (:func:`~repro.service.protocol.report_text`, encoded once by
-    the worker that solved it) and writes those bytes; ``get`` hands the
-    same text back.  An entry that does not parse to an object with
-    exactly ``SolveReport.to_dict``'s keys, in order, is a miss, so a
-    hit's text can be patched and re-encoded into the bytes the cold
-    solve produced.
-    """
-
-    def _encode(self, value: str) -> str:
-        return value
-
-    def _decode(self, text: str) -> str:
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or tuple(doc) != REPORT_KEYS:
-            raise ValueError("not a SolveReport document")
-        return text

@@ -1,13 +1,14 @@
 """Picklable work units for the parallel batch layer.
 
-A :class:`Cell` is one (instance, solver) run reduced to plain data:
-task tuples, a processor count, a solver name and the per-cell budgets.
-Cells cross process boundaries (``multiprocessing`` pickles them into the
-workers) and double as cache keys — :func:`cell_key` is the cell's
-:meth:`Cell.problem` keyed by :func:`~repro.solvers.problem.solve_key`,
-the one memo key of the repo, so two campaigns that happen to generate
-the same system (and the solver service asked the same question) hit
-the same cache entry.
+A :class:`Cell` is one (instance, solver) run: the
+:class:`~repro.solvers.problem.Problem` it asks, the solver that answers
+it, and the generator seed the campaign records it under.  Cells cross
+process boundaries (the watched children receive them pickled) and
+double as cache keys — :func:`cell_key` is
+:func:`~repro.solvers.problem.solve_key` of the cell's problem, the one
+memo key of the repo, so two campaigns that happen to generate the same
+system (and the solver service asked the same question) hit the same
+cache entry.
 
 :func:`solve_cell` is the single worker function both the serial runner
 and the watched children execute; keeping it here (module level,
@@ -20,7 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.model.platform import Platform
-from repro.model.system import TaskSystem
 from repro.solvers.problem import (
     DEFAULT_VARIABLE_LIMIT,
     Problem,
@@ -37,38 +37,21 @@ class Cell:
 
     Attributes
     ----------
-    tasks:
-        The system as ``(O, C, D, T)`` rows (the canonical JSON order).
-    m:
-        Number of identical processors.
+    problem:
+        The question: system, platform, wall budget (model construction
+        included), the memory guard (``variable_limit``: generic-engine
+        encodings predicted larger are recorded as ``skipped-memory``
+        without being built), solver seed and optional node budget.
     solver:
         A :func:`repro.solvers.registry.create_solver` name.
-    time_limit:
-        Per-cell wall budget in seconds (model construction included).
-    csp1_variable_limit:
-        Per-cell memory budget: generic-engine encodings whose predicted
-        variable count exceeds this are recorded as ``skipped-memory``
-        without being built.
-    seed:
-        Solver seed (randomized strategies, e.g. ``csp1``); part of the
-        cache key because it changes the search.
     instance_seed:
         Generator seed, recorded in the output for aggregation but *not*
         part of the cache key — the system content already is.
-    node_limit:
-        Optional per-cell search-node budget (service requests carry
-        one); ``None`` (the campaign default) keeps the key payload
-        byte-identical to historical keys, so existing caches stay warm.
     """
 
-    tasks: tuple[tuple[int, int, int, int], ...]
-    m: int
+    problem: Problem
     solver: str
-    time_limit: float
-    csp1_variable_limit: int = DEFAULT_VARIABLE_LIMIT
-    seed: int | None = None
     instance_seed: int | None = None
-    node_limit: int | None = None
 
     @classmethod
     def from_instance(
@@ -80,30 +63,14 @@ class Cell:
         seed: int | None = None,
     ) -> "Cell":
         """Build a cell from a :class:`repro.generator.random_systems.Instance`."""
-        return cls(
-            tasks=tuple(t.as_tuple() for t in instance.system),
-            m=instance.m,
-            solver=solver,
+        problem = Problem(
+            system=instance.system,
+            platform=Platform.identical(instance.m),
             time_limit=time_limit,
-            csp1_variable_limit=csp1_variable_limit,
             seed=seed,
-            instance_seed=instance.seed,
+            variable_limit=csp1_variable_limit,
         )
-
-    def system(self) -> TaskSystem:
-        """Reconstruct the task system."""
-        return TaskSystem.from_tuples(self.tasks)
-
-    def problem(self) -> Problem:
-        """The question this cell asks (``instance_seed`` stays out)."""
-        return Problem(
-            system=self.system(),
-            platform=Platform.identical(self.m),
-            time_limit=self.time_limit,
-            node_limit=self.node_limit,
-            seed=self.seed,
-            variable_limit=self.csp1_variable_limit,
-        )
+        return cls(problem=problem, solver=solver, instance_seed=instance.seed)
 
 
 def cell_key(cell: Cell) -> str:
@@ -113,7 +80,7 @@ def cell_key(cell: Cell) -> str:
     ``instance_seed`` (bookkeeping only) is not keyed, so identical
     systems generated under different campaign seeds share cache entries.
     """
-    return solve_key(cell.problem(), cell.solver)
+    return solve_key(cell.problem, cell.solver)
 
 
 def cells_for_matrix(
@@ -154,28 +121,13 @@ def solve_cell(cell: Cell, chaos=None, chaos_key: str | None = None):
     an injected ``crash`` SIGKILLs the calling process.
     """
     from repro.experiments.runner import RunRecord
-    from repro.generator.random_systems import Instance
 
     if chaos is not None:
         from repro.batch.chaos import inject_worker_fault
 
         inject_worker_fault(chaos, chaos_key or cell_key(cell))
-    problem = cell.problem()
-    system = problem.system
-    instance = Instance(system=system, m=cell.m, seed=cell.instance_seed)
-    report = solve_problem(problem, cell.solver, check=False)
-    return RunRecord(
-        instance_seed=cell.instance_seed,
-        n=system.n,
-        m=cell.m,
-        hyperperiod=system.hyperperiod,
-        utilization_ratio=float(instance.utilization_ratio),
-        solver=cell.solver,
-        status=report.status_label,
-        elapsed=report.elapsed,
-        nodes=report.stats.nodes,
-        decided_by=report.decided_by,
-    )
+    report = solve_problem(cell.problem, cell.solver, check=False)
+    return RunRecord.of(report, cell.instance_seed)
 
 
 def rekey_record(record, cell: Cell):

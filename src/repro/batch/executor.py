@@ -49,14 +49,16 @@ import time
 import warnings
 from pathlib import Path
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.batch.cache import ResultCache
 from repro.batch.cells import Cell, cell_key, rekey_record, solve_cell
 from repro.batch.chaos import ChaosConfig, torn_write_prefix
 from repro.batch.journal import load_journal, trim_torn_tail
-from repro.batch.supervise import DEFAULT_GRACE, FaultRecord
+from repro.batch.supervise import DEFAULT_GRACE
 from repro.batch.transport import LocalPoolTransport, Transport, WorkItem
+from repro.experiments.runner import RunRecord
+from repro.solvers.problem import fault_report, is_fault_label
 
 __all__ = ["BatchReport", "run_batch", "load_journal"]
 
@@ -99,30 +101,9 @@ def _batch_worker(payload, attempt: int):
     return solve_cell(cell, chaos=chaos, chaos_key=f"{key}:{attempt}")
 
 
-def _fault_run_record(cell: Cell, fault: FaultRecord):
-    """The journal-able ``fault:*`` record for a cell that never answered.
-
-    Charged the full wall budget (the paper's overrun convention) with
-    deterministic content, so chaos journals replay byte-identically.
-    """
-    from repro.experiments.runner import RunRecord
-    from repro.generator.random_systems import Instance
-
-    system = cell.system()
-    instance = Instance(system=system, m=cell.m, seed=cell.instance_seed)
-    return RunRecord(
-        instance_seed=cell.instance_seed,
-        n=system.n,
-        m=cell.m,
-        hyperperiod=system.hyperperiod,
-        utilization_ratio=float(instance.utilization_ratio),
-        solver=cell.solver,
-        status=f"fault:{fault.kind}",
-        elapsed=cell.time_limit,
-        nodes=0,
-        decided_by=f"supervisor:{fault.kind}",
-        fault=fault.to_dict(),
-    )
+def _memo_text(record: RunRecord) -> str:
+    """A record's campaign-memo entry: its compact JSON document."""
+    return json.dumps(record.to_dict(), separators=(",", ":"))
 
 
 def run_batch(
@@ -202,8 +183,6 @@ def run_batch(
     BatchReport
         Records in canonical order plus hit/compute/fault accounting.
     """
-    from repro.experiments.runner import RunRecord
-
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
@@ -239,9 +218,6 @@ def run_batch(
                 stacklevel=2,
             )
 
-    def is_fault(record) -> bool:
-        return record.status.startswith("fault:")
-
     # 1. resume from the journal's completed lines
     journaled: dict[str, dict] = {}
     if resume and journal is not None:
@@ -249,14 +225,14 @@ def run_batch(
     for i, (cell, key) in enumerate(zip(cells, keys)):
         if key not in journaled:
             continue
-        record = RunRecord(**journaled[key])
-        if is_fault(record) and fault_resume == "retry":
+        record = RunRecord.from_dict(journaled[key])
+        if is_fault_label(record.status) and fault_resume == "retry":
             continue  # policy: give crashed cells another campaign
         report.records[i] = rekey_record(record, cell)
         report.resumed += 1
         done += 1
-        if cache is not None and key not in cache and not is_fault(record):
-            cache.put(key, record)  # warm the shared cache too
+        if cache is not None and key not in cache and not is_fault_label(record.status):
+            cache.put(key, _memo_text(record))  # warm the shared cache too
         tick()
 
     journal_fh = None
@@ -278,7 +254,8 @@ def run_batch(
             # journal the *rekeyed* record: the JSONL is this campaign's
             # output and must carry this campaign's instance seeds
             line = json.dumps(
-                {"key": key, "record": asdict(rekeyed)}, separators=(",", ":")
+                {"key": key, "record": rekeyed.to_dict()},
+                separators=(",", ":"),
             )
             torn = torn_write_prefix(chaos, key, line)
             if torn is not None:
@@ -296,10 +273,12 @@ def run_batch(
             for i, (cell, key) in enumerate(zip(cells, keys)):
                 if report.records[i] is not None:
                     continue
-                hit = cache.get(key)
-                if hit is not None:
-                    report.cache_hits += 1
-                    record_done(i, key, hit)
+                try:  # a missing entry (None) or a non-record is a miss
+                    hit = RunRecord.from_dict(json.loads(cache.get(key)))
+                except (TypeError, ValueError):
+                    continue
+                report.cache_hits += 1
+                record_done(i, key, hit)
 
         # 3. compute the rest, one task per *unique* key
         pending: dict[str, list[int]] = {}
@@ -311,10 +290,10 @@ def run_batch(
             report.computed += 1
             if was_retried:
                 report.retried += 1
-            if is_fault(record):
+            if is_fault_label(record.status):
                 report.faults += 1
             elif cache is not None:
-                cache.put(key, record)
+                cache.put(key, _memo_text(record))
             for i in pending[key]:
                 record_done(i, key, record)
 
@@ -333,19 +312,23 @@ def run_batch(
                     key=key,
                     fn=_batch_worker,
                     payload=(cells[indices[0]], chaos, key),
-                    wall_limit=cells[indices[0]].time_limit,
+                    wall_limit=cells[indices[0]].problem.time_limit,
                 )
                 for key, indices in pending.items()
             ]
             for res in transport.execute(items):
                 cell = cells[pending[res.key][0]]
                 if res.fault is not None:
-                    record = _fault_run_record(cell, res.fault)
+                    # charged the full budget, like an overrun
+                    record = RunRecord.of(
+                        fault_report(cell.problem, cell.solver, res.fault),
+                        cell.instance_seed,
+                    )
                 elif chaos is not None:
                     # chaos campaigns trade timing fidelity for
                     # determinism: charge the budget so re-runs journal
                     # byte-identically
-                    record = replace(res.value, elapsed=cell.time_limit)
+                    record = replace(res.value, elapsed=cell.problem.time_limit)
                 else:
                     record = res.value
                 finish(res.key, record, res.attempts > 1)

@@ -59,7 +59,7 @@ def load_journal(path: str | os.PathLike) -> dict[str, dict]:
                 continue
             try:
                 entry = json.loads(line)
-                RunRecord(**entry["record"])  # shape check, raises TypeError
+                RunRecord.from_dict(entry["record"])  # shape check
                 out[entry["key"]] = entry["record"]
             except (ValueError, KeyError, TypeError):
                 continue  # torn/corrupt/foreign line: recompute that cell

@@ -5,6 +5,10 @@ historical entry point :func:`run_instances` live here; since the batch
 layer landed, ``run_instances`` is a thin compatibility shim over
 :func:`repro.batch.run_batch` — pass ``jobs``/``cache_dir`` to fan a
 campaign out over worker processes and skip already-solved cells.
+A record is only ever projected from its run's report
+(:meth:`RunRecord.of`) or decoded by the one codec journals, the
+campaign memo and :class:`ExperimentRun` files share
+(:meth:`RunRecord.to_dict` / :meth:`RunRecord.from_dict`).
 """
 
 from __future__ import annotations
@@ -46,6 +50,36 @@ class RunRecord:
     nodes: int
     decided_by: str | None = None
     fault: dict | None = None
+
+    @classmethod
+    def of(cls, report, instance_seed: int | None) -> "RunRecord":
+        """Project a :class:`~repro.solvers.problem.SolveReport` (faults
+        included) onto the flat record the tables aggregate."""
+        system = report.problem.system
+        m = report.problem.platform.m
+        return cls(
+            instance_seed=instance_seed,
+            n=system.n,
+            m=m,
+            hyperperiod=system.hyperperiod,
+            utilization_ratio=float(system.utilization_ratio(m)),
+            solver=report.solver,
+            status=report.status_label,
+            elapsed=report.elapsed,
+            nodes=report.stats.nodes,
+            decided_by=report.decided_by,
+            fault=report.fault,
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-able form (inverse: :meth:`from_dict`)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc) -> "RunRecord":
+        """Inverse of :meth:`to_dict`; raises ``TypeError`` on another
+        shape (fields added later default, so older journals load)."""
+        return cls(**doc)
 
     @property
     def overrun(self) -> bool:
@@ -98,7 +132,7 @@ class ExperimentRun:
             {
                 "description": self.description,
                 "time_limit": self.time_limit,
-                "records": [asdict(r) for r in self.records],
+                "records": [r.to_dict() for r in self.records],
             },
             indent=2,
         )
@@ -110,7 +144,7 @@ class ExperimentRun:
         return cls(
             description=data["description"],
             time_limit=data["time_limit"],
-            records=[RunRecord(**r) for r in data["records"]],
+            records=[RunRecord.from_dict(r) for r in data["records"]],
         )
 
 

@@ -13,7 +13,7 @@ This package is that daemon plus its wire protocol and client:
   JSONL-over-TCP (and stdio) daemon executing on the batch layer's
   :class:`~repro.batch.transport.Transport` seam, with bounded
   admission (structured ``busy`` errors, never dropped connections), a
-  shared :class:`~repro.batch.cache.ReportCache` memo layer and a
+  shared memo of reports (a :class:`~repro.batch.cache.ResultCache`) and a
   crash-safe request journal;
 * :mod:`repro.service.client` — :class:`ServiceClient`: the thin
   blocking client behind ``repro-mgrts submit`` and the tests.

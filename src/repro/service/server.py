@@ -26,16 +26,17 @@ Request lifecycle:
    (:func:`~repro.solvers.problem.solve_key` over the clamped problem,
    the solver and the options: what a campaign cell asking the same
    question is keyed by) is looked up in the shared
-   :class:`~repro.batch.cache.ReportCache`; a hit is served without
-   re-solving (the response says ``"cached": true``): the cached
-   document gets the request's own clamped problem (its ``label`` and
-   budgets) and ``index`` 0, and is encoded once;
+   :class:`~repro.batch.cache.ResultCache` of reports; a hit is served
+   without re-solving (the response says ``"cached": true``): the cached
+   document, parsed once, gets the request's own clamped problem (its
+   ``label`` and budgets) and ``index`` 0, and is encoded once; an entry
+   that is not a report document is a miss;
 3. **execution** — a miss runs on the transport under a concurrency
    semaphore (``jobs`` solves in flight); the worker returns the
    report's canonical text (:func:`~repro.service.protocol.report_text`),
    and the memo entry, the journal line and the response line carry
-   those bytes; a transport fault becomes a ``fault:*`` report, exactly
-   as a campaign journals it;
+   those bytes; a transport fault becomes a ``fault:*`` report through
+   :func:`~repro.solvers.problem.fault_report`, as a campaign's does;
 4. **journal, then respond** — every completed request is appended to
    the crash-safe JSONL journal (flushed per line, torn tail trimmed on
    reopen) *before* its response line is written, so a daemon killed
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.batch.cache import ReportCache
+from repro.batch.cache import ResultCache
 from repro.batch.journal import trim_torn_tail
 from repro.batch.supervise import DEFAULT_GRACE
 from repro.batch.transport import LocalPoolTransport, Transport, WorkItem
@@ -81,7 +82,7 @@ from repro.service.protocol import (
     report_text,
     stats_line,
 )
-from repro.solvers.problem import Problem, fault_report, solve_problem
+from repro.solvers.problem import REPORT_KEYS, Problem, fault_report, solve_problem
 from repro.solvers.registry import available_solvers
 
 __all__ = ["ServiceConfig", "SolverService", "ServiceHandle"]
@@ -100,6 +101,17 @@ def _solve_request_worker(payload, attempt: int) -> str:
     problem_dict, solver, options = payload
     problem = Problem.from_dict(problem_dict)
     return report_text(solve_problem(problem, solver, **options).to_dict())
+
+
+def _memo_report(text: "str | None") -> "dict | None":
+    """The report document a memo entry holds, or None (a miss) when it
+    is missing or not an object with exactly ``REPORT_KEYS``, in order —
+    so a hit re-encodes into the bytes a cold solve produced."""
+    try:
+        doc = json.loads(text)  # TypeError: no entry (None)
+    except (TypeError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) and tuple(doc) == REPORT_KEYS else None
 
 
 #: JSON types a request ``id`` may have (``bool`` is an ``int``): scalars,
@@ -150,9 +162,9 @@ class ServiceConfig:
         (:class:`~repro.service.protocol.ServiceCaps`).
     cache_dir:
         Root of the shared memo layer; reports live under
-        ``<cache_dir>/reports`` (a :class:`~repro.batch.cache.ReportCache`
-        — separate from a campaign ``ResultCache`` root, whose entries
-        have a different shape).  ``None`` disables the memo.
+        ``<cache_dir>/reports`` (a :class:`~repro.batch.cache.ResultCache`
+        of report documents — keep it apart from a campaign's memo root,
+        whose entries are records).  ``None`` disables the memo.
     journal:
         JSONL path appended to as requests complete (``{"key": ...,
         "report": ...}`` lines); ``None`` disables journaling.
@@ -217,7 +229,7 @@ class SolverService:
         self.transport = transport
         self.cache = None
         if self.config.cache_dir is not None:
-            self.cache = ReportCache(Path(self.config.cache_dir) / "reports")
+            self.cache = ResultCache(Path(self.config.cache_dir) / "reports")
         self._journal_fh = None
         self._journal_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -272,12 +284,11 @@ class SolverService:
         report is journaled before the line is handed back for sending.
         """
         if self.cache is not None:
-            hit = self.cache.get(req.key)
-            if hit is not None:
+            doc = _memo_report(self.cache.get(req.key))
+            if doc is not None:
                 # the memo key ignores request-scoped bookkeeping; patch
                 # this request's own (clamped) problem back on so the
                 # client sees its label and budgets echoed
-                doc = json.loads(hit)
                 doc["problem"] = req.problem.to_dict()
                 doc["index"] = 0
                 text = report_text(doc)
@@ -294,10 +305,9 @@ class SolverService:
         results = list(self.transport.execute([item]))
         res = results[0]
         if res.fault is not None:
-            text = report_text(fault_report(
-                req.problem, req.solver, res.fault.kind, res.fault.detail,
-                attempts=res.fault.attempts,
-            ).to_dict())
+            text = report_text(
+                fault_report(req.problem, req.solver, res.fault).to_dict()
+            )
             self._bump("faulted")
         else:
             text = res.value

@@ -18,9 +18,9 @@ engine, :func:`solve_problem`:
   budget accounting (model construction counts against the wall budget;
   an overrun is charged the full budget), and C1-C4 validation of any
   returned schedule;
-* :func:`solve_key` is the one memo key: every cache in the repo (the
-  campaign ``ResultCache``, the solver service's ``ReportCache``) is
-  addressed by it.
+* :func:`solve_key` is the one memo key: both memos in the repo (the
+  campaign's and the solver service's) are addressed by it;
+* :func:`fault_report` is the one builder of a faulted run's outcome.
 
 :func:`solve_iter` fans a ``problems x solvers`` matrix out over watched
 worker processes (the batch layer's
@@ -36,7 +36,7 @@ import json
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
@@ -52,6 +52,9 @@ from repro.schedule.validate import validate
 from repro.solvers.base import Feasibility, SolveResult, SolverStats
 from repro.solvers.registry import create_solver, solver_info
 from repro.solvers.spec import SolverSpec
+
+if TYPE_CHECKING:
+    from repro.batch.supervise import FaultRecord
 
 __all__ = [
     "DEFAULT_VARIABLE_LIMIT",
@@ -552,40 +555,28 @@ def _solve_entry(entry, attempt: int = 0) -> SolveReport:
 def fault_report(
     problem: Problem,
     solver: "str | SolverSpec",
-    kind: str,
-    detail: str,
-    attempts: int = 1,
+    fault: "FaultRecord",
     index: int = 0,
 ) -> SolveReport:
-    """A synthesized ``fault:*`` report for a cell whose execution died.
+    """The ``fault:*`` report of a cell whose execution died.
 
-    The cell is charged its full wall budget (like an overrun) and the
-    fault provenance rides the report, so downstream consumers — the
-    solve_iter stream, the solver service's response lines — see an
-    UNKNOWN-with-a-reason instead of a missing cell or a dead campaign.
+    The cell is charged its full wall budget (like an overrun) and
+    ``fault.to_dict()`` rides the report, so downstream consumers — the
+    campaign journal, the solve_iter stream, the solver service's
+    response lines — see an UNKNOWN-with-a-reason instead of a missing
+    cell or a dead campaign.
     """
     cloned, cmap = clone_for_arbitrary_deadlines(problem.system)
-    spec = solver if isinstance(solver, SolverSpec) else SolverSpec.parse(solver)
     return SolveReport(
         problem=problem,
-        solver=spec.canonical,
+        solver=SolverSpec.parse(solver).canonical,
         result=None,
         cloned_system=cloned,
         clone_map=cmap,
         elapsed=problem.time_limit or 0.0,
-        skipped=fault_label(kind),
+        skipped=fault_label(fault.kind),
         index=index,
-        fault={"kind": kind, "detail": detail, "attempts": attempts},
-    )
-
-
-def _fault_report(
-    entry, kind: str, detail: str, attempts: int = 1
-) -> SolveReport:
-    """:func:`fault_report` for one solve_iter matrix entry."""
-    index, problem, solver, _check, _options = entry
-    return fault_report(
-        problem, solver, kind, detail, attempts=attempts, index=index
+        fault=fault.to_dict(),
     )
 
 
@@ -596,7 +587,11 @@ def _guarded_entry(entry) -> SolveReport:
     except Exception:
         import traceback
 
-        return _fault_report(entry, "error", traceback.format_exc(limit=20))
+        from repro.batch.supervise import FAULT_ERROR, FaultRecord
+
+        index, problem, solver, _check, _options = entry
+        fault = FaultRecord(FAULT_ERROR, traceback.format_exc(limit=20))
+        return fault_report(problem, solver, fault, index=index)
 
 
 def solve_iter(
@@ -699,10 +694,7 @@ def solve_iter(
                     f"{fault_label(res.fault.kind)}:\n{res.fault.detail}"
                 )
             else:
-                report = _fault_report(
-                    entry, res.fault.kind, res.fault.detail,
-                    attempts=res.attempts,
-                )
+                report = fault_report(entry[1], entry[2], res.fault, index=entry[0])
             done += 1
             tick()
             yield report

@@ -5,13 +5,12 @@ import json
 import os
 import signal
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.batch import (
     Cell,
-    ReportCache,
     ResultCache,
     cell_key,
     cells_for_matrix,
@@ -19,10 +18,18 @@ from repro.batch import (
     run_batch,
     solve_cell,
 )
+from repro.batch.transport import WorkResult
 from repro.experiments.runner import RunRecord, run_instances
-from repro.generator.random_systems import GeneratorConfig, generate_instances
+from repro.generator.random_systems import (
+    GeneratorConfig,
+    Instance,
+    generate_instances,
+)
+from repro.model.platform import Platform
+from repro.model.system import TaskSystem
+from repro.service import ServiceClient, ServiceConfig, ServiceHandle
 from repro.service.protocol import report_text
-from repro.solvers.problem import solve_problem
+from repro.solvers.problem import Problem, solve_problem
 
 SOLVERS = ["csp2+dc", "csp2"]
 TIME_LIMIT = 5.0  # generous: the tiny instances below always decide
@@ -48,6 +55,11 @@ def strip_elapsed(records):
     ]
 
 
+def with_problem(cell, **changes):
+    """``cell`` asking a changed question."""
+    return replace(cell, problem=replace(cell.problem, **changes))
+
+
 class TestCells:
     def test_matrix_is_instance_major(self, instances, cells):
         assert len(cells) == len(instances) * len(SOLVERS)
@@ -55,27 +67,27 @@ class TestCells:
         assert cells[0].instance_seed == cells[1].instance_seed
 
     def test_roundtrip_system(self, instances, cells):
-        assert cells[0].system() == instances[0].system
+        assert cells[0].problem.system == instances[0].system
+        assert cells[0].problem.platform == Platform.identical(instances[0].m)
 
     def test_key_ignores_instance_seed(self, cells):
         c = cells[0]
-        relabeled = Cell(**{**c.__dict__, "instance_seed": 999})
+        relabeled = replace(c, instance_seed=999)
         assert cell_key(relabeled) == cell_key(c)
 
     def test_key_sensitive_to_content(self, cells):
         c = cells[0]
-        assert cell_key(Cell(**{**c.__dict__, "m": c.m + 1})) != cell_key(c)
-        assert cell_key(Cell(**{**c.__dict__, "solver": "csp1"})) != cell_key(c)
-        assert cell_key(Cell(**{**c.__dict__, "time_limit": 9.0})) != cell_key(c)
+        more = Platform.identical(c.problem.platform.m + 1)
+        assert cell_key(with_problem(c, platform=more)) != cell_key(c)
+        assert cell_key(replace(c, solver="csp1")) != cell_key(c)
+        assert cell_key(with_problem(c, time_limit=9.0)) != cell_key(c)
 
     def test_golden_keys_keep_existing_caches_warm(self):
         """Digests written by earlier campaigns and daemons must still be
         found: these values predate the shared ``solve_key``."""
-        plain = Cell(
-            tasks=((0, 1, 2, 2), (0, 1, 3, 3)), m=2, solver="csp2+dc",
-            time_limit=5.0,
-        )
-        seeded = Cell(**{**plain.__dict__, "seed": 7, "node_limit": 100})
+        system = TaskSystem.from_tuples([(0, 1, 2, 2), (0, 1, 3, 3)])
+        plain = Cell.from_instance(Instance(system, 2), "csp2+dc", 5.0)
+        seeded = with_problem(plain, seed=7, node_limit=100)
         assert cell_key(plain) == (
             "88bf4e8bcfb3f4335d35785ea27a05a2af842401010d7c346695dab2f128003d"
         )
@@ -84,10 +96,9 @@ class TestCells:
         )
         # the daemon keys the same question, clamped, the same way
         from repro.service.protocol import ServiceCaps, parse_solve_request
-        from repro.solvers.problem import Problem
 
         asked = Problem.of(
-            seeded.system(), m=2, time_limit=5.0, seed=7, node_limit=100
+            system, m=2, time_limit=5.0, seed=7, node_limit=100
         )
         request = parse_solve_request(
             {"id": 1, "type": "solve", "problem": asked.to_dict(),
@@ -102,77 +113,129 @@ class TestCells:
         assert strip_elapsed(records) == strip_elapsed(run.records)
 
     def test_memory_guard_in_cell(self):
-        from repro.model.system import TaskSystem
-
         s = TaskSystem.from_tuples([(0, 1, 13, 13), (0, 1, 11, 11)])
         cell = Cell(
-            tasks=tuple(t.as_tuple() for t in s), m=1, solver="csp1",
-            time_limit=0.5, csp1_variable_limit=10,
+            Problem.of(s, m=1, time_limit=0.5, variable_limit=10), "csp1"
         )
         rec = solve_cell(cell)
         assert rec.status == "skipped-memory"
         assert rec.elapsed == 0.5 and rec.nodes == 0
 
 
+def chunked_dump(doc):
+    """The entry text the object-path caches wrote: a chunked
+    ``json.dump`` of the value's document."""
+    buf = io.StringIO()
+    json.dump(doc, buf, separators=(",", ":"))
+    return buf.getvalue()
+
+
+class _PresolvedTransport:
+    """Answers every item with one report solved before the request, as
+    the worker encodes it, so the test holds the very report served."""
+
+    def __init__(self, report):
+        self.text = report_text(report.to_dict())
+
+    def execute(self, items):
+        for item in items:
+            yield WorkResult(key=item.key, value=self.text)
+
+
+class _Daemon:
+    """An in-process daemon with its memo under ``root``: ``ask(problem,
+    solver)`` sends one solve request and returns its decoded response."""
+
+    def __init__(self, root, report):
+        config = ServiceConfig(jobs=1, supervised=False, cache_dir=str(root))
+        self.handle = ServiceHandle(config, transport=_PresolvedTransport(report))
+        self.memo = ResultCache(root / "reports")
+
+    def __enter__(self):
+        self.client = ServiceClient.connect(*self.handle.start())
+        return self
+
+    def __exit__(self, *exc):
+        self.client.close()
+        self.handle.stop()
+
+    def ask(self, problem, solver):
+        return self.client.recv(self.client.submit(problem, solver=solver))
+
+
 class TestCache:
+    """The one cache class stores text; each consumer (``run_batch``'s
+    record memo, the daemon's report memo) parses an entry once and
+    treats a document of the wrong shape as a miss."""
+
     def test_miss_then_hit_roundtrip(self, tmp_path, cells):
         cache = ResultCache(tmp_path / "cache")
         key = cell_key(cells[0])
         assert cache.get(key) is None and key not in cache
-        record = solve_cell(cells[0])
-        cache.put(key, record)
+        text = json.dumps(asdict(solve_cell(cells[0])))
+        cache.put(key, text)
         assert key in cache and len(cache) == 1
-        assert cache.get(key) == record  # byte-identical round-trip
+        assert cache.get(key) == text  # byte-identical round-trip
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, cells):
         cache = ResultCache(tmp_path / "cache")
         key = cell_key(cells[0])
-        cache.put(key, solve_cell(cells[0]))
-        cache._path(key).write_text("{not json")
+        cache.put(key, "{not json")
+        rep = run_batch(cells[:1], cache=cache)
+        assert rep.cache_hits == 0 and rep.computed == 1
+        assert RunRecord.from_dict(json.loads(cache.get(key))) == rep.records[0]
+        cache._path(key).write_bytes(b"\xff\xfe")  # not even text
         assert cache.get(key) is None
 
-    @staticmethod
-    def _both_caches(tmp_path, cells):
-        """``(cache, key, value, object-path entry text)`` per cache kind:
-        the text is what the chunked ``json.dump`` of the value's
-        document wrote before entries became one string."""
+    def test_entry_files_match_the_chunked_dump(self, tmp_path, cells):
         cell = cells[0]
         key = cell_key(cell)
-        record = solve_cell(cell)
-        report = solve_problem(cell.problem(), cell.solver)
-        out = []
-        for cache, value, doc in (
-            (ResultCache(tmp_path / "results"), record, asdict(record)),
-            (ReportCache(tmp_path / "reports"), report_text(report.to_dict()),
-             report.to_dict()),
-        ):
-            buf = io.StringIO()
-            json.dump(doc, buf, separators=(",", ":"))
-            out.append((cache, key, value, buf.getvalue()))
-        return out
-
-    def test_entry_files_match_the_chunked_dump(self, tmp_path, cells):
-        for cache, key, value, old_text in self._both_caches(tmp_path, cells):
-            cache.put(key, value)
-            assert cache._path(key).read_text() == old_text
-            assert cache.get(key) == value
+        # the campaign memo: one record document per cell
+        cold = run_batch([cell], cache=tmp_path / "results")
+        results = ResultCache(tmp_path / "results")
+        assert results.get(key) == chunked_dump(asdict(cold.records[0]))
+        warm = run_batch([cell], cache=results)
+        assert warm.cache_hits == 1 and warm.records == cold.records
+        # the daemon's memo: one full report document per question
+        report = solve_problem(cell.problem, cell.solver)
+        with _Daemon(tmp_path, report) as daemon:
+            assert daemon.ask(cell.problem, cell.solver)["cached"] is False
+            assert daemon.memo.get(key) == chunked_dump(report.to_dict())
+            hit = daemon.ask(cell.problem, cell.solver)
+            assert hit["cached"] is True and hit["report"] == report.to_dict()
+        for cache in (results, daemon.memo):
             assert not list(cache._path(key).parent.glob("*.tmp"))
 
     @pytest.mark.parametrize("damage", ["truncated", "foreign"])
     def test_unreadable_entry_is_a_miss(self, tmp_path, cells, damage):
-        for cache, key, value, old_text in self._both_caches(tmp_path, cells):
-            cache.put(key, value)
+        """A damaged entry, or valid JSON that is neither a record nor a
+        report, is a miss for its consumer: the cell or request is solved
+        again and the entry is overwritten."""
+        cell = cells[0]
+        key = cell_key(cell)
+
+        def damaged(doc):
+            text = chunked_dump(doc)
             if damage == "truncated":
-                text = old_text[: len(old_text) // 2]
-            else:  # valid JSON that is neither a record nor a report
-                doc = json.loads(old_text)
+                yield text[: len(text) // 2]
+            else:
+                doc = json.loads(text)
                 doc.pop("status")
-                text = json.dumps(doc)
-            cache._path(key).write_text(text)
-            assert cache.get(key) is None
-            for other in ("[1, 2]", '{"key": 1}', "null"):
-                cache._path(key).write_text(other)
-                assert cache.get(key) is None
+                yield json.dumps(doc)
+            yield from ("[1, 2]", '{"key": 1}', "null")
+
+        results = ResultCache(tmp_path / "results")
+        for text in damaged(asdict(solve_cell(cell))):
+            results.put(key, text)
+            rep = run_batch([cell], cache=results)
+            assert rep.cache_hits == 0 and rep.computed == 1, text
+            assert results.get(key) == chunked_dump(asdict(rep.records[0]))
+        report = solve_problem(cell.problem, cell.solver)
+        with _Daemon(tmp_path, report) as daemon:
+            for text in damaged(report.to_dict()):
+                daemon.memo.put(key, text)
+                assert daemon.ask(cell.problem, cell.solver)["cached"] is False
+                assert daemon.memo.get(key) == chunked_dump(report.to_dict())
 
     def test_run_batch_warm_cache_is_byte_identical(self, tmp_path, cells):
         cache = tmp_path / "cache"
@@ -185,9 +248,6 @@ class TestCache:
     def test_cache_shared_across_campaign_seeds(self, tmp_path, instances):
         """Same system content under a different generator seed still hits,
         and the served record carries the new campaign's seed."""
-        from dataclasses import replace
-        from repro.generator.random_systems import Instance
-
         cache = tmp_path / "cache"
         run_batch(cells_for_matrix(instances[:1], SOLVERS, TIME_LIMIT), cache=cache)
         relabeled = replace(instances[0], seed=424242)

@@ -288,18 +288,19 @@ class TestProblemFrontDoor:
 
     def test_fault_report_jsonl_roundtrip(self):
         """A fault:* report (crashed cell) survives the JSONL round trip."""
-        from repro.solvers.problem import _fault_report
+        from repro.batch.supervise import FaultRecord
+        from repro.solvers.problem import fault_report
 
         problem = Problem.of(tiny_feasible(), m=1, time_limit=2.0)
-        entry = (3, problem, "csp2", False, {})
-        report = _fault_report(entry, "crash", "worker killed by SIGABRT")
+        fault = FaultRecord("crash", "worker killed by SIGABRT", exitcode=-6)
+        report = fault_report(problem, "csp2", fault, index=3)
         line = json.dumps(report.to_dict())
         back = SolveReport.from_dict(json.loads(line))
         assert back.to_dict() == report.to_dict()
         assert back.status_label == "fault:crash"
         assert back.decided_by == "supervisor:crash"
         assert back.elapsed == 2.0  # charged the full budget, like overruns
-        assert back.fault["detail"] == "worker killed by SIGABRT"
+        assert back.fault == fault.to_dict()
         assert back.index == 3
 
     def test_node_limit_stop_keeps_true_wall_time(self):

@@ -741,7 +741,7 @@ def _old_journal_line(key, report):
 
 
 def _old_memo_text(report):
-    """The memo entry ``ReportCache`` wrote through a chunked ``json.dump``."""
+    """The memo entry the daemon wrote through a chunked ``json.dump``."""
     buf = io.StringIO()
     json.dump(report.to_dict(), buf, separators=(",", ":"))
     return buf.getvalue()
@@ -853,9 +853,14 @@ class TestReportBytes:
         journal = (tmp_path / "journal.jsonl").read_text().splitlines(True)
         for i, problem in enumerate(problems):
             key = request_key(problem)
-            report = fault_report(problem, "csp2+dc", FAULT_CRASH, "SIGSEGV",
-                                  attempts=2)
+            fault = FaultRecord(kind=FAULT_CRASH, detail="SIGSEGV", attempts=2)
+            report = fault_report(problem, "csp2+dc", fault)
             assert replies[i] == _old_report_line(i, key, report, False)
+            # the fault document is the transport's FaultRecord, whole
+            assert json.loads(replies[i])["report"]["fault"] == {
+                "kind": FAULT_CRASH, "detail": "SIGSEGV", "exitcode": None,
+                "attempts": 2,
+            }
             assert journal[i] == _old_journal_line(key, report)
 
 
