@@ -2,7 +2,7 @@
 # Minimal CI: contract lint first (fastest, most specific), then the
 # docstring guard, registry-docs drift guard, perf smokes, the repo
 # benchmark's own tests, the one-path guards (process manager, outcome
-# builders) and the tier-1 test suite.
+# builders, memo log, compatibility) and the tier-1 test suite.
 # Usage: sh scripts/ci.sh   (from the repo root; no install required)
 set -eu
 cd "$(dirname "$0")/.."
@@ -78,9 +78,9 @@ python scripts/serve_smoke.py
 echo "== perfbench: repo benchmark harness tests (outside tier-1's testpaths) =="
 python -m pytest -q perfbench/tests
 
-echo "== one-path guards: warm watched children are the one parallel path, only batch/supervise.py creates processes, and each outcome has one builder =="
+echo "== one-path guards: warm watched children are the one parallel path, only batch/supervise.py creates processes, each outcome has one builder, each memo is one append-only log, and artifacts of earlier versions still resume, hit and answer =="
 python -m pytest -q tests/test_transport.py tests/test_supervise.py tests/test_racing.py tests/test_process_manager.py \
-    tests/test_outcome_builders.py
+    tests/test_outcome_builders.py tests/test_memo_log.py tests/test_outcome_compat.py
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q

@@ -53,6 +53,7 @@ __all__ = [
     "FAULT_TIMEOUT",
     "FaultRecord",
     "SupervisedWorker",
+    "fault_traceback",
     "run_supervised",
 ]
 
@@ -69,6 +70,24 @@ DEFAULT_GRACE = 10.0
 #: seconds a retiring worker gets to exit on its own before it is
 #: terminated
 _RETIRE_GRACE = 1.0
+
+#: how a traceback names a frame of this package's source tree; the
+#: directory above ``repro/`` is cut from it (see :func:`fault_traceback`)
+_SOURCE_FRAME = 'File "%s' % os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(__file__))), ""
+)
+
+
+def fault_traceback() -> str:
+    """The exception being handled, formatted for a fault's ``detail``.
+
+    Its last 20 frames, with this package's frames named from
+    ``repro/`` down, so the same fault reads the same from any checkout
+    (a chaos campaign's journal is byte-identical across directories).
+    The ``Traceback`` header, the exception type and the message stay.
+    """
+    return traceback.format_exc(limit=20).replace(_SOURCE_FRAME, 'File "')
+
 
 #: serialises pipe creation and fork across threads: a child forked
 #: while another thread's pipe is half set up would inherit that pipe's
@@ -168,7 +187,7 @@ def _worker_main(conn, parent_end, memory_limit: int | None) -> None:
             result = fn(payload)
         except BaseException:
             try:
-                conn.send(("error", traceback.format_exc(limit=20)))
+                conn.send(("error", fault_traceback()))
             except (MemoryError, OSError):  # pragma: no cover - truly starved
                 pass
             return

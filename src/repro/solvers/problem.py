@@ -585,12 +585,10 @@ def _guarded_entry(entry) -> SolveReport:
     try:
         return _solve_entry(entry)
     except Exception:
-        import traceback
-
-        from repro.batch.supervise import FAULT_ERROR, FaultRecord
+        from repro.batch.supervise import FAULT_ERROR, FaultRecord, fault_traceback
 
         index, problem, solver, _check, _options = entry
-        fault = FaultRecord(FAULT_ERROR, traceback.format_exc(limit=20))
+        fault = FaultRecord(FAULT_ERROR, fault_traceback())
         return fault_report(problem, solver, fault, index=index)
 
 

@@ -1,4 +1,4 @@
-"""Tests for sufficient bounds (analysis.bounds) and ASCII charts."""
+"""Tests for sufficient bounds (analysis.bounds)."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import density_bound, gfb_utilization_bound
 from repro.baselines import global_edf
-from repro.experiments.charts import bar_chart, table3_chart
 from repro.model import Platform, Task, TaskSystem
 from repro.solvers import create_solver
 
@@ -115,46 +114,3 @@ def test_density_bound_is_sound(system, m):
             time_limit=20
         )
         assert exact.is_feasible
-
-
-class TestBarChart:
-    def test_basic(self):
-        out = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert lines[0].startswith("a ")
-        assert lines[1].count("#") == 10  # max value fills the width
-        assert lines[0].count("#") == 5
-
-    def test_none_rendered_as_dash(self):
-        out = bar_chart(["x", "y"], [None, 3.0], width=5)
-        assert "-" in out.splitlines()[0]
-
-    def test_zero_only(self):
-        out = bar_chart(["z"], [0.0], width=5)
-        assert "#" not in out
-
-    def test_all_none(self):
-        assert bar_chart(["a"], [None]) == "(no data)"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0], width=0)
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0], fill="##")
-
-    def test_small_positive_still_visible(self):
-        out = bar_chart(["a", "b"], [0.001, 100.0], width=10)
-        assert out.splitlines()[0].count("#") == 1
-
-
-class TestTable3Chart:
-    def test_renders_from_result(self):
-        from repro.experiments.table1 import Table1Config, run_table1
-        from repro.experiments.table3 import run_table3
-
-        t1 = run_table1(Table1Config(n_instances=4, time_limit=0.1, seed=3))
-        chart = table3_chart(run_table3(table1=t1))
-        assert "mean resolution time" in chart
-        assert "r " in chart

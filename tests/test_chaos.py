@@ -7,9 +7,15 @@ the same seeds produces a byte-identical journal.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.batch import cells_for_matrix, load_journal, run_batch
 from repro.batch.chaos import (
     CHAOS_KINDS,
@@ -20,6 +26,7 @@ from repro.batch.chaos import (
     torn_write_prefix,
 )
 from repro.batch.cells import cell_key
+from repro.batch.supervise import fault_traceback
 from repro.generator.random_systems import GeneratorConfig, generate_instances
 
 #: small budgets keep injected hangs cheap: a hang costs wall_limit =
@@ -185,3 +192,56 @@ class TestChaosCampaign:
         )
         assert with_retry.faults < no_retry.faults
         assert with_retry.retried > 0
+
+
+#: the chaos smoke campaign with no retries: 40 cells, 16 of them faults,
+#: six of those ``fault:error`` / ``fault:oom`` records carrying tracebacks
+_CAMPAIGN = """
+import sys
+from repro.batch import ChaosConfig, cells_for_matrix, run_batch
+from repro.generator.random_systems import GeneratorConfig, generate_instances
+instances = generate_instances(GeneratorConfig(n=3, m=2, tmax=3), 20, seed=2009)
+cells = cells_for_matrix(instances, ["csp2+dc", "csp2"], 0.4)
+chaos = ChaosConfig(seed=2009, rate=0.3)
+run_batch(cells, journal=sys.argv[1], chaos=chaos, retries=0, grace=0.4)
+"""
+
+
+class TestFaultDetail:
+    """A fault's traceback names the package's frames from ``repro/``
+    down, so where the tree is checked out never shows in a journal."""
+
+    def test_package_frames_are_named_from_repro_down(self):
+        try:
+            ChaosConfig(seed=0, rate=2.0)
+        except ValueError:
+            text = fault_traceback()
+        source_root = str(Path(repro.__file__).parents[1])
+        assert text.startswith("Traceback (most recent call last):")
+        assert 'File "repro/batch/chaos.py"' in text
+        assert source_root not in text
+        assert text.endswith("ValueError: chaos rate must be in [0, 1], got 2.0\n")
+
+    def test_a_chaos_journal_is_the_same_from_two_checkouts(self, tmp_path):
+        source = Path(repro.__file__).parent
+        journals = []
+        for copy in ("first", "second"):
+            src = tmp_path / copy / "src"
+            shutil.copytree(
+                source, src / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            journal = tmp_path / copy / "campaign.jsonl"
+            env = dict(os.environ, PYTHONPATH=str(src))
+            subprocess.run(
+                [sys.executable, "-c", _CAMPAIGN, str(journal)],
+                env=env, cwd=tmp_path / copy, check=True, timeout=300,
+            )
+            journals.append(journal.read_bytes())
+        details = [
+            rec["fault"]["detail"]
+            for rec in load_journal(tmp_path / "first" / "campaign.jsonl").values()
+            if rec["fault"] is not None and rec["fault"]["detail"].startswith("Traceback")
+        ]
+        assert details  # the campaign does reach the traceback path
+        assert journals[0] == journals[1]

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.batch.cache import ResultCache
 from repro.batch.supervise import FAULT_CRASH, FaultRecord
 from repro.batch.transport import LocalPoolTransport, WorkResult
 from repro.generator.random_systems import GeneratorConfig, generate_instances
@@ -822,11 +823,11 @@ class TestReportBytes:
         with ServiceHandle(config, transport=transport) as handle:
             replies = _raw_session(handle._addr, requests)
         journal = (tmp_path / "journal.jsonl").read_text().splitlines(True)
+        memo = ResultCache(tmp_path / "cache" / "reports")
         misses, hits = replies[:3], replies[3:]
         for i, (key, problem) in enumerate(zip(keys, problems)):
             report = reports[key]
-            memo = tmp_path / "cache" / "reports" / key[:2] / f"{key}.json"
-            assert memo.read_text() == _old_memo_text(report)
+            assert memo.get(key) == _old_memo_text(report)
             assert misses[i] == _old_report_line(f"miss-{i}", key, report, False)
             assert journal[i] == _old_journal_line(key, report)
             hit = _old_hit(_old_memo_text(report), relabeled[i])
