@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint docs-check solvers-check solvers-md bench bench-portfolio bench-engine bench-analysis bench-kernels bench-learning bench-trajectory bench-difftest bench-service difftest difftest-smoke chaos-smoke serve-smoke ci
+.PHONY: test lint docs-check solvers-check solvers-md bench bench-portfolio difftest difftest-smoke chaos-smoke serve-smoke ci
 
 ## tier-1 test suite (the bar every PR must keep green)
 test:
@@ -28,44 +28,15 @@ solvers-check:
 solvers-md:
 	$(PYTHON) scripts/solvers_md.py --write
 
-## pytest-benchmark suite (REPRO_JOBS=N parallelizes the run matrices)
+## pytest-benchmark suite (REPRO_JOBS=N parallelizes the run matrices);
+## the files are named explicitly because bench_*.py does not match
+## pytest's default python_files
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest -q benchmarks/bench_*.py
 
 ## portfolio-vs-best-single wall-clock comparison
 bench-portfolio:
 	$(PYTHON) -m pytest benchmarks/bench_portfolio.py -q
-
-## CSP engine perf baseline: fixed deterministic grid -> BENCH_engine.json
-## (compare against benchmarks/BENCH_engine.{before,after}.json)
-bench-engine:
-	$(PYTHON) benchmarks/bench_engine.py --out BENCH_engine.json
-
-## screening-cascade benchmark: decided fraction + plain-vs-screened wall
-## time on the d-first grid (compare against benchmarks/BENCH_analysis.full.json)
-bench-analysis:
-	$(PYTHON) benchmarks/bench_analysis.py --out BENCH_analysis.json
-
-## vectorised-kernel benchmark: block-stepping simulator and demand
-## table vs the scalar paths they replaced; asserts result parity and
-## reports the speedups (compare against benchmarks/BENCH_kernels.json)
-bench-kernels:
-	$(PYTHON) benchmarks/bench_kernels.py --out BENCH_kernels.json
-
-## conflict-directed learning benchmark: before/after node + wall-time
-## comparison on the UNSAT-heavy boundary grid.  Writes fresh snapshots
-## to the repo root (compare against the checked-in
-## benchmarks/BENCH_learning.{before,after}.json; copy them over and run
-## bench-trajectory when updating the baselines)
-bench-learning:
-	$(PYTHON) benchmarks/bench_learning.py --role before --out BENCH_learning.before.json
-	$(PYTHON) benchmarks/bench_learning.py --role after --out BENCH_learning.after.json
-	$(PYTHON) benchmarks/bench_learning.py --compare BENCH_learning.before.json BENCH_learning.after.json
-
-## regenerate benchmarks/BENCH_trajectory.json from the checked-in
-## engine/analysis/learning snapshots
-bench-trajectory:
-	$(PYTHON) benchmarks/bench_learning.py --trajectory benchmarks/BENCH_trajectory.json
 
 ## differential-testing campaign: cross-check every complete solver
 ## (+ the edf-exact oracle) on the seeded grid; non-zero exit on any
@@ -79,10 +50,6 @@ difftest-smoke:
 	$(PYTHON) -m repro.cli difftest --seed 0 --instances 15 \
 	  --time-limit 5 --quiet
 
-## difftest throughput + edf-exact state-space statistics snapshot
-bench-difftest:
-	$(PYTHON) benchmarks/bench_difftest.py --out BENCH_difftest.json
-
 ## seeded chaos campaign: fault-injected run must lose no cell and
 ## journal byte-identically on re-run; non-zero exit otherwise
 chaos-smoke:
@@ -92,10 +59,6 @@ chaos-smoke:
 ## (modulo elapsed), warm re-run all cache hits, shard merge canonical
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
-
-## service throughput snapshot: cold vs warm problems/s at jobs 1 and 4
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py --out BENCH_service.json
 
 ## what CI runs: static analysis + doc guards first (fast), then the
 ## full suite

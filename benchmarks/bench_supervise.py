@@ -17,7 +17,7 @@ semantically transparent); only wall-clock fields move between machines.
 
 Usage::
 
-    python benchmarks/bench_supervise.py --out BENCH_supervise.json
+    python benchmarks/bench_supervise.py --out supervise.json
     python benchmarks/bench_supervise.py --smoke --out /tmp/smoke.json
 """
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny grid for CI latency")
-    parser.add_argument("--out", default="BENCH_supervise.json")
+    parser.add_argument("--out", default="supervise.json")
     args = parser.parse_args(argv)
 
     grid = _grid(args.smoke)

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Minimal CI: contract lint first (fastest, most specific), then the
-# docstring guard, registry-docs drift guard, perf smokes, the repo
+# docstring guard, registry-docs drift guard, the paper-table benchmarks'
+# import check, the pinned kernel and engine grids, the smokes, the repo
 # benchmark's own tests, the one-path guards (process manager, outcome
 # builders, memo log, compatibility) and the tier-1 test suite.
 # Usage: sh scripts/ci.sh   (from the repo root; no install required)
@@ -31,40 +32,12 @@ python -m pytest -q tests/test_docstrings.py
 echo "== solvers-check: docs/SOLVERS.md must match the solver registry =="
 python scripts/solvers_md.py --check
 
-echo "== perf-smoke: bench-engine tiny grid completes, JSON schema stable =="
-python benchmarks/bench_engine.py --smoke --out "${TMPDIR:-/tmp}/bench_engine_smoke.json"
-python benchmarks/bench_engine.py --check-schema "${TMPDIR:-/tmp}/bench_engine_smoke.json"
-python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.before.json
-python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.after.json
+echo "== bench-collect: the paper-table benchmarks still import and collect =="
+python -m pytest -q --collect-only benchmarks/bench_*.py
 
 echo "== kernel-parity: kernels byte-identical to their references, engine wiring equal to its reference builder, engine, csp2 and certificate pins hold, bin tests equal simulation, csp2 search stacks, GC traffic and failed-state memo =="
 python -m pytest -q tests/test_kernel_parity.py tests/test_engine_wiring.py tests/test_engine_regression.py \
     tests/test_csp2_regression.py tests/test_partitioned.py tests/test_csp2_dedicated_unit.py tests/test_csp2_gc.py tests/test_csp2_memo.py
-python benchmarks/bench_kernels.py --smoke --out "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
-python benchmarks/bench_kernels.py --check-schema "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
-python benchmarks/bench_kernels.py --check-schema benchmarks/BENCH_kernels.json
-
-echo "== perf-smoke: screening cascade tiny grid, zero cascade/exact disagreements =="
-python benchmarks/bench_analysis.py --smoke --out "${TMPDIR:-/tmp}/bench_analysis_smoke.json"
-python benchmarks/bench_analysis.py --check-schema "${TMPDIR:-/tmp}/bench_analysis_smoke.json"
-python benchmarks/bench_analysis.py --check-schema benchmarks/BENCH_analysis.full.json
-python benchmarks/bench_analysis.py --check-schema benchmarks/BENCH_analysis.smoke.json
-
-echo "== perf-smoke: conflict-directed learning grid, agreement + node-ratio bar =="
-python benchmarks/bench_learning.py --smoke --role before --out "${TMPDIR:-/tmp}/bench_learning_smoke_before.json"
-python benchmarks/bench_learning.py --smoke --role after --out "${TMPDIR:-/tmp}/bench_learning_smoke_after.json"
-python benchmarks/bench_learning.py --check-schema "${TMPDIR:-/tmp}/bench_learning_smoke_before.json"
-python benchmarks/bench_learning.py --check-schema "${TMPDIR:-/tmp}/bench_learning_smoke_after.json"
-python benchmarks/bench_learning.py --compare "${TMPDIR:-/tmp}/bench_learning_smoke_before.json" "${TMPDIR:-/tmp}/bench_learning_smoke_after.json"
-python benchmarks/bench_learning.py --check-schema benchmarks/BENCH_learning.before.json
-python benchmarks/bench_learning.py --check-schema benchmarks/BENCH_learning.after.json
-python benchmarks/bench_learning.py --compare benchmarks/BENCH_learning.before.json benchmarks/BENCH_learning.after.json
-python benchmarks/bench_learning.py --check-trajectory benchmarks/BENCH_trajectory.json
-
-echo "== perf-smoke: service throughput tiny grid, warm pass all cache hits =="
-python benchmarks/bench_service.py --smoke --out "${TMPDIR:-/tmp}/bench_service_smoke.json"
-python benchmarks/bench_service.py --check-schema "${TMPDIR:-/tmp}/bench_service_smoke.json"
-python benchmarks/bench_service.py --check-schema benchmarks/BENCH_service.json
 
 echo "== difftest-smoke: solvers must agree on the seeded grid (exact oracle cross-check) =="
 python -m repro.cli difftest --seed 0 --instances 15 --time-limit 5 --quiet

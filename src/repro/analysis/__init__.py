@@ -11,8 +11,7 @@ Three layers, cheapest on top:
 * :mod:`repro.analysis.cascade` — the ``screen`` meta-solver chaining
   them cheapest-first in front of (or instead of) exact search.
 
-:mod:`repro.analysis.bounds` holds the raw closed-form bound formulas
-and :mod:`repro.analysis.feasibility` the legacy check-list API, both
+:mod:`repro.analysis.bounds` holds the raw closed-form bound formulas,
 kept for direct use.
 """
 
@@ -24,11 +23,6 @@ from repro.analysis.cascade import (
     run_cascade,
 )
 from repro.analysis.certificates import Certificate
-from repro.analysis.feasibility import (
-    NecessaryCheck,
-    necessary_conditions,
-    passes_utilization_filter,
-)
 from repro.analysis.necessary import (
     all_jobs_cut_certificate,
     demand_over_capacity_witness,
@@ -74,9 +68,6 @@ __all__ = [
     "edf_simulation_certificate",
     "sufficient_certificates",
     "prove_feasible",
-    "NecessaryCheck",
-    "necessary_conditions",
-    "passes_utilization_filter",
     "BoundVerdict",
     "density_bound",
     "gfb_utilization_bound",

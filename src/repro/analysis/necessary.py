@@ -89,8 +89,8 @@ def utilization_exceeds(ratio: "Fraction | float") -> bool:
     """The paper's Table II filter predicate: True iff ``r = U/m > 1``.
 
     The *single* implementation of that comparison — the utilization
-    certificate, ``passes_utilization_filter`` and Table II's
-    filtered/unfiltered split all call this, so they can never disagree.
+    certificate and Table II's filtered/unfiltered split both call this,
+    so they can never disagree.
     """
     return ratio > 1
 

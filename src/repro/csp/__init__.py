@@ -74,7 +74,6 @@ from repro.csp.heuristics import (
     var_order_random,
 )
 from repro.csp.search import (
-    PROPAGATION_ENGINE,
     SearchStats,
     Solver,
     SolveOutcome,
@@ -92,7 +91,6 @@ __all__ = [
     "PROP_FAIL",
     "PROP_OK",
     "PROP_ENTAILED",
-    "PROPAGATION_ENGINE",
     "Propagator",
     "AtMostOneTrue",
     "ExactSumBool",

@@ -78,11 +78,7 @@ from repro.util.timer import Deadline
 
 _EVT_ASSIGN = EVT_ASSIGN  # module-local alias, bound once for the hot loop
 
-__all__ = ["Status", "SearchStats", "SolveOutcome", "Solver", "PROPAGATION_ENGINE"]
-
-#: engine flavor tag, recorded by benchmarks (the pre-refactor engine
-#: rescanned every propagator's whole scope on each wake)
-PROPAGATION_ENGINE = "incremental-events"
+__all__ = ["Status", "SearchStats", "SolveOutcome", "Solver"]
 
 
 class Status(Enum):

@@ -27,10 +27,10 @@ later starts and then over ends, is its rows.  A block holds at most
 ``T x T`` table, while a small system takes one vectorised step.
 
 Each sweep also has a private pure-Python reference (``_*_reference``)
-over every slot pair; tests and ``benchmarks/bench_kernels.py`` call the
-references directly, production code never does.  The sweeps return
-**identical** results — including the first-occurrence-in-row-major
-tie-break for the witness interval, which the parity suite pins.
+over every slot pair; the parity tests call the references directly,
+production code never does.  The sweeps return **identical** results —
+including the first-occurrence-in-row-major tie-break for the witness
+interval, which the parity suite pins.
 
 This module is a leaf: inputs are plain sequences or arrays of ints,
 not model objects.  A span is one window's ``(start, end, wcet)``.

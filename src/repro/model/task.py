@@ -59,8 +59,9 @@ class Task:
             raise ValueError(f"period must be >= 1, got {self.period}")
         # Note: C > D is *not* rejected here.  On identical processors it is
         # trivially infeasible (a job gets at most one unit per slot), and
-        # analysis.feasibility reports it as such, but on heterogeneous
-        # platforms with rates > 1 such a task can still be schedulable.
+        # analysis.necessary's wcet-slack certificate proves it, but on
+        # heterogeneous platforms with rates > 1 such a task can still be
+        # schedulable.
 
     # -- paper-notation aliases -------------------------------------------
     @property

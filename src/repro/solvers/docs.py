@@ -74,7 +74,7 @@ Arbitrary-deadline systems are handled one layer up:
 1. Want an answer? `csp2+dc`.
 2. Many instances? `screen+csp2+dc` — the cascade decides most of them
    in microseconds-to-milliseconds and only the hard core reaches the
-   exact engine (see `benchmarks/BENCH_analysis.full.json`).
+   exact engine (perfbench's `screen` workload tracks how many).
 3. Mixed or unknown workload? `portfolio:csp2+dc,sat,csp2-local` — each
    instance finishes at about the speed of its best member.
 4. Want a proof the paper's comparisons hold on your machine?

@@ -1,4 +1,6 @@
-"""Tests for feasibility analysis (filters and necessary conditions)."""
+"""Tests for the necessary-condition certificates: the utilization
+filter, the interval demand witness, and their soundness against the
+exact solver."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     demand_over_capacity_witness,
-    necessary_conditions,
-    passes_utilization_filter,
+    interval_load_certificate,
+    necessary_certificates,
+    prove_infeasible,
+    utilization_certificate,
+    wcet_slack_certificate,
 )
 from repro.model import Platform, Task, TaskSystem
 from repro.solvers import create_solver
@@ -17,15 +22,15 @@ from tests.helpers import running_example
 
 class TestUtilizationFilter:
     def test_running_example_passes_m2(self):
-        assert passes_utilization_filter(running_example(), 2)
+        assert not utilization_certificate(running_example(), 2).proves_infeasible
 
     def test_running_example_fails_m1(self):
         # U = 23/12 > 1
-        assert not passes_utilization_filter(running_example(), 1)
+        assert utilization_certificate(running_example(), 1).proves_infeasible
 
     def test_boundary_exact_one(self):
         s = TaskSystem.from_tuples([(0, 1, 1, 1)])
-        assert passes_utilization_filter(s, 1)
+        assert not utilization_certificate(s, 1).proves_infeasible
 
 
 class TestDemandWitness:
@@ -45,7 +50,7 @@ class TestDemandWitness:
         # two tasks with D=1 at the same slot on m=1: demand 2 in 1 slot,
         # but long periods keep U = 2/8 <= 1
         s = TaskSystem.from_tuples([(0, 1, 1, 8), (0, 1, 1, 8)])
-        assert passes_utilization_filter(s, 1)
+        assert not utilization_certificate(s, 1).proves_infeasible
         w = demand_over_capacity_witness(s, 1)
         assert w is not None
         assert w[0] == 0 and w[1] == 0 and w[2] == 2
@@ -61,26 +66,31 @@ class TestDemandWitness:
 
 class TestNecessaryConditions:
     def test_all_pass_on_feasible(self):
-        checks = necessary_conditions(running_example(), 2)
-        assert all(c.ok for c in checks)
-        assert {c.name for c in checks} == {
-            "utilization", "wcet-within-deadline", "interval-demand",
+        certs = necessary_certificates(running_example(), 2)
+        assert not any(c.proves_infeasible for c in certs)
+        assert {c.test_name for c in certs} == {
+            "necessary:utilization", "necessary:wcet-slack",
+            "necessary:all-jobs", "necessary:interval-load",
+            "necessary:forced-demand",
         }
 
     def test_utilization_fail(self):
-        checks = necessary_conditions(running_example(), 1)
-        by_name = {c.name: c for c in checks}
-        assert not by_name["utilization"].ok
+        cert = prove_infeasible(running_example(), 1)
+        assert cert.test_name == "necessary:utilization"
 
     def test_cd_fail(self):
         s = TaskSystem.from_tuples([(0, 3, 2, 4)])
-        by_name = {c.name: c for c in necessary_conditions(s, 1)}
-        assert not by_name["wcet-within-deadline"].ok
-        assert "C > D" in by_name["wcet-within-deadline"].detail
+        cert = wcet_slack_certificate(s, 1)
+        assert cert.proves_infeasible
+        assert "C = 3 > D = 2" in cert.detail
 
     def test_str_format(self):
-        checks = necessary_conditions(running_example(), 2)
-        assert all(str(c).startswith("[pass]") for c in checks)
+        assert str(utilization_certificate(running_example(), 1)).startswith(
+            "[infeasible] necessary:utilization: U = 1.917 > m = 1"
+        )
+        assert str(interval_load_certificate(running_example(), 2)).startswith(
+            "[abstain] necessary:interval-load"
+        )
 
 
 def small_systems():
@@ -105,13 +115,13 @@ def small_systems():
 @settings(deadline=None, max_examples=40)
 @given(small_systems(), st.integers(1, 3))
 def test_necessary_conditions_are_necessary(system, m):
-    """If any check fails, the exact solver must agree the instance is
-    infeasible (soundness of the necessary conditions)."""
-    checks = necessary_conditions(system, m)
-    if all(c.ok for c in checks):
+    """If any necessary test proves infeasibility, the exact solver must
+    agree (soundness of the necessary conditions)."""
+    cert = prove_infeasible(system, m)
+    if cert is None:
         return
     r = create_solver("csp2+dc", system, Platform.identical(m)).solve(time_limit=20)
-    assert not r.is_feasible, (system, m, [str(c) for c in checks])
+    assert not r.is_feasible, (system, m, str(cert))
 
 
 @settings(deadline=None, max_examples=40)

@@ -607,6 +607,49 @@ def test_seeded_agreement_grid(learner, reference):
         assert a.status_label == b.status_label, (learner, seed)
 
 
+#: UNSAT-heavy boundary cells (utilization near m, d-first generator):
+#: (reference, learner, (n, tmax, m, seed)) -> the pinned (status, nodes)
+#: of each engine under a 20,000-node budget.
+BOUNDARY_GRID = {
+    ("csp2-generic+dc", "csp2+learn", (4, 4, 2, 16)):
+        (("infeasible", 4414), ("infeasible", 418)),
+    ("csp2-generic+dc", "csp2+learn", (4, 4, 2, 27)):
+        (("infeasible", 4118), ("infeasible", 92)),
+    ("csp1", "csp1+learn", (4, 4, 2, 16)):
+        (("unknown", 20_000), ("infeasible", 364)),
+}
+
+
+def test_boundary_grid_learning_pins():
+    """Conflict-directed learning on the boundary grid: every status and
+    node count is pinned exactly, no SAT/UNSAT verdict flips against the
+    chronological engine (the budget-bound csp1 cell is *decided* by
+    learning), and the aggregate node ratio clears 1.3x by far
+    (28,532 -> 874 nodes)."""
+
+    def run(solver, spec):
+        n, tmax, m, seed = spec
+        inst = generate_instance(GeneratorConfig(n=n, tmax=tmax, m=m), seed)
+        result = create_solver(
+            solver, inst.system, Platform.identical(inst.m)
+        ).solve(node_limit=20_000)
+        return result.status.value, result.stats.nodes
+
+    observed = {
+        key: (run(key[0], key[2]), run(key[1], key[2]))
+        for key in BOUNDARY_GRID
+    }
+    assert observed == BOUNDARY_GRID
+    # the gate itself, which must survive any deliberate re-capture of
+    # the pins above
+    for (before_status, _), (after_status, _) in observed.values():
+        if "unknown" not in (before_status, after_status):
+            assert before_status == after_status
+    before = sum(b[1] for b, _ in observed.values())
+    after = sum(a[1] for _, a in observed.values())
+    assert before >= 1.3 * after
+
+
 # -- restart stats merging (satellite) ----------------------------------------
 
 class TestRestartStatsMerge:

@@ -102,6 +102,25 @@ class TestEdfExactTest:
         out = edf_exact_test(s, 2, config_limit=0)
         assert out.verdict == EDF_OVERRUN
 
+    def test_seeded_census_is_pinned(self):
+        """The explorer's state-space census on a fixed grid: verdicts,
+        simulated slots, hashed configurations and the longest cycle
+        are deterministic, so any change to the search shows here."""
+        instances = generate_instances(
+            GeneratorConfig(n=5, tmax=5, m="uniform"), 60, seed=0
+        )
+        verdicts = {EDF_MISS: 0, EDF_SCHEDULABLE: 0}
+        slots = configurations = longest_cycle = 0
+        for inst in instances:
+            out = edf_exact_test(inst.system, inst.m)
+            verdicts[out.verdict] += 1
+            slots += out.slots
+            configurations += out.configurations
+            if out.verdict == EDF_SCHEDULABLE:
+                longest_cycle = max(longest_cycle, out.cycle_length)
+        assert verdicts == {EDF_MISS: 42, EDF_SCHEDULABLE: 18}
+        assert (slots, configurations, longest_cycle) == (1624, 19, 1)
+
 
 class TestEdfExactAgainstSimulator:
     """The independent ``global_edf`` simulator (different loop, same

@@ -591,11 +591,17 @@ class TestScreenFrontDoor:
 # ---------------------------------------------------------------------------
 
 class TestSoundnessGrid:
-    def test_cascade_agrees_with_exact_on_seeded_grid(self):
+    @pytest.mark.parametrize("n,count,seed", [
+        (5, 40, 4711),
+        # the agreement grid of the cascade's first benchmark: 13 of 16
+        # instances decided, every one compared
+        (6, 16, 2009),
+    ])
+    def test_cascade_agrees_with_exact_on_seeded_grid(self, n, count, seed):
         from repro.generator import GeneratorConfig, generate_instances
 
-        cfg = GeneratorConfig(n=5, tmax=5, m="uniform", order="d-first")
-        instances = generate_instances(cfg, 40, seed=4711)
+        cfg = GeneratorConfig(n=n, tmax=5, m="uniform", order="d-first")
+        instances = generate_instances(cfg, count, seed=seed)
         disagreements = []
         decided = 0
         for inst in instances:
