@@ -60,6 +60,7 @@ chaos-smoke:
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
-## what CI runs: static analysis + doc guards first (fast), then the
-## full suite
-ci: lint docs-check solvers-check test difftest-smoke chaos-smoke serve-smoke
+## what CI runs, stage for stage (scripts/ci.sh: lint, style and type
+## gates, doc guards, pinned grids, smokes, perfbench's own tests, tier-1)
+ci:
+	sh scripts/ci.sh

@@ -31,6 +31,7 @@ from repro.baselines.priorities import (
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
 from repro.solvers.base import Feasibility, SolveResult, SolverStats
+from repro.solvers.ordering import HEURISTIC_ALIASES
 from repro.solvers.registry import register_solver
 
 __all__ = ["PrioritySimulationSolver"]
@@ -147,14 +148,10 @@ def _build_edf(system, platform, spec, seed, **options):
     },
     options=("max_cycles",),
     platforms=("identical",),
-    hidden_suffixes=("t-c", "(t-c)", "d-c", "(d-c)", "none"),
+    hidden_suffixes=HEURISTIC_ALIASES,
 )
 def _build_fp(system, platform, spec, seed, **options):
     """Registry factory: ``fp[+heuristic]`` (suffix = priority order)."""
-    if spec.suffix:
-        from repro.solvers.ordering import heuristic_key
-
-        heuristic_key(spec.suffix)  # validates / raises
     return PrioritySimulationSolver(
         system, platform, policy="fp", heuristic=spec.suffix, **options
     )

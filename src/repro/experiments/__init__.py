@@ -25,7 +25,6 @@ JSONL output and crash-safe resume.
 from repro.experiments.runner import (
     ExperimentRun,
     RunRecord,
-    estimate_csp1_variables,
     run_instances,
 )
 from repro.experiments.figure1 import figure1
@@ -37,7 +36,6 @@ from repro.experiments.table4 import Table4Config, Table4Result, run_table4
 __all__ = [
     "ExperimentRun",
     "RunRecord",
-    "estimate_csp1_variables",
     "run_instances",
     "figure1",
     "Table1Config",

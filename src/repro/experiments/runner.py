@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.generator.random_systems import Instance
 
-__all__ = ["RunRecord", "ExperimentRun", "run_instances", "estimate_csp1_variables"]
+__all__ = ["RunRecord", "ExperimentRun", "run_instances"]
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,6 @@ class ExperimentRun:
             time_limit=data["time_limit"],
             records=[RunRecord.from_dict(r) for r in data["records"]],
         )
-
-
-def estimate_csp1_variables(instance: Instance) -> int:
-    """Predicted CSP1 model size ``sum_i m * (T/T_i) * D_i`` — used to skip
-    builds that would exhaust memory (the paper: CSP1 "runs out of memory
-    on 'large' instances", Table IV).
-
-    Thin wrapper over
-    :func:`repro.solvers.problem.estimate_generic_variables`, which the
-    shared solving engine applies whenever a
-    :class:`~repro.solvers.problem.Problem` carries a ``variable_limit``.
-    """
-    from repro.model.platform import Platform
-    from repro.solvers.problem import estimate_generic_variables
-
-    return estimate_generic_variables(
-        instance.system, Platform.identical(instance.m)
-    )
 
 
 def run_instances(

@@ -7,23 +7,7 @@ from enum import Enum
 
 from repro.schedule.schedule import Schedule
 
-__all__ = ["Feasibility", "SolverStats", "SolveResult", "learning_extra_stats"]
-
-
-def learning_extra_stats(stats) -> dict:
-    """Learning counters of a ``SearchStats``, as ``SolverStats.extra``
-    entries.
-
-    Shared by every ``+learn`` solver adapter so conflict/nogood
-    provenance round-trips uniformly through ``SolveReport`` JSONL.
-    """
-    return {
-        "conflicts": stats.conflicts,
-        "learned": stats.learned,
-        "forgotten": stats.forgotten,
-        "backjumps": stats.backjumps,
-        "max_backjump": stats.max_backjump,
-    }
+__all__ = ["Feasibility", "SolverStats", "SolveResult"]
 
 
 class Feasibility(Enum):

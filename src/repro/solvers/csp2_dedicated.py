@@ -76,7 +76,8 @@ from repro.model.platform import Platform
 from repro.model.system import TaskSystem
 from repro.schedule.schedule import IDLE, Schedule
 from repro.solvers.base import Feasibility, SolveResult, SolverStats
-from repro.solvers.ordering import task_order
+from repro.solvers.generic_engine import csp2_engine, reject_nogood_limit
+from repro.solvers.ordering import HEURISTIC_ALIASES, task_order
 from repro.solvers.registry import EXACT, PROVES_INFEASIBILITY, register_solver
 from repro.util.timer import Deadline
 
@@ -576,14 +577,13 @@ class Csp2DedicatedSolver:
         "nogood_limit",
     ),
     platforms=("identical", "uniform", "heterogeneous"),
-    hidden_suffixes=("t-c", "(t-c)", "d-c", "(d-c)", "none"),
+    hidden_suffixes=HEURISTIC_ALIASES,
 )
 def _build_csp2(system, platform, spec, seed, **options):
     """Registry factory: ``csp2[+heuristic|+learn]`` (suffix = value order,
     or the conflict-directed learning variant on the generic engine)."""
+    reject_nogood_limit(spec, options)
     if spec.suffix == "learn":
-        from repro.solvers.csp2_generic import Csp2GenericSolver
-
         for opt in ("idle_rule", "demand_pruning", "energetic_pruning"):
             if opt in options:
                 raise ValueError(
@@ -591,22 +591,7 @@ def _build_csp2(system, platform, spec, seed, **options):
                     "solver; 'csp2+learn' runs encoding #2 on the learning "
                     "engine and accepts symmetry_breaking/nogood_limit"
                 )
-        solver = Csp2GenericSolver(
-            system, platform, heuristic="dc", learn=True, **options
+        return csp2_engine(
+            system, platform, "csp2+learn", "dc", learn=True, **options
         )
-        solver.name = "csp2+learn"
-        return solver
-    if "nogood_limit" in options:
-        raise ValueError(
-            "nogood_limit only applies to the learning variant; use 'csp2+learn'"
-        )
-    heuristic = _checked_heuristic(spec.suffix) if spec.suffix else None
-    return Csp2DedicatedSolver(system, platform, heuristic=heuristic, **options)
-
-
-def _checked_heuristic(suffix):
-    """Validate a value-ordering suffix (raises ValueError on a bad name)."""
-    from repro.solvers.ordering import heuristic_key
-
-    heuristic_key(suffix)  # validates / raises
-    return suffix
+    return Csp2DedicatedSolver(system, platform, heuristic=spec.suffix, **options)

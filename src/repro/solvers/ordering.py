@@ -20,7 +20,7 @@ from collections.abc import Callable
 from repro.model.system import TaskSystem
 from repro.model.task import Task
 
-__all__ = ["HEURISTICS", "task_order", "heuristic_key"]
+__all__ = ["HEURISTICS", "HEURISTIC_ALIASES", "task_order", "heuristic_key"]
 
 #: name -> key function on Task (smaller = higher priority)
 HEURISTICS: dict[str, Callable[[Task], int]] = {
@@ -38,6 +38,10 @@ _ALIASES = {
     "(d-c)": "dc",
     "none": None,
 }
+
+#: the alias spellings: the hidden suffixes of every family whose
+#: ``+suffix`` names a heuristic
+HEURISTIC_ALIASES = tuple(_ALIASES)
 
 
 def _canon(name: str | None) -> str | None:

@@ -38,6 +38,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
 from repro.model.transform import CloneMap, clone_for_arbitrary_deadlines
@@ -47,7 +49,7 @@ from repro.schedule.io import (
     system_from_dict,
     system_to_dict,
 )
-from repro.schedule.schedule import Schedule
+from repro.schedule.schedule import IDLE, Schedule
 from repro.schedule.validate import validate
 from repro.solvers.base import Feasibility, SolveResult, SolverStats
 from repro.solvers.registry import create_solver, solver_info
@@ -66,6 +68,7 @@ __all__ = [
     "solve_problem",
     "solve_iter",
     "estimate_generic_variables",
+    "merge_clone_schedule",
     "FAULT_PREFIX",
     "fault_label",
     "fault_report",
@@ -252,12 +255,6 @@ def check_solvable(problem: Problem, solver: "str | SolverSpec") -> None:
         )
 
 
-def _merge_clone_schedule(schedule: Schedule, clone_map: CloneMap) -> Schedule:
-    from repro.solvers.api import merge_clone_schedule
-
-    return merge_clone_schedule(schedule, clone_map)
-
-
 def _memory_guarded_spec(spec: SolverSpec) -> SolverSpec | None:
     """``spec`` with memory-bound parts stripped; None if nothing remains.
 
@@ -287,6 +284,23 @@ def _memory_guarded_spec(spec: SolverSpec) -> SolverSpec | None:
             base=spec.base, members=(guarded,) if guarded is not None else ()
         )
     return None if solver_info(spec).memory_bound else spec
+
+
+def merge_clone_schedule(schedule: Schedule, clone_map: CloneMap) -> Schedule:
+    """Relabel a cloned system's schedule with original task indices.
+
+    The result is an **unvalidated display schedule** over the original
+    (possibly arbitrary-deadline) system: two clones of one task may
+    legitimately run in parallel, which the C1-C4 validator would reject,
+    so never pass the returned schedule to
+    :func:`repro.schedule.validate.validate` — validation happens on the
+    cloned schedule, before merging.
+    """
+    original = clone_map.original
+    table = np.full(schedule.table.shape, IDLE, dtype=np.int32)
+    for c, origin in enumerate(clone_map.origin_of):
+        table[schedule.table == c] = origin
+    return Schedule(original, schedule.platform, table)
 
 
 #: the keys of a :meth:`SolveReport.to_dict` document, in order
@@ -322,7 +336,6 @@ class SolveReport:
     #: ``fault:*`` label; rides the JSONL round-trip
     fault: dict | None = None
 
-    # -- MgrtsResult-compatible surface ---------------------------------------
     @property
     def system(self) -> TaskSystem:
         """The original (possibly arbitrary-deadline) system."""
@@ -367,7 +380,7 @@ class SolveReport:
             return None
         if self.clone_map.is_identity:
             return self.schedule
-        return _merge_clone_schedule(self.schedule, self.clone_map)
+        return merge_clone_schedule(self.schedule, self.clone_map)
 
     @property
     def stats(self) -> SolverStats:

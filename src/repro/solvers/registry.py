@@ -173,9 +173,8 @@ def _order_key(base: str) -> tuple[int, int]:
 #: names should appear; imported lazily on first registry use so that
 #: ``import repro`` stays cheap
 _BUILTIN_PLUGINS = (
-    "repro.solvers.csp1_generic",
+    "repro.solvers.generic_engine",
     "repro.solvers.csp2_dedicated",
-    "repro.solvers.csp2_generic",
     "repro.solvers.csp2_local",
     "repro.solvers.sat_solver",
     "repro.solvers.portfolio",

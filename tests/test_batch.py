@@ -472,9 +472,10 @@ class TestFaultTolerance:
         assert all("deliberate worker failure" in r.fault["detail"] for r in faulted)
         assert report.retried == 2
 
-    def test_supervised_matches_plain_execution(self, cells):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_supervised_matches_plain_execution(self, cells, jobs):
         plain = run_batch(cells[:6], jobs=1)
-        watched = run_batch(cells[:6], jobs=2, supervised=True)
+        watched = run_batch(cells[:6], jobs=jobs, supervised=True)
         assert strip_elapsed(plain.records) == strip_elapsed(watched.records)
         assert watched.faults == 0 and watched.retried == 0
 

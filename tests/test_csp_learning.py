@@ -735,6 +735,8 @@ class TestLearnRegistry:
             create_solver("csp2", inst.system, plat, nogood_limit=64)
         with pytest.raises(ValueError, match="learn"):
             create_solver("csp1", inst.system, plat, nogood_limit=64)
+        with pytest.raises(ValueError, match="learn"):
+            create_solver("csp2-generic+dc", inst.system, plat, nogood_limit=64)
         with pytest.raises(ValueError, match="dedicated"):
             create_solver("csp2+learn", inst.system, plat, idle_rule=False)
 

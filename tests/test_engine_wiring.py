@@ -27,7 +27,7 @@ from repro.csp.wiring import compile_wiring
 from repro.generator import GeneratorConfig, generate_instance
 from repro.generator.named import running_example
 from repro.model import Platform
-from repro.solvers import csp1_generic, csp2_generic
+from repro.solvers import generic_engine
 from repro.solvers.registry import create_solver
 
 #: the event classes an event mask can be
@@ -159,8 +159,7 @@ def test_solver_binds_the_compiled_wiring(name, case, monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    for module in (csp1_generic, csp2_generic):
-        monkeypatch.setattr(module, "Solver", Spy)
+    monkeypatch.setattr(generic_engine, "Solver", Spy)
     solver = create_solver(name, system, platform, seed=1)
     solver.solve(node_limit=1)
     (engine,) = built

@@ -9,7 +9,6 @@ from repro.experiments import (
     RunRecord,
     Table1Config,
     Table4Config,
-    estimate_csp1_variables,
     figure1,
     run_instances,
     run_table1,
@@ -27,6 +26,8 @@ from repro.experiments.table3 import PAPER_BINS
 from repro.generator import GeneratorConfig, generate_instances
 from repro.generator.random_systems import Instance
 from repro.model import TaskSystem
+from repro.model.platform import Platform
+from repro.solvers.problem import estimate_generic_variables
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ class TestRunner:
         s = TaskSystem.from_tuples([(0, 1, 13, 13), (0, 1, 11, 11)])
         inst = Instance(system=s, m=1, seed=1)
         # T = lcm(13,11) = 143: each task contributes (T/T_i) * D_i = 143
-        assert estimate_csp1_variables(inst) == 286
+        assert estimate_generic_variables(inst.system, Platform.identical(inst.m)) == 286
         run = run_instances([inst], ["csp1"], time_limit=0.5, csp1_variable_limit=10)
         assert run.records[0].status == "skipped-memory"
         # dedicated csp2 is never guarded

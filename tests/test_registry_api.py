@@ -96,6 +96,7 @@ class TestRegistryMetadata:
 
     def test_unknown_suffix_rejected_everywhere(self):
         for bad in ("csp2+bogus", "edf+bogus", "csp2-local+x", "sat+bogus",
+                    "csp1+bogus", "csp2-generic+bogus", "fp+bogus",
                     "portfolio:csp2+zzz,sat"):
             assert not is_solver_name(bad), bad
             with pytest.raises(ValueError, match="suffix"):
