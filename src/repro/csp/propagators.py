@@ -365,13 +365,6 @@ class ExactSumBool(Propagator):
         self._c = self._tally(state)
         self._stamp = -1
 
-    def batch_row(self):
-        """Export this row for the batched counting kernel
-        (:mod:`repro.kernels.fixpoint`): ``(kind, slots, cells, total,
-        cmax)`` with one ``(var_index, value_bit, coefficient)`` cell
-        per boolean."""
-        return ("bool", 2, [(v.index, _TRUE, 1) for v in self.vars], self.total, 1)
-
     def on_event(self, state: DomainState, idx: int, old: int, new: int):
         """A watched boolean was assigned: retally in O(1)."""
         c = self._c
@@ -509,12 +502,6 @@ class WeightedExactSumBool(Propagator):
         """Tally the weighted lower bound and free aggregates."""
         self._c = self._tally(state)
         self._stamp = -1
-
-    def batch_row(self):
-        """Export this row for the batched counting kernel: cells carry
-        each boolean's coefficient, plus the static ``cmax`` filter."""
-        cells = [(v.index, _TRUE, c) for v, c in zip(self.vars, self.coefs)]
-        return ("bool", 3, cells, self.total, self._cmax)
 
     def on_event(self, state: DomainState, idx: int, old: int, new: int):
         """A watched boolean was assigned: move its coefficient."""
@@ -694,14 +681,6 @@ class CountEq(Propagator):
         """Tally fixed / candidate variables from the current domains."""
         self._c = self._tally(state)
         self._stamp = -1
-
-    def batch_row(self):
-        """Export this row for the batched counting kernel: one cell per
-        *occurrence* in the watch list (a variable listed twice counts
-        twice, exactly like :meth:`_tally`); the kernel merges the
-        occurrences into one per-event update with the summed weight."""
-        cells = [(v.index, bit, 1) for v, bit in self._scan]
-        return ("count", 2, cells, self.total, 1)
 
     def on_event(self, state: DomainState, idx: int, old: int, new: int):
         """Classify the delta with two bit probes; O(1)."""
@@ -910,16 +889,6 @@ class WeightedCountEq(Propagator):
         """Tally the weighted fixed / free aggregates."""
         self._c = self._tally(state)
         self._stamp = -1
-
-    def batch_row(self):
-        """Export this row for the batched counting kernel: cells carry
-        each watched variable's coefficient and value bit, plus the
-        static ``cmax`` filter (watched variables are unique here)."""
-        cells = [
-            (v.index, self._bits[v.index], self._coef_of[v.index])
-            for v in self._watched
-        ]
-        return ("count", 3, cells, self.total, self._cmax)
 
     def on_event(self, state: DomainState, idx: int, old: int, new: int):
         """Classify the delta with two bit probes; O(1)."""

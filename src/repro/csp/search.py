@@ -207,12 +207,10 @@ class Solver:
         held first (adaptive value ordering; most useful with learning
         or restarts).
 
-    The chronological engine batches the counting propagators' tier-0
-    rows through :class:`repro.kernels.fixpoint.CountingKernel`; the
-    learning engine runs them unbatched through their ``on_event``
-    hooks: batching reorders the propagation queue, and learned nogoods
-    depend on which propagator wrote each event.  Search decisions are
-    pinned by ``tests/test_engine_regression.py``.
+    Both searches bind the same compiled wiring (see
+    :mod:`repro.csp.wiring`): every propagator, the counting rows
+    included, keeps its counters through its own ``on_event`` hook.
+    Search decisions are pinned by ``tests/test_engine_regression.py``.
     """
 
     def __init__(
@@ -238,11 +236,8 @@ class Solver:
         self.nogood_limit = nogood_limit
         self._store: NogoodStore | None = None
         # Event-driven propagation wiring, compiled once per Solver in
-        # one pass over the constraints (see repro.csp.wiring): counting
-        # rows move out of the watcher lists into the batched kernel
-        # (non-learning search only), whose per-event bookkeeping runs
-        # inline in _fixpoint instead of through on_event calls.
-        wiring = compile_wiring(model, batching=not self.learn)
+        # one pass over the constraints (see repro.csp.wiring).
+        wiring = compile_wiring(model)
         self.ctx = SearchContext(
             degrees=wiring.degrees,
             rng=None if seed is None else random.Random(seed),
@@ -257,9 +252,6 @@ class Solver:
         self._tiers = wiring.tiers
         self._watchers = wiring.watchers
         self._resets = wiring.resets
-        self._kernel = wiring.kernel
-        self._ktab = wiring.ktab
-        self._kmask = wiring.kmask
         #: input order keeps a per-descent scan hint: with chronological
         #: branching the first-open index only moves forward within a
         #: descent and pop_level's mask restore re-opens exactly the
@@ -300,19 +292,14 @@ class Solver:
     def _reset_propagators(self, state: DomainState) -> None:
         """Fresh run: reactivate everything, rebuild owned counters.
 
-        Only the ``reset`` hooks the wiring lists run: batched counting
-        rows are excluded, since the kernel recomputes all their
-        aggregates in one pass over the stacked row matrix (and
-        re-points each ``_c`` at the kernel-owned list), and so are
-        tally-on-wake propagators and inherited no-op hooks."""
+        Only the ``reset`` hooks the wiring lists run: tally-on-wake
+        propagators and inherited no-op hooks are left out."""
         active = self._active
         for pid in range(len(active)):
             active[pid] = True
         self._reset_queue(state)
         for reset in self._resets:
             reset(state)
-        if self._kernel is not None:
-            self._kernel.reset(state)
 
     def _make_fixpoint(self, state: DomainState):
         """Build this search's fixpoint runner: dispatch pending events
@@ -333,23 +320,7 @@ class Solver:
         skipped entirely — their counters are trail-consistent with the
         domains at entailment time, see propagators.py.  Queue tiers
         drain cheapest-first: a tier-1 propagator only runs when tier 0
-        is empty, tier 2 when 0 and 1 are.
-
-        Batched counting rows (see :mod:`repro.kernels.fixpoint`) are
-        handled inline right here: each event's removed/assigned bits
-        index the kernel's per-variable buckets, the shared aggregates
-        are updated (with the same once-per-node undo snapshot the
-        scalar hooks take) and the row is enqueued only when its bounds
-        say propagation could act — the exact condition under which the
-        scalar ``on_event`` would not have returned False.  A row whose
-        bounds become *unsatisfiable* fails the fixpoint immediately:
-        its ``propagate`` is guaranteed to return FAIL later this node
-        (within a node ``c0`` only grows and ``c0 + c1`` only shrinks),
-        so the short-circuit changes no pinned statistic.  Queue order
-        and propagation counts can differ from the unbatched engine,
-        but the per-node fixpoint is confluent (all propagators are
-        monotone and contracting), so failures, final domains and hence
-        every search decision are byte-identical."""
+        is empty, tier 2 when 0 and 1 are."""
         queues = self._queues
         deadline = self._deadline
 
@@ -368,15 +339,12 @@ class Solver:
             tiers=self._tiers,
             stats=self.stats,
             events=state.events,
-            ktab=self._ktab,
-            kmask=self._kmask,
             undo=state._undo,
             reset_queue=self._reset_queue,
             # an unlimited deadline can never expire: skip its poll counter
             timed=deadline is not None and deadline._end is not None,
             deadline=deadline,
         ) -> bool:
-            node_stamp = state._stamp
             while True:
                 # -- dispatch everything that happened since the last pop
                 i = state.dispatched
@@ -402,88 +370,6 @@ class Solver:
                             if not on_queue[pid]:
                                 on_queue[pid] = True
                                 queues[tiers[pid]].append(pid)
-                        # counting-row buckets: the event's removed bits jump
-                        # straight to the rows losing a candidate, the
-                        # assigned bit to the rows gaining a fixed one —
-                        # entries are (pid, c, st, total, coef, w3, cmax).
-                        # A row driven impossible (c0 > total or c0+c1 <
-                        # total) fails the node right here: its propagate is
-                        # guaranteed to return FAIL this fixpoint (the
-                        # aggregates only march further past the bound
-                        # within a node), so skipping the remaining drain
-                        # and the O(row) scan changes no search decision.
-                        km = kmask[idx]
-                        if km:
-                            kt = ktab[idx]
-                            removed = old & ~new & km
-                            while removed:
-                                b = removed & -removed
-                                removed -= b
-                                for pid, c, st, total, coef, w3, cmax in kt[b]:
-                                    if not active[pid]:
-                                        continue
-                                    if st[0] != node_stamp:
-                                        st[0] = node_stamp
-                                        undo.append((c, None, tuple(c)))
-                                    c[1] -= coef
-                                    if w3:  # 3-slot weighted row
-                                        c[2] -= 1
-                                        lb = c[0]
-                                        fs = c[1]
-                                        if lb + fs < total:
-                                            reset_queue(state)
-                                            state.dispatched = i
-                                            return False
-                                        if (
-                                            c[2]
-                                            and cmax <= total - lb
-                                            and cmax <= lb + fs - total
-                                        ):
-                                            continue
-                                    else:
-                                        s0 = c[0]
-                                        if s0 + c[1] < total:
-                                            reset_queue(state)
-                                            state.dispatched = i
-                                            return False
-                                        if s0 < total < s0 + c[1]:
-                                            continue
-                                    if not on_queue[pid]:
-                                        on_queue[pid] = True
-                                        q0.append(pid)
-                            if event_mask == 7 and new & km:
-                                # candidate became fixed
-                                for pid, c, st, total, coef, w3, cmax in kt[new]:
-                                    if not active[pid]:
-                                        continue
-                                    if st[0] != node_stamp:
-                                        st[0] = node_stamp
-                                        undo.append((c, None, tuple(c)))
-                                    c[0] += coef
-                                    c[1] -= coef
-                                    if w3:  # 3-slot weighted row
-                                        c[2] -= 1
-                                        lb = c[0]
-                                        if lb > total:
-                                            reset_queue(state)
-                                            state.dispatched = i
-                                            return False
-                                        if (
-                                            c[2]
-                                            and cmax <= total - lb
-                                            and cmax <= lb + c[1] - total
-                                        ):
-                                            continue
-                                    else:
-                                        if c[0] > total:
-                                            reset_queue(state)
-                                            state.dispatched = i
-                                            return False
-                                        if c[0] < total < c[0] + c[1]:
-                                            continue
-                                    if not on_queue[pid]:
-                                        on_queue[pid] = True
-                                        q0.append(pid)
                     state.dispatched = i
                 # -- run the cheapest woken propagator
                 if q0:
@@ -687,12 +573,13 @@ class Solver:
 
     # -- conflict-directed search ---------------------------------------------
     def _fixpoint_learning(self, state: DomainState, trail: Trail, store):
-        """The learning twin of :meth:`_fixpoint`.
+        """The learning twin of :meth:`_make_fixpoint`'s runner.
 
-        Same event dispatch and priority-tiered queue, with three
-        additions: every propagator run is bracketed by
-        :attr:`DomainState.cause` so its events land on the implication
-        trail; newly-true literals (drained through the trail's log) are
+        Both bind the same wiring, and their event-dispatch loops are
+        the same code.  The priority-tiered queue is the same too, with
+        three additions the chronological hot loop does not pay for:
+        every propagator run is bracketed by :attr:`DomainState.cause`
+        so its events land on the implication trail; newly-true literals (drained through the trail's log) are
         unit-propagated through the nogood store *before* any propagator
         runs (watched-literal checks are the cheapest tier of all); and
         a failure is returned as its conflict reason — ``(literals,

@@ -6,12 +6,14 @@ in a single pass over ``model.constraints``.  For every propagator, in
 order, that pass
 
 * records its queue tier, its ``propagate`` function and, for a
-  stateful propagator the engine does not batch, its ``reset``;
+  propagator that keeps counters, its ``reset``;
 * counts its variables into the degrees the dom/deg heuristics read;
-* either appends it to the :class:`~repro.kernels.fixpoint.
-  CountingKernel` (a tier-0 counting row in a batching search), or
-  appends its subscriptions to the per-variable watcher lists of the
+* appends its subscriptions to the per-variable watcher lists of the
   event classes its wake mask reaches.
+
+The chronological and the learning search bind the same wiring: the
+counting rows of both encodings keep their aggregates through their own
+``on_event`` hooks, fed by the one dispatch loop.
 
 An event's mask is always one of REMOVE (1), REMOVE|BOUNDS (3) or
 REMOVE|BOUNDS|ASSIGN (7), so each variable gets an 8-slot jump table
@@ -29,7 +31,6 @@ from typing import NamedTuple
 from repro.csp.core import Model
 from repro.csp.propagators import Propagator
 from repro.csp.state import EVT_ANY, EVT_ASSIGN, EVT_BOUNDS, EVT_REMOVE
-from repro.kernels.fixpoint import CountingKernel
 
 __all__ = ["Wiring", "compile_wiring", "N_TIERS"]
 
@@ -46,11 +47,9 @@ class Wiring(NamedTuple):
     """Everything the search loop dispatches through, per model.
 
     ``props``, ``fns`` (bound ``propagate`` methods) and ``tiers`` are
-    indexed by propagator id; ``degrees``, ``watchers``, ``ktab`` and
-    ``kmask`` by variable index.  ``resets`` lists the ``reset`` hooks
-    a fresh search must call (batched rows are reset by ``kernel``, and
-    tally-on-wake propagators keep no counters).  ``kernel`` is None
-    when no row is batched; ``ktab``/``kmask`` are then all empty.
+    indexed by propagator id; ``degrees`` and ``watchers`` by variable
+    index.  ``resets`` lists the ``reset`` hooks a fresh search must
+    call (tally-on-wake propagators keep no counters).
     """
 
     props: list
@@ -59,19 +58,10 @@ class Wiring(NamedTuple):
     degrees: list[int]
     watchers: list[tuple]
     resets: list
-    kernel: CountingKernel | None
-    ktab: list
-    kmask: list[int]
 
 
-def compile_wiring(model: Model, batching: bool) -> Wiring:
-    """Compile ``model``'s dispatch wiring in one pass.
-
-    ``batching`` moves tier-0 propagators that export ``batch_row`` into
-    the counting kernel (the chronological search); without it (the
-    learning search) every propagator is dispatched through its
-    watchers.
-    """
+def compile_wiring(model: Model) -> Wiring:
+    """Compile ``model``'s dispatch wiring in one pass."""
     props = list(model.constraints)
     n_vars = len(model.variables)
     # per-variable subscriptions of event classes 1, 3 and 7
@@ -82,17 +72,11 @@ def compile_wiring(model: Model, batching: bool) -> Wiring:
     tiers: list[int] = []
     fns = []
     resets = []
-    kernel = CountingKernel(n_vars)
     for pid, prop in enumerate(props):
         tier = min(N_TIERS - 1, max(0, getattr(prop, "priority", 1)))
         tiers.append(tier)
         fns.append(prop.propagate)
         pvars = prop.vars
-        if batching and tier == 0 and hasattr(prop, "batch_row"):
-            for v in pvars:
-                degrees[v.index] += 1
-            kernel.add(pid, prop)
-            continue
         handler = getattr(prop, "on_event", None)
         incremental = getattr(prop, "incremental", True)
         if not incremental:
@@ -157,7 +141,4 @@ def compile_wiring(model: Model, batching: bool) -> Wiring:
         t3 = t7 if len(l3) == len(l7) else tuple(l3)
         t1 = t3 if len(l1) == len(l3) else tuple(l1)
         watchers.append((_E, t1, _E, t3, _E, _E, _E, t7))
-    return Wiring(
-        props, fns, tiers, degrees, watchers, resets,
-        kernel if kernel.rows else None, kernel.table, kernel.bitmask,
-    )
+    return Wiring(props, fns, tiers, degrees, watchers, resets)

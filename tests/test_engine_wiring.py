@@ -1,13 +1,13 @@
 """The compiled dispatch wiring against a reference builder.
 
 :func:`repro.csp.wiring.compile_wiring` builds the engine's watcher
-tables, tiers, degrees and counting-kernel tables in one pass.  The
-reference below builds the same structures the straightforward way —
-one raw subscription list per variable, filtered per event class, and
-each kernel row's cells merged per variable — so every variable and
-event class must list the same subscriptions in the same order (the
-dispatch order, and hence nodes, fails and propagations, depend on it),
-and every kernel bucket the same entries.
+tables, tiers, degrees and reset hooks in one pass.  The reference
+below builds the same structures the straightforward way — one raw
+subscription list per variable, filtered per event class — so every
+variable and event class must list the same subscriptions in the same
+order (the dispatch order, and hence nodes, fails and propagations,
+depend on it).  The chronological and the learning search bind the
+same wiring.
 """
 
 import pytest
@@ -32,22 +32,16 @@ from repro.solvers.registry import create_solver
 
 #: the event classes an event mask can be
 EVENT_CLASSES = (1, 3, 7)
-_TRUE = 0b10
 
 
-def reference_wiring(model, batching):
-    """``(tiers, watchers, table, bitmask, batched)`` built directly:
-    ``watchers[idx][event_class]`` lists ``(pid, handler, relevance,
-    dedup)``, ``table[idx][bit]`` lists ``(pid, total, coef, w3, cmax)``."""
+def reference_wiring(model):
+    """``(tiers, watchers)`` built directly: ``watchers[idx][event_class]``
+    lists ``(pid, handler, relevance, dedup)``."""
     raw = [[] for _ in model.variables]
     tiers = []
-    rows = []
     for pid, prop in enumerate(model.constraints):
         tier = min(2, max(0, getattr(prop, "priority", 1)))
         tiers.append(tier)
-        if batching and tier == 0 and hasattr(prop, "batch_row"):
-            rows.append((pid, prop.batch_row()))
-            continue
         handler = getattr(prop, "on_event", None)
         if handler is not None and not getattr(prop, "incremental", True):
             handler = None
@@ -67,30 +61,12 @@ def reference_wiring(model, batching):
         }
         for subs in raw
     ]
-    table = [{} for _ in model.variables]
-    for pid, (kind, slots, cells, total, cmax) in rows:
-        merged = {}
-        bit_of = {}
-        for vi, bit, coef in cells:
-            merged[vi] = merged.get(vi, 0) + coef
-            bit_of[vi] = bit
-        for vi, coef in merged.items():
-            bit = bit_of[vi] if kind == "count" else _TRUE
-            table[vi].setdefault(bit, []).append(
-                (pid, total, coef, slots == 3, cmax)
-            )
-    bitmask = []
-    for buckets in table:
-        mask = 0
-        for bit in buckets:
-            mask |= bit
-        bitmask.append(mask)
-    return tiers, watchers, table, bitmask, [pid for pid, _ in rows]
+    return tiers, watchers
 
 
-def assert_same_wiring(model, batching):
-    wiring = compile_wiring(model, batching)
-    tiers, watchers, table, bitmask, batched = reference_wiring(model, batching)
+def assert_same_wiring(model):
+    wiring = compile_wiring(model)
+    tiers, watchers = reference_wiring(model)
     assert wiring.props == model.constraints
     assert wiring.tiers == tiers
     assert wiring.degrees == model.degrees()
@@ -105,28 +81,12 @@ def assert_same_wiring(model, batching):
             assert jump[1] is jump[3]
         if len(jump[3]) == len(jump[7]):
             assert jump[3] is jump[7]
-    kernel = wiring.kernel
-    if not batched:
-        assert kernel is None
-        assert all(t is None for t in wiring.ktab)
-        assert not any(wiring.kmask)
-        return wiring
-    assert [row.pid for row in kernel.rows] == batched
-    row_of = {row.pid: row for row in kernel.rows}
-    assert wiring.kmask == bitmask
-    for idx, buckets in enumerate(wiring.ktab):
-        got = {
-            bit: [(pid, total, coef, w3, cmax)
-                  for pid, _c, _st, total, coef, w3, cmax in entries]
-            for bit, entries in (buckets or {}).items()
-        }
-        assert got == table[idx], idx
-        for entries in (buckets or {}).values():
-            for pid, c, st, *_ in entries:
-                assert c is row_of[pid].c and st is row_of[pid].st
-    # batched rows are reset by the kernel, tally-mode ones by nobody
-    resets = [r.__self__ for r in wiring.resets]
-    assert not {id(p) for p in resets} & {id(row.prop) for row in kernel.rows}
+    # tally-mode propagators and inherited no-op hooks are reset by nobody
+    assert wiring.resets == [
+        p.reset for p in model.constraints
+        if getattr(p, "incremental", True)
+        and getattr(type(p), "reset", Propagator.reset) is not Propagator.reset
+    ]
     return wiring
 
 
@@ -164,15 +124,36 @@ def test_solver_binds_the_compiled_wiring(name, case, monkeypatch):
     solver.solve(node_limit=1)
     (engine,) = built
     assert engine.learn == name.endswith("+learn")
-    wiring = assert_same_wiring(engine.model, batching=not engine.learn)
+    wiring = assert_same_wiring(engine.model)
     assert engine._watchers == wiring.watchers
     assert engine._tiers == wiring.tiers
+    assert engine._resets == wiring.resets
     assert engine.ctx.degrees == wiring.degrees
-    if engine.learn:
-        assert engine._kernel is None  # the learning search wires no kernel
-    else:
-        assert engine._kernel is not None
-        assert engine._kmask == wiring.kmask
+
+
+@pytest.mark.parametrize("name", ["csp1", "csp2-generic", "csp2-generic+dc"])
+@pytest.mark.parametrize("case", range(6))
+def test_both_searches_bind_one_wiring(name, case, monkeypatch):
+    """The chronological and the learning search over one model bind
+    identical watcher, tier and reset tables: the counting rows run
+    through their ``on_event`` hooks in both."""
+    system, platform = list(_systems())[case]
+    built = []
+
+    class Spy(Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(generic_engine, "Solver", Spy)
+    create_solver(name, system, platform, seed=1).solve(node_limit=1)
+    (engine,) = built
+    assert not engine.learn
+    chrono = Solver(engine.model)
+    learning = Solver(engine.model, learn=True)
+    assert chrono._watchers == learning._watchers
+    assert chrono._tiers == learning._tiers
+    assert chrono._resets == learning._resets
 
 
 class _Legacy(Propagator):
@@ -201,8 +182,7 @@ class _Bare:
         return True
 
 
-@pytest.mark.parametrize("batching", [True, False])
-def test_every_subscription_form(batching):
+def test_every_subscription_form():
     """Default and custom watches, legacy pairs, bare objects, repeated
     variables in count rows and weighted rows, interleaved so each
     variable mixes event classes."""
@@ -220,10 +200,6 @@ def test_every_subscription_form(batching):
     m.add_at_most_one_true(bs[1:])
     m.add_all_different_except(xs[3:], except_value=0)
     m.add(CountEq(xs[4:], 3, 1))
-    wiring = assert_same_wiring(m, batching)
+    wiring = assert_same_wiring(m)
     assert any(jump[1] and jump[3] is not jump[1] for jump in wiring.watchers)
     assert any(jump[3] and jump[7] is not jump[3] for jump in wiring.watchers)
-    if batching:
-        # the repeated occurrences merged into one entry each
-        assert [e[4] for e in wiring.ktab[xs[0].index][1 << 1]] == [2]
-        assert [e[4] for e in wiring.ktab[bs[0].index][_TRUE]] == [2, 1]

@@ -10,6 +10,10 @@ fields (``elapsed``, ``stats.elapsed``) hashes to the pinned digest.  The
 status and counters are pinned beside the digest so a failure says what
 moved.  The pins were captured from the two separate adapters
 (``Csp1GenericSolver`` / ``Csp2GenericSolver``) that preceded the merge.
+When the chronological search stopped batching its counting rows, only
+the ``propagations`` column and the digest of the non-learning names
+were re-captured (the queue order changed; the per-node fixpoint is
+confluent, so status, nodes and fails did not move).
 """
 
 import hashlib
@@ -34,25 +38,25 @@ SPECS = [None, (4, 4, 2, 11), (4, 4, 2, 12), (5, 4, 2, 23), (5, 5, 2, 31)]
 #: sha256[:16] of the report document without its wall-time fields)
 PINS = {
     ("csp1", ()): {
-        None: ("feasible", 4850, 2413, 26374, "5fbdda087e1bd507"),
-        (4, 4, 2, 11): ("infeasible", 414, 208, 2109, "393f600a346b5b59"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 57, "c171e6d54149c3f3"),
-        (5, 4, 2, 23): ("feasible", 29, 0, 165, "ed98e9f217e2cd3a"),
-        (5, 5, 2, 31): ("unknown", 20000, 9998, 143784, "8ba7a743653efa53"),
+        None: ("feasible", 4850, 2413, 29392, "f7d7b65076659d17"),
+        (4, 4, 2, 11): ("infeasible", 414, 208, 2263, "ce9ddb8ddef0d8e0"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 60, "3f584fa9210f57fb"),
+        (5, 4, 2, 23): ("feasible", 29, 0, 198, "c3db1c4fade89c4c"),
+        (5, 5, 2, 31): ("unknown", 20000, 9998, 153507, "c8cef78133f943fc"),
     },
     ("csp1+dom_deg", ()): {
-        None: ("feasible", 6559, 3268, 19390, "80d2ac6cfd788283"),
-        (4, 4, 2, 11): ("infeasible", 124, 63, 558, "6d9e529fb25d9264"),
-        (4, 4, 2, 12): ("feasible", 42, 18, 227, "ad55fb27a7b28121"),
-        (5, 4, 2, 23): ("feasible", 411, 191, 2054, "b3a205e1db86992d"),
-        (5, 5, 2, 31): ("infeasible", 62, 32, 821, "b98a8c925a826749"),
+        None: ("feasible", 6559, 3268, 20272, "af975e048bfe6bf0"),
+        (4, 4, 2, 11): ("infeasible", 124, 63, 570, "7d85040b55ca5ae4"),
+        (4, 4, 2, 12): ("feasible", 42, 18, 243, "37d236817ebe27c3"),
+        (5, 4, 2, 23): ("feasible", 411, 191, 2314, "979bf664cb8ca034"),
+        (5, 5, 2, 31): ("infeasible", 62, 32, 873, "4b57bd9f7f9910cf"),
     },
     ("csp1+input", ()): {
-        None: ("feasible", 6559, 3268, 19390, "9bccb8851673a2bb"),
-        (4, 4, 2, 11): ("infeasible", 124, 63, 558, "9bf7916e98d32b01"),
-        (4, 4, 2, 12): ("feasible", 42, 18, 227, "a9ce460ba04037b0"),
-        (5, 4, 2, 23): ("feasible", 761, 367, 3760, "5088f0b6a1255379"),
-        (5, 5, 2, 31): ("infeasible", 62, 32, 821, "294df8ca65fb1404"),
+        None: ("feasible", 6559, 3268, 20272, "dc30b18e1e729fd5"),
+        (4, 4, 2, 11): ("infeasible", 124, 63, 570, "82f1977f833b635b"),
+        (4, 4, 2, 12): ("feasible", 42, 18, 243, "246bdf8b93475c10"),
+        (5, 4, 2, 23): ("feasible", 761, 367, 4200, "aeb36d8ec8bae63a"),
+        (5, 5, 2, 31): ("infeasible", 62, 32, 873, "737125035d9f2562"),
     },
     ("csp1+learn", ()): {
         None: ("feasible", 62, 17, 355, "d5a6b3b9f6a87c02"),
@@ -62,46 +66,46 @@ PINS = {
         (5, 5, 2, 31): ("infeasible", 6, 7, 467, "6496a593083384e4"),
     },
     ("csp1+min_dom", ()): {
-        None: ("feasible", 4850, 2413, 26374, "1a30ce2c547e9c0f"),
-        (4, 4, 2, 11): ("infeasible", 414, 208, 2109, "a3e3bc528971044c"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 57, "a3ecb16816d6d7f9"),
-        (5, 4, 2, 23): ("feasible", 29, 0, 165, "2af87cf1942c0443"),
-        (5, 5, 2, 31): ("unknown", 20000, 9998, 143784, "db2a5c1cfb03ddbb"),
+        None: ("feasible", 4850, 2413, 29392, "0dcd5320080f4ddc"),
+        (4, 4, 2, 11): ("infeasible", 414, 208, 2263, "61355cfa8e97ba0b"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 60, "bad1f2805cf5ba6c"),
+        (5, 4, 2, 23): ("feasible", 29, 0, 198, "eadfe1a704a6b9ae"),
+        (5, 5, 2, 31): ("unknown", 20000, 9998, 153507, "35691a1ad27977ac"),
     },
     ("csp2-generic", ()): {
-        None: ("feasible", 20, 3, 73, "8856f8c953a82045"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "ee26081ee7a340ba"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 28, "2a4cbab8932a4a76"),
-        (5, 4, 2, 23): ("feasible", 15, 1, 73, "00a49f5f80042127"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "8753d9a113a7b5b6"),
+        None: ("feasible", 20, 3, 83, "160363ca321c99c2"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "82540ac71df2738f"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 33, "0ee97a01a5992ff4"),
+        (5, 4, 2, 23): ("feasible", 15, 1, 88, "d751461722b0b2ea"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "0e69dd7200147788"),
     },
     ("csp2-generic+rm", ()): {
-        None: ("feasible", 29, 10, 96, "5cf2db322d81232b"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "a349763659ae7ff9"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 28, "bf7b5dc91ab82764"),
-        (5, 4, 2, 23): ("feasible", 16, 2, 78, "b3afb411e173c237"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "b2ebbf7745e012f2"),
+        None: ("feasible", 29, 10, 132, "b0b91f53257f7589"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "d446abe491fb1cd4"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 33, "0e8ee7a169d2caee"),
+        (5, 4, 2, 23): ("feasible", 16, 2, 95, "d52de0ac7e236cd2"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "2a679e635aeeebd0"),
     },
     ("csp2-generic+dm", ()): {
-        None: ("feasible", 29, 10, 96, "e64f05d74c6d3169"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "2d8e16d773a1608d"),
-        (4, 4, 2, 12): ("feasible", 13, 6, 43, "ce1642a97bb234f3"),
-        (5, 4, 2, 23): ("feasible", 1210, 874, 1981, "ae9d635e7bc03f87"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "edb9cc701aae2471"),
+        None: ("feasible", 29, 10, 132, "44bcd9d0ca701be6"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "f1481f95a3aecae9"),
+        (4, 4, 2, 12): ("feasible", 13, 6, 59, "d5ba9d54ea549383"),
+        (5, 4, 2, 23): ("feasible", 1210, 874, 4258, "4a8300a058141b76"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "f47f2b1117e2a1b6"),
     },
     ("csp2-generic+tc", ()): {
-        None: ("feasible", 20, 3, 73, "d7e621eccd6007c0"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "b1c3baefec4e4211"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 28, "e76cc08cebd0ff79"),
-        (5, 4, 2, 23): ("feasible", 15, 1, 73, "de7003070faa9d30"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "064c2bb714aa110e"),
+        None: ("feasible", 20, 3, 83, "7b299f1186a13d38"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "761362ee9f3fb72a"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 33, "ea629e4c62865f17"),
+        (5, 4, 2, 23): ("feasible", 15, 1, 88, "22d32d4954ca7ba3"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "3bd82489b8da10bc"),
     },
     ("csp2-generic+dc", ()): {
-        None: ("feasible", 34, 15, 114, "bc2b8f738aa72e6d"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "74904b0ac7592647"),
-        (4, 4, 2, 12): ("feasible", 12, 5, 39, "beea2a6a88d1f42b"),
-        (5, 4, 2, 23): ("feasible", 1224, 886, 2001, "f642b5818c5e50c2"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "e15e671856c8406a"),
+        None: ("feasible", 34, 15, 160, "716d0304109d56bb"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "ee42010b1c291a67"),
+        (4, 4, 2, 12): ("feasible", 12, 5, 53, "1ee625007c010f02"),
+        (5, 4, 2, 23): ("feasible", 1224, 886, 4320, "43d0eb4dc2991219"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "51e8b9c7fe8c11c3"),
     },
     ("csp2-generic+learn", ()): {
         None: ("feasible", 20, 3, 84, "4f77429cf205381b"),
@@ -111,39 +115,39 @@ PINS = {
         (5, 5, 2, 31): ("infeasible", 12, 10, 187, "995fa5e762c275b1"),
     },
     ("csp2-generic+t-c", ()): {
-        None: ("feasible", 20, 3, 73, "596a85ae5efc6f93"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "4bee0b15d25983ad"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 28, "ab1fd03d2f887014"),
-        (5, 4, 2, 23): ("feasible", 15, 1, 73, "2f259fd4620e8cef"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "a75e1ea016194cd8"),
+        None: ("feasible", 20, 3, 83, "ee9f3df1065e4052"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "fff0dd711b44f331"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 33, "2d593e6bf8b98477"),
+        (5, 4, 2, 23): ("feasible", 15, 1, 88, "f66511c7ba3527e5"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "18c100cd2a2b745d"),
     },
     ("csp2-generic+(t-c)", ()): {
-        None: ("feasible", 20, 3, 73, "263f80ec14d05409"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "23d8d019a049fe3e"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 28, "1d982662a8f650fe"),
-        (5, 4, 2, 23): ("feasible", 15, 1, 73, "31ebebefa6ab931d"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "44ca28f8f72a5cbd"),
+        None: ("feasible", 20, 3, 83, "ed840d4556fda3b0"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "884ba47c6ac9eda6"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 33, "ae5138f66cbd939a"),
+        (5, 4, 2, 23): ("feasible", 15, 1, 88, "fe21cce64d5a80c5"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "71eef7a1d5371884"),
     },
     ("csp2-generic+d-c", ()): {
-        None: ("feasible", 34, 15, 114, "e5f3d6223c14fe67"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "b3805c039c5c5262"),
-        (4, 4, 2, 12): ("feasible", 12, 5, 39, "0a394671e0cf3a13"),
-        (5, 4, 2, 23): ("feasible", 1224, 886, 2001, "45afef581b25cd0a"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "ca0a3b2915362716"),
+        None: ("feasible", 34, 15, 160, "7ad416dae13563ba"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "aec4a5311e636783"),
+        (4, 4, 2, 12): ("feasible", 12, 5, 53, "245406a3c9cee4fc"),
+        (5, 4, 2, 23): ("feasible", 1224, 886, 4320, "d6957e4e35cb4a82"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "99fdd20d145b2433"),
     },
     ("csp2-generic+(d-c)", ()): {
-        None: ("feasible", 34, 15, 114, "05b160b59a11a92b"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "7f6e882eab7c29b3"),
-        (4, 4, 2, 12): ("feasible", 12, 5, 39, "cf468d08ce18a04a"),
-        (5, 4, 2, 23): ("feasible", 1224, 886, 2001, "5a75a9a6bcf64152"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "126db5da17acc106"),
+        None: ("feasible", 34, 15, 160, "ffb97ae46acf0d34"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "c17b4cdaaec3396d"),
+        (4, 4, 2, 12): ("feasible", 12, 5, 53, "348751269db19bd5"),
+        (5, 4, 2, 23): ("feasible", 1224, 886, 4320, "f940b5b07bc8d465"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "15f83d69fcc862f5"),
     },
     ("csp2-generic+none", ()): {
-        None: ("feasible", 20, 3, 73, "8d9f9641fcd06ac9"),
-        (4, 4, 2, 11): ("infeasible", 49, 35, 134, "e30257e1531c2c71"),
-        (4, 4, 2, 12): ("feasible", 7, 1, 28, "367a3dc4a2b024c1"),
-        (5, 4, 2, 23): ("feasible", 15, 1, 73, "9577eeb00924c018"),
-        (5, 5, 2, 31): ("infeasible", 31, 26, 179, "cd05ba8d7d0e5ea1"),
+        None: ("feasible", 20, 3, 83, "138c7436a0507ea3"),
+        (4, 4, 2, 11): ("infeasible", 49, 35, 174, "30963ab7c6edd0b0"),
+        (4, 4, 2, 12): ("feasible", 7, 1, 33, "0d9242dd1f808a83"),
+        (5, 4, 2, 23): ("feasible", 15, 1, 88, "ffad97f7acbe2a56"),
+        (5, 5, 2, 31): ("infeasible", 31, 26, 218, "67076c679892bdea"),
     },
     ("csp2+learn", ()): {
         None: ("feasible", 23, 10, 148, "ccee423c72b0a757"),
@@ -160,11 +164,11 @@ PINS = {
         (5, 5, 2, 31): ("infeasible", 6, 7, 467, "6496a593083384e4"),
     },
     ("csp2-generic+dc", (("symmetry_breaking", False),)): {
-        None: ("feasible", 22, 1, 57, "3cebf8616c37d9ac"),
-        (4, 4, 2, 11): ("infeasible", 317, 220, 503, "640205808ae776db"),
-        (4, 4, 2, 12): ("feasible", 6, 0, 18, "b0cc3beb4a677f1b"),
-        (5, 4, 2, 23): ("feasible", 19, 0, 59, "1c7fc11f768ccd4b"),
-        (5, 5, 2, 31): ("infeasible", 204, 166, 369, "ae32fd2b65a161c3"),
+        None: ("feasible", 22, 1, 70, "9d6068e40cad8882"),
+        (4, 4, 2, 11): ("infeasible", 317, 220, 739, "85b6f8c91310a797"),
+        (4, 4, 2, 12): ("feasible", 6, 0, 22, "45a7abd7594df074"),
+        (5, 4, 2, 23): ("feasible", 19, 0, 77, "edd84940090668ca"),
+        (5, 5, 2, 31): ("infeasible", 204, 166, 638, "3018a5c1681357ed"),
     },
     ("csp2-generic+learn", (("chronological", False),)): {
         None: ("feasible", 21, 1, 75, "6aa46b1bf59af50c"),

@@ -1,19 +1,14 @@
 """Kernel parity suite: each kernel must match its reference exactly.
 
-Three kernels in :mod:`repro.kernels` still have a second
-implementation to agree with, observation for observation:
+Both kernels in :mod:`repro.kernels` have a second implementation to
+agree with, observation for observation:
 
 * the block-stepping simulator vs the slot-by-slot simulator loop;
 * the numpy demand tables vs their pure-Python references
-  (``repro.kernels.demand._*_reference``), called directly;
-* the batched counting rows vs the counting propagators' own
-  ``on_event`` / ``reset`` bookkeeping, which the learning engine
-  still runs.
+  (``repro.kernels.demand._*_reference``), called directly.
 
 "Byte-identical" is literal: same SimulationResult fields including the
-extracted cyclic schedule, same cascade certificates witness-for-witness,
-same engine status/nodes/fails on the pinned regression grid, same
-counting-row aggregates.
+extracted cyclic schedule, same cascade certificates witness-for-witness.
 """
 
 import itertools
@@ -26,20 +21,10 @@ from hypothesis import strategies as st
 from repro.analysis import necessary
 from repro.baselines import global_edf, global_fixed_priority
 from repro.baselines.simulator import simulate_priority_policy
-from repro.csp.propagators import (
-    CountEq,
-    ExactSumBool,
-    WeightedCountEq,
-    WeightedExactSumBool,
-)
-from repro.generator import GeneratorConfig, generate_instance
-from repro.generator.named import running_example, running_example_platform
+from repro.generator.named import running_example
 from repro.generator.random_systems import generate_system
 from repro.kernels import demand as demand_kernel
-from repro.model import Platform, TaskSystem
-from repro.solvers.registry import create_solver
-
-SEED = 2009
+from repro.model import TaskSystem
 
 
 def _random_system(seed: int, n=None, tmax=None) -> TaskSystem:
@@ -245,73 +230,3 @@ class TestDemandParity:
         assert got == demand_kernel._enclosed_excess_witness_reference(
             spans, T, m, 10_000
         )
-
-
-# ---------------------------------------------------------------------------
-# engine: batched counting rows vs the propagators' own hooks
-# ---------------------------------------------------------------------------
-
-ENGINE_SPECS = [None, (4, 4, 2, 11), (4, 4, 2, 12), (5, 4, 2, 23),
-                (5, 5, 2, 31)]
-
-#: the propagators whose rows the chronological engine batches
-COUNTING = (ExactSumBool, WeightedExactSumBool, CountEq, WeightedCountEq)
-
-
-def _instance(spec):
-    if spec is None:
-        return running_example(), running_example_platform()
-    n, tmax, m, seed = spec
-    inst = generate_instance(GeneratorConfig(n=n, tmax=tmax, m=m), seed)
-    return inst.system, Platform.identical(inst.m)
-
-
-class TestEngineParity:
-    """Inline batched rows and ``on_event`` hooks decide alike."""
-
-    @pytest.mark.parametrize("solver_name", ["csp1", "csp2-generic",
-                                             "csp2-generic+dc"])
-    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=str)
-    def test_vec_vs_scalar_counters(self, solver_name, spec, monkeypatch):
-        system, plat = _instance(spec)
-
-        def run():
-            solver = create_solver(solver_name, system, plat, seed=SEED)
-            out = solver.solve(node_limit=20_000)
-            return out.status.value, out.stats.nodes, out.stats.fails
-
-        batched = run()
-        # without batch_row the engine wires every counting propagator
-        # through its on_event hook, as the learning engine does
-        for cls in COUNTING:
-            monkeypatch.delattr(cls, "batch_row")
-        assert run() == batched
-
-
-# ---------------------------------------------------------------------------
-# CountingKernel: reset sweep vs each propagator's own reset
-# ---------------------------------------------------------------------------
-
-class TestCountingKernelReset:
-    def test_reset_matches_evaluate(self):
-        """Kernel aggregates equal the ``_c`` counters every batched
-        propagator computes for itself, on a partly assigned state."""
-        from repro.csp.search import Solver
-        from repro.csp.state import DomainState
-        from repro.encodings.csp2 import encode_csp2
-
-        system, plat = running_example(), running_example_platform()
-        enc = encode_csp2(system, plat, True)
-        kernel = Solver(enc.model)._kernel
-        assert kernel is not None, "csp2 should batch counting rows"
-        state = DomainState(enc.model)
-        for var in enc.model.variables[::3]:
-            state.assign(var, state.min_value(var))
-        kernel.reset(state)
-        after_reset = [list(row.c) for row in kernel.rows]
-        assert after_reset == kernel.evaluate(state)
-        own = []
-        for row in kernel.rows:
-            row.prop.reset(state)
-            own.append(list(row.prop._c))
-        assert after_reset == own
