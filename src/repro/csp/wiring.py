@@ -13,7 +13,7 @@ order, that pass
 
 The chronological and the learning search bind the same wiring: the
 counting rows of both encodings keep their aggregates through their own
-``on_event`` hooks, fed by the one dispatch loop.
+``on_event`` hooks, as every other stateful propagator does.
 
 An event's mask is always one of REMOVE (1), REMOVE|BOUNDS (3) or
 REMOVE|BOUNDS|ASSIGN (7), so each variable gets an 8-slot jump table

@@ -106,11 +106,8 @@ SOLVERS = ["csp1", "csp1+learn", "csp2-generic", "csp2-generic+dc",
            "csp2-generic+learn"]
 
 
-@pytest.mark.parametrize("name", SOLVERS)
-@pytest.mark.parametrize("case", range(6))
-def test_solver_binds_the_compiled_wiring(name, case, monkeypatch):
-    """The engine each generic solver builds is wired exactly like the
-    reference, and binds the compiled tables as they are."""
+def _built_engine(name, case, monkeypatch):
+    """The one ``Solver`` the generic solver ``name`` builds on case ``case``."""
     system, platform = list(_systems())[case]
     built = []
 
@@ -120,9 +117,17 @@ def test_solver_binds_the_compiled_wiring(name, case, monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(generic_engine, "Solver", Spy)
-    solver = create_solver(name, system, platform, seed=1)
-    solver.solve(node_limit=1)
+    create_solver(name, system, platform, seed=1).solve(node_limit=1)
     (engine,) = built
+    return engine
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+@pytest.mark.parametrize("case", range(6))
+def test_solver_binds_the_compiled_wiring(name, case, monkeypatch):
+    """The engine each generic solver builds is wired exactly like the
+    reference, and binds the compiled tables as they are."""
+    engine = _built_engine(name, case, monkeypatch)
     assert engine.learn == name.endswith("+learn")
     wiring = assert_same_wiring(engine.model)
     assert engine._watchers == wiring.watchers
@@ -137,20 +142,9 @@ def test_both_searches_bind_one_wiring(name, case, monkeypatch):
     """The chronological and the learning search over one model bind
     identical watcher, tier and reset tables: the counting rows run
     through their ``on_event`` hooks in both."""
-    system, platform = list(_systems())[case]
-    built = []
-
-    class Spy(Solver):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(generic_engine, "Solver", Spy)
-    create_solver(name, system, platform, seed=1).solve(node_limit=1)
-    (engine,) = built
-    assert not engine.learn
-    chrono = Solver(engine.model)
-    learning = Solver(engine.model, learn=True)
+    model = _built_engine(name, case, monkeypatch).model
+    chrono = Solver(model)
+    learning = Solver(model, learn=True)
     assert chrono._watchers == learning._watchers
     assert chrono._tiers == learning._tiers
     assert chrono._resets == learning._resets
