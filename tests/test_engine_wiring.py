@@ -176,10 +176,12 @@ class _Bare:
         return True
 
 
-def test_every_subscription_form():
+@pytest.mark.parametrize("learn", [True, False])
+def test_every_subscription_form(learn):
     """Default and custom watches, legacy pairs, bare objects, repeated
     variables in count rows and weighted rows, interleaved so each
-    variable mixes event classes."""
+    variable mixes event classes; the chronological and the learning
+    search both bind the compiled tables."""
     m = Model()
     xs = [m.int_var(0, 3, f"x{k}") for k in range(6)]
     bs = [m.bool_var(f"b{k}") for k in range(4)]
@@ -197,3 +199,7 @@ def test_every_subscription_form():
     wiring = assert_same_wiring(m)
     assert any(jump[1] and jump[3] is not jump[1] for jump in wiring.watchers)
     assert any(jump[3] and jump[7] is not jump[3] for jump in wiring.watchers)
+    engine = Solver(m, learn=learn)
+    assert engine._watchers == wiring.watchers
+    assert engine._tiers == wiring.tiers
+    assert engine._resets == wiring.resets
