@@ -15,12 +15,12 @@ still mean OK/FAIL, so external propagators keep working unchanged.
 
 Unlike the first-generation engine — whose propagators were *stateless*
 and rescanned all ``k`` variables on every call — the counting
-propagators here own **reversible counters** (fixed/free tallies,
-weighted lower bounds, validity bitmasks) that the engine keeps current
-through :meth:`Propagator.on_event` deltas: O(1) bookkeeping per domain
-change, O(1) bound checks on wake, and an O(k) pruning scan only on the
-rare wake that actually prunes (which then usually entails).  Counters
-are trailed through :meth:`DomainState.save` /
+propagators here own **reversible counters** (TRUE/undecided tallies,
+weighted fixed and free sums, validity bitmasks) that the engine keeps
+current through :meth:`Propagator.on_event` deltas: O(1) bookkeeping per
+domain change, O(1) bound checks on wake, and an O(k) pruning scan only
+on the rare wake that actually prunes (which then usually entails).
+Counters are trailed through :meth:`DomainState.save` /
 :meth:`DomainState.save_all`, so backtracking restores them together
 with the domains.
 
@@ -81,23 +81,28 @@ means "``value`` was removed".
   this propagator just reported, or ``None`` for the same fallback.
 
 The hot counting/table propagators implement both for real —
-:class:`AtMostOneTrue` blames the TRUE variable, the exact-sum family
-blames the TRUE set (overshoot) or the FALSE set (undershoot), and
+:class:`AtMostOneTrue` blames the TRUE variable, the exact-sum
+propagator blames the TRUE set (overshoot) or the FALSE set
+(undershoot), the count propagator the fixed or the lost set, and
 :class:`Table` blames the removals that invalidated the supports — so
 learned nogoods stay short and reusable instead of degenerating into
 full decision prefixes.
 
-The set of propagators is exactly what the paper's encodings need:
+The set of propagators is exactly what the paper's encodings need.  Each
+counting constraint has one implementation: (5) and (9) are (11) and
+(12) with every rate 1 (Section VI-A), so :class:`ExactSumBool` and
+:class:`CountEq` are the weighted classes with unit coefficients, and
+the encoders post the weighted class on every platform kind.
 
 ================  ============================================  ==========
 propagator         paper constraint                              encoding
 ================  ============================================  ==========
 AtMostOneTrue      (3) one task per processor-slot,              CSP1
                    (4) one processor per task-slot
-ExactSumBool       (5) exactly C_i units per window              CSP1
-WeightedExactSum   (11) heterogeneous variant                    CSP1-het
-CountEq            (9) exactly C_i slots equal to i              CSP2
-WeightedCountEq    (12) heterogeneous variant                    CSP2-het
+WeightedExactSum   (11) sum_j s_ij x_ij = C_i per window,        CSP1
+                   (5) when every rate is 1 (ExactSumBool)
+WeightedCountEq    (12) rate-weighted slots equal to i = C_i,    CSP2
+                   (9) when every rate is 1 (CountEq)
 AllDifferentExc    (8) processors differ unless idle             CSP2
 NonDecreasing      (10)/(13) symmetry breaking                   CSP2
 Table              (generic; used by tests/extensions)           --
@@ -136,12 +141,13 @@ PROP_OK = 1
 #: the engine deactivates the propagator until backtracking
 PROP_ENTAILED = 2
 
-#: arity at which the counting propagators switch from tally-on-wake to
-#: delta-fed counters.  Below it a fresh O(k) tally on the (filtered,
-#: deduplicated) wakes is cheaper than per-event counter bookkeeping —
-#: CSP1's at-most-one rows sit well under this; CSP2's per-window count
-#: constraints sit well over it.  Instances expose the decision as the
-#: writable ``incremental`` attribute.
+#: number of distinct (for the count propagators: watched) variables at
+#: which the counting propagators switch from tally-on-wake to delta-fed
+#: counters; a repeated variable is one entry, so it counts once.  Below
+#: it a fresh O(k) tally on the (filtered, deduplicated) wakes is cheaper
+#: than per-event counter bookkeeping — CSP1's at-most-one rows sit well
+#: under this; CSP2's per-window count constraints sit well over it.
+#: Instances expose the decision as the writable ``incremental`` attribute.
 INCREMENTAL_ARITY_THRESHOLD = 8
 
 _TRUE = 0b10  # singleton {1} mask of a boolean variable
@@ -157,9 +163,25 @@ def _check_bools(vars: Sequence[Variable]) -> tuple[Variable, ...]:
     return vs
 
 
-def _check_unique(vars: tuple[Variable, ...], who: str) -> None:
-    if len({v.index for v in vars}) != len(vars):
-        raise ValueError(f"{who} does not support duplicate variables")
+def _counting_row(
+    vars: tuple[Variable, ...], coefs: Sequence[int], total: int
+) -> tuple[tuple[Variable, ...], tuple[int, ...]]:
+    """Check one weighted counting row and merge its repeated variables:
+    one entry per distinct variable, in first-occurrence order, whose
+    coefficient sums its occurrences."""
+    coefs = tuple(coefs)
+    if len(coefs) != len(vars):
+        raise ValueError("one coefficient per variable required")
+    if coefs and min(coefs) < 1:
+        raise ValueError(f"coefficients must be >= 1, got {coefs}")
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    if len(set(vars)) == len(vars):
+        return vars, coefs
+    merged: dict[Variable, int] = {}
+    for v, c in zip(vars, coefs):
+        merged[v] = merged.get(v, 0) + c
+    return tuple(merged), tuple(merged.values())
 
 
 class Propagator:
@@ -327,139 +349,33 @@ class AtMostOneTrue(Propagator):
         return PROP_ENTAILED
 
 
-class ExactSumBool(Propagator):
-    """Exactly ``total`` of the booleans are 1 (paper (5)).
-
-    Counters: ``[n_true, n_undecided]``; wakes on ASSIGN only."""
-
-    __slots__ = ("total", "incremental", "_c", "_stamp")
-
-    priority = 0
-    wake_on = EVT_ASSIGN
-    # _c is trailed via the inlined _undo form; _stamp is a monotone
-    # once-per-node guard that is sound without trailing
-    _trail_safe = ("_c", "_stamp")
-
-    def __init__(self, bools: Sequence[Variable], total: int) -> None:
-        self.vars = _check_bools(bools)
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        self.total = total
-        self.incremental = len(self.vars) >= INCREMENTAL_ARITY_THRESHOLD
-        self._c: list[int] | None = None
-        self._stamp = -1
-
-    def _tally(self, state: DomainState) -> list[int]:
-        masks = state.masks
-        ones = und = 0
-        for v in self.vars:
-            m = masks[v.index]
-            if m == _TRUE:
-                ones += 1
-            elif m == _BOTH:
-                und += 1
-        return [ones, und]
-
-    def reset(self, state: DomainState) -> None:
-        """Count TRUE / undecided booleans from the current domains."""
-        self._c = self._tally(state)
-        self._stamp = -1
-
-    def on_event(self, state: DomainState, idx: int, old: int, new: int):
-        """A watched boolean was assigned: retally in O(1)."""
-        c = self._c
-        if self._stamp != state._stamp:  # trail the counters once per node
-            self._stamp = state._stamp
-            state._undo.append((c, None, tuple(c)))
-        if new == _TRUE:
-            c[0] += 1
-        c[1] -= 1
-        if c[0] < self.total < c[0] + c[1]:
-            return False  # strictly between the bounds: no forcing yet
-        return None
-
-    def explain_event(self, state: DomainState, trail, pos: int):
-        """A forced 0 is explained by the TRUE set (the sum saturated);
-        a forced 1 by the FALSE set (the remaining candidates got tight).
-        Root-fixed variables carry no event and are dropped (root facts)."""
-        idx, _old, new, _ev = state.events[pos]
-        if new == _FALSE:
-            val = 1  # saturated: blame every variable assigned 1 earlier
-        elif new == _TRUE:
-            val = 0  # tight: blame every variable assigned 0 earlier
-        else:
-            return None
-        pos_of = trail.pos_of
-        out = []
-        for v in self.vars:
-            if v.index == idx:
-                continue
-            p = pos_of.get((v.index, val, True))
-            if p is not None and p < pos:
-                out.append((v.index, val, True))
-        return out
-
-    def explain_failure(self, state: DomainState, trail):
-        """Overshoot blames the TRUE set, undershoot the FALSE set."""
-        masks = state.masks
-        ones = falses = 0
-        for v in self.vars:
-            m = masks[v.index]
-            if m == _TRUE:
-                ones += 1
-            elif m == _FALSE:
-                falses += 1
-        if ones > self.total:
-            val = 1
-        elif len(self.vars) - falses < self.total:
-            val = 0
-        else:
-            return None
-        want = _TRUE if val else _FALSE
-        pos_of = trail.pos_of
-        return [
-            (v.index, val, True)
-            for v in self.vars
-            if masks[v.index] == want and (v.index, val, True) in pos_of
-        ]
-
-    def propagate(self, state: DomainState) -> int:
-        """O(1) bound checks; an O(k) forcing scan only when saturated
-        or tight (after which the constraint is entailed)."""
-        ones, und = self._c if self.incremental else self._tally(state)
-        total = self.total
-        if ones > total or ones + und < total:
-            return PROP_FAIL
-        if und == 0:
-            return PROP_ENTAILED
-        if ones == total:  # saturated: every undecided var must be 0
-            masks = state.masks
-            for v in self.vars:
-                if masks[v.index] == _BOTH:
-                    state.assign(v, 0)
-            return PROP_ENTAILED
-        if ones + und == total:  # tight: every undecided var must be 1
-            masks = state.masks
-            for v in self.vars:
-                if masks[v.index] == _BOTH:
-                    state.assign(v, 1)
-            return PROP_ENTAILED
-        return PROP_OK
-
-
 class WeightedExactSumBool(Propagator):
-    """``sum c_k b_k == total`` with ``c_k >= 1`` (paper (11)).
+    """``sum c_k b_k == total`` with ``c_k >= 1`` (paper (11); its
+    unit-coefficient case (5) is :class:`ExactSumBool`).
 
     Zero-rate pairs must be excluded by the encoding (their variable's
-    domain is {0} in the paper; here they are simply not created).
+    domain is {0} in the paper; here they are simply not created).  A
+    repeated variable is one entry whose coefficient sums its
+    occurrences.
 
-    Counters: ``[lb, free_sum, free_count]`` where ``lb`` is the sum of
-    coefficients of TRUE variables and ``free_*`` aggregate the
-    undecided ones.  A static max-coefficient test skips the O(k)
-    pruning scan whenever no individual variable can overshoot or be
+    Counters: ``[lb, free_sum]``, the coefficient sums of the TRUE and
+    of the undecided variables (``free_sum == 0`` exactly when none is
+    undecided).  A saturated (``lb == total``) or tight
+    (``lb + free_sum == total``) wake decides every undecided variable
+    in one scan; otherwise a static max-coefficient test skips the
+    per-variable scan whenever no variable can overshoot or be
     required, which is the common wake."""
 
-    __slots__ = ("coefs", "total", "incremental", "_coef_of", "_cmax", "_c", "_stamp")
+    __slots__ = (
+        "coefs",
+        "total",
+        "incremental",
+        "_coef_of",
+        "_lb_max",
+        "_reach_min",
+        "_c",
+        "_stamp",
+    )
 
     priority = 0
     wake_on = EVT_ASSIGN
@@ -470,36 +386,31 @@ class WeightedExactSumBool(Propagator):
     def __init__(
         self, bools: Sequence[Variable], coefs: Sequence[int], total: int
     ) -> None:
-        self.vars = _check_bools(bools)
-        _check_unique(self.vars, "WeightedExactSumBool")
-        self.coefs = tuple(int(c) for c in coefs)
-        if len(self.coefs) != len(self.vars):
-            raise ValueError("one coefficient per variable required")
-        if any(c < 1 for c in self.coefs):
-            raise ValueError(f"coefficients must be >= 1, got {self.coefs}")
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
+        self.vars, self.coefs = _counting_row(_check_bools(bools), coefs, total)
         self.total = total
         self.incremental = len(self.vars) >= INCREMENTAL_ARITY_THRESHOLD
         self._coef_of = {v.index: c for v, c in zip(self.vars, self.coefs)}
-        self._cmax = max(self.coefs)
+        cmax = max(self.coefs) if self.coefs else 0
+        # a wake with lb <= _lb_max (no coefficient can overshoot) and
+        # lb + free_sum >= _reach_min (none is required) forces nothing
+        self._lb_max = total - cmax
+        self._reach_min = total + cmax
         self._c: list[int] | None = None
         self._stamp = -1
 
     def _tally(self, state: DomainState) -> list[int]:
         masks = state.masks
-        lb = free_sum = free_count = 0
-        for v, c in zip(self.vars, self.coefs):
-            m = masks[v.index]
+        lb = free_sum = 0
+        for i, c in self._coef_of.items():
+            m = masks[i]
             if m == _TRUE:
                 lb += c
             elif m == _BOTH:
                 free_sum += c
-                free_count += 1
-        return [lb, free_sum, free_count]
+        return [lb, free_sum]
 
     def reset(self, state: DomainState) -> None:
-        """Tally the weighted lower bound and free aggregates."""
+        """Tally the TRUE and undecided coefficient sums."""
         self._c = self._tally(state)
         self._stamp = -1
 
@@ -513,17 +424,16 @@ class WeightedExactSumBool(Propagator):
         if new == _TRUE:
             c[0] += coef
         c[1] -= coef
-        c[2] -= 1
         lb = c[0]
-        total = self.total
-        if c[2] and self._cmax <= total - lb and self._cmax <= lb + c[1] - total:
+        if lb <= self._lb_max and lb + c[1] >= self._reach_min:
             return False  # no variable can be forced either way yet
         return None
 
     def explain_event(self, state: DomainState, trail, pos: int):
         """A forced 0 is explained by the TRUE set (its coefficient sum
         leaves no room); a forced 1 by the FALSE set (without this
-        variable the reachable sum falls short)."""
+        variable the reachable sum falls short).  Root-fixed variables
+        carry no event and are dropped (root facts)."""
         idx, _old, new, _ev = state.events[pos]
         if new == _FALSE:
             val = 1
@@ -544,22 +454,14 @@ class WeightedExactSumBool(Propagator):
     def explain_failure(self, state: DomainState, trail):
         """Overshoot blames the TRUE set, undershoot the FALSE set
         (recomputed from the masks: a scan may fail mid-update)."""
-        masks = state.masks
-        lb = false_sum = 0
-        for v, c in zip(self.vars, self.coefs):
-            m = masks[v.index]
-            if m == _TRUE:
-                lb += c
-            elif m == _FALSE:
-                false_sum += c
+        lb, free_sum = self._tally(state)
         if lb > self.total:
-            val = 1
-            want = _TRUE
-        elif sum(self.coefs) - false_sum < self.total:
-            val = 0
-            want = _FALSE
+            val, want = 1, _TRUE
+        elif lb + free_sum < self.total:
+            val, want = 0, _FALSE
         else:
             return None
+        masks = state.masks
         pos_of = trail.pos_of
         return [
             (v.index, val, True)
@@ -568,22 +470,32 @@ class WeightedExactSumBool(Propagator):
         ]
 
     def propagate(self, state: DomainState) -> int:
-        """O(1) bound checks; the per-variable scan runs only when some
-        coefficient could overshoot ``total`` or be required to reach it."""
-        lb, free_sum, free_count = (
-            self._c if self.incremental else self._tally(state)
-        )
+        """O(1) bound checks; one forcing scan when saturated or tight
+        (after which the constraint is entailed), and the per-variable
+        scan only when some coefficient could overshoot ``total`` or be
+        required to reach it."""
+        lb, free_sum = self._c if self.incremental else self._tally(state)
         total = self.total
         if lb > total or lb + free_sum < total:
             return PROP_FAIL
-        if free_count == 0:
+        if not free_sum:
             return PROP_ENTAILED
-        if self._cmax <= total - lb and self._cmax <= lb + free_sum - total:
+        if lb <= self._lb_max and lb + free_sum >= self._reach_min:
             return PROP_OK  # no single variable can be forced either way
+        masks = state.masks
+        if lb == total:  # saturated: every undecided var must be 0
+            for v in self.vars:
+                if masks[v.index] == _BOTH:
+                    state.assign(v, 0)
+            return PROP_ENTAILED
+        if lb + free_sum == total:  # tight: every undecided var must be 1
+            for v in self.vars:
+                if masks[v.index] == _BOTH:
+                    state.assign(v, 1)
+            return PROP_ENTAILED
         # pruning scan + local fixpoint over the free variables; counters
         # are tracked locally — the engine's event dispatch updates
         # self._c afterwards, so writing them back here would double-count
-        masks = state.masks
         free = [
             (v, c) for v, c in zip(self.vars, self.coefs) if masks[v.index] == _BOTH
         ]
@@ -595,220 +507,41 @@ class WeightedExactSumBool(Propagator):
                 if lb + c > total:  # taking v would overshoot
                     state.assign(v, 0)
                     free_sum -= c
-                    free_count -= 1
                     changed = True
                 elif lb + free_sum - c < total:  # dropping v would undershoot
                     state.assign(v, 1)
                     lb += c
                     free_sum -= c
-                    free_count -= 1
                     changed = True
             if lb > total or lb + free_sum < total:
                 return PROP_FAIL
             if not changed:
-                return PROP_ENTAILED if free_count == 0 else PROP_OK
+                return PROP_OK if free_sum else PROP_ENTAILED
 
 
-class CountEq(Propagator):
-    """Exactly ``total`` variables take ``value`` (paper (9)).
+class ExactSumBool(WeightedExactSumBool):
+    """Exactly ``total`` of the booleans are 1 (paper (5)): the
+    unit-coefficient :class:`WeightedExactSumBool`, so a repeated
+    boolean counts once per occurrence."""
 
-    Counters: ``[n_fixed, n_candidates]`` — variables assigned to
-    ``value`` vs. unassigned variables whose domain still contains it.
-    Only variables whose initial domain contains ``value`` are watched,
-    and the wake filter is REMOVE (every event carries it; the
-    ``on_event`` delta test is a pair of bit probes)."""
+    __slots__ = ()
 
-    __slots__ = (
-        "value",
-        "total",
-        "incremental",
-        "_bits",
-        "_watched",
-        "_scan",
-        "_c",
-        "_stamp",
-    )
-
-    priority = 0
-    wake_on = EVT_REMOVE
-    # _c is trailed via the inlined _undo form; _stamp is a monotone
-    # once-per-node guard that is sound without trailing
-    _trail_safe = ("_c", "_stamp")
-
-    def __init__(self, vars: Sequence[Variable], value: int, total: int) -> None:
-        self.vars = tuple(vars)
-        if not self.vars:
-            raise ValueError("CountEq over no variables")
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        self.value = value
-        self.total = total
-        # only variables that can ever take `value` matter (occurrences
-        # kept); the (var, bit) pairs in watch order let the forcing scans
-        # skip a dict lookup per variable per call
-        bits: dict[int, int] = {}
-        scan = []
-        for v in self.vars:
-            b = value - v.offset
-            if b >= 0 and v.initial_mask >> b & 1:
-                bits[v.index] = 1 << b
-                scan.append((v, 1 << b))
-        self._bits = bits
-        self._scan: tuple[tuple[Variable, int], ...] = tuple(scan)
-        self._watched: tuple[Variable, ...] = tuple(v for v, _ in scan)
-        self.incremental = len(scan) >= INCREMENTAL_ARITY_THRESHOLD
-        self._c: list[int] | None = None
-        self._stamp = -1
-
-    def watches(self) -> list[tuple[Variable, int, int | None]]:
-        """Subscribe only the variables that can ever take ``value``,
-        and only for events that touch its bit (or assign to it)."""
-        return [(v, EVT_REMOVE, self._bits[v.index]) for v in self._watched]
-
-    def _tally(self, state: DomainState) -> list[int]:
-        masks = state.masks
-        fixed = cand = 0
-        for v, bit in self._scan:
-            m = masks[v.index]
-            if m & bit:
-                if m == bit:
-                    fixed += 1
-                else:
-                    cand += 1
-        return [fixed, cand]
-
-    def reset(self, state: DomainState) -> None:
-        """Tally fixed / candidate variables from the current domains."""
-        self._c = self._tally(state)
-        self._stamp = -1
-
-    def on_event(self, state: DomainState, idx: int, old: int, new: int):
-        """Classify the delta with two bit probes; O(1)."""
-        bit = self._bits[idx]
-        if not old & bit:
-            return False  # `value` was already gone — nothing we track changed
-        if new == bit:  # candidate became fixed to `value`
-            c = self._c
-            if self._stamp != state._stamp:
-                self._stamp = state._stamp
-                state._undo.append((c, None, tuple(c)))
-            c[0] += 1
-            c[1] -= 1
-        elif not new & bit:  # candidate lost `value`
-            c = self._c
-            if self._stamp != state._stamp:
-                self._stamp = state._stamp
-                state._undo.append((c, None, tuple(c)))
-            c[1] -= 1
-        else:
-            return False  # still an open candidate: nothing we track changed
-        c = self._c
-        if c[0] < self.total < c[0] + c[1]:
-            return False  # strictly between the bounds: no forcing yet
-        return None
-
-    def explain_event(self, state: DomainState, trail, pos: int):
-        """A var forced *to* ``value`` is explained by the set that lost
-        it (the count got tight); a var that lost ``value`` by the set
-        fixed to it (the count saturated)."""
-        idx, _old, new, _ev = state.events[pos]
-        bit = self._bits.get(idx)
-        if bit is None:
-            return None
-        pos_of = trail.pos_of
-        out = []
-        if new == bit:  # tight: blame every watched var that lost `value`
-            lost = (self.value, False)
-            for v in self._watched:
-                if v.index == idx:
-                    continue
-                p = pos_of.get((v.index,) + lost)
-                if p is not None and p < pos:
-                    out.append((v.index,) + lost)
-            return out
-        if not new & bit:  # saturated: blame the vars fixed to `value`
-            fixed = (self.value, True)
-            for v in self._watched:
-                if v.index == idx:
-                    continue
-                p = pos_of.get((v.index,) + fixed)
-                if p is not None and p < pos:
-                    out.append((v.index,) + fixed)
-            return out
-        return None
-
-    def explain_failure(self, state: DomainState, trail):
-        """Overshoot blames the fixed set, undershoot the lost set."""
-        masks = state.masks
-        bits = self._bits
-        pos_of = trail.pos_of
-        n_fixed = cand = 0
-        for v in self._watched:
-            m = masks[v.index]
-            bit = bits[v.index]
-            if m == bit:
-                n_fixed += 1
-            elif m & bit:
-                cand += 1
-        if n_fixed > self.total:
-            want = lambda m, bit: m == bit  # noqa: E731 - tiny local pred
-            tail = (self.value, True)
-        elif n_fixed + cand < self.total:
-            want = lambda m, bit: not m & bit  # noqa: E731
-            tail = (self.value, False)
-        else:
-            return None
-        return [
-            (v.index,) + tail
-            for v in self._watched
-            if want(masks[v.index], bits[v.index])
-            and ((v.index,) + tail) in pos_of
-        ]
-
-    def propagate(self, state: DomainState) -> int:
-        """O(1) bound checks; one O(k) forcing scan when saturated or
-        tight, after which the count is decided and the constraint
-        entailed."""
-        fixed, cand = self._c if self.incremental else self._tally(state)
-        total = self.total
-        if fixed > total or fixed + cand < total:
-            return PROP_FAIL
-        if cand == 0:
-            return PROP_ENTAILED
-        value = self.value
-        masks = state.masks
-        # `cand` counts the candidates the scans below will touch; the
-        # scans stop once all of them are handled (removals only mutate
-        # the candidate itself, so the count stays exact mid-scan)
-        if fixed == total:  # saturated: no candidate may take `value`
-            for v, bit in self._scan:
-                m = masks[v.index]
-                if m & bit and m != bit:
-                    if not state.remove_value(v, value):
-                        return PROP_FAIL
-                    cand -= 1
-                    if not cand:
-                        break
-            return PROP_ENTAILED
-        if fixed + cand == total:  # tight: every candidate must take it
-            for v, bit in self._scan:
-                m = masks[v.index]
-                if m & bit and m != bit:
-                    if not state.assign(v, value):
-                        return PROP_FAIL
-                    cand -= 1
-                    if not cand:
-                        break
-            return PROP_ENTAILED
-        return PROP_OK
+    def __init__(self, bools: Sequence[Variable], total: int) -> None:
+        bools = tuple(bools)
+        super().__init__(bools, (1,) * len(bools), total)
 
 
 class WeightedCountEq(Propagator):
-    """``sum_k c_k [x_k == value] == total`` with ``c_k >= 1`` (paper (12)).
+    """``sum_k c_k [x_k == value] == total`` with ``c_k >= 1`` (paper
+    (12); its unit-coefficient case (9) is :class:`CountEq`).
 
-    Counters: ``[lb, free_sum, free_count]`` over the variables that can
-    still take ``value`` (``lb`` sums the coefficients of those fixed to
-    it), with the same static max-coefficient scan filter as
+    A repeated variable is one entry whose coefficient sums its
+    occurrences.  Counters: ``[lb, free_sum]`` over the variables whose
+    initial domain contains ``value`` — the coefficient sums of those
+    fixed to it and of the open candidates.  Only those variables are
+    watched, and the wake filter is REMOVE (every event carries it; the
+    ``on_event`` delta test is a pair of bit probes).  Same saturated /
+    tight forcing scans and max-coefficient scan filter as
     :class:`WeightedExactSumBool`."""
 
     __slots__ = (
@@ -818,8 +551,9 @@ class WeightedCountEq(Propagator):
         "incremental",
         "_bits",
         "_coef_of",
-        "_watched",
-        "_cmax",
+        "_scan",
+        "_lb_max",
+        "_reach_min",
         "_c",
         "_stamp",
     )
@@ -837,56 +571,50 @@ class WeightedCountEq(Propagator):
         value: int,
         total: int,
     ) -> None:
-        self.vars = tuple(vars)
-        _check_unique(self.vars, "WeightedCountEq")
-        self.coefs = tuple(int(c) for c in coefs)
-        if len(self.coefs) != len(self.vars):
-            raise ValueError("one coefficient per variable required")
-        if any(c < 1 for c in self.coefs):
-            raise ValueError(f"coefficients must be >= 1, got {self.coefs}")
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
+        self.vars, self.coefs = _counting_row(tuple(vars), coefs, total)
         self.value = value
         self.total = total
-        self._bits: dict[int, int] = {}
-        watched = []
-        coef_of = {}
+        # only variables that can ever take `value` matter; the
+        # (var, bit, coef) triples in watch order let the scans skip
+        # two dict lookups per variable per call
+        bits: dict[int, int] = {}
+        coef_of: dict[int, int] = {}
+        scan = []
         for v, c in zip(self.vars, self.coefs):
             b = value - v.offset
             if b >= 0 and v.initial_mask >> b & 1:
-                self._bits[v.index] = 1 << b
+                bits[v.index] = 1 << b
                 coef_of[v.index] = c
-                watched.append(v)
-        self._watched: tuple[Variable, ...] = tuple(watched)
+                scan.append((v, 1 << b, c))
+        self._bits = bits
         self._coef_of = coef_of
-        self._cmax = max(coef_of.values(), default=0)
-        self.incremental = len(self._watched) >= INCREMENTAL_ARITY_THRESHOLD
+        self._scan: tuple[tuple[Variable, int, int], ...] = tuple(scan)
+        cmax = max(coef_of.values()) if coef_of else 0
+        self._lb_max = total - cmax  # the scan filter of WeightedExactSumBool
+        self._reach_min = total + cmax
+        self.incremental = len(scan) >= INCREMENTAL_ARITY_THRESHOLD
         self._c: list[int] | None = None
         self._stamp = -1
 
     def watches(self) -> list[tuple[Variable, int, int | None]]:
         """Subscribe only the variables that can ever take ``value``,
         and only for events that touch its bit (or assign to it)."""
-        return [(v, EVT_REMOVE, self._bits[v.index]) for v in self._watched]
+        return [(v, EVT_REMOVE, bit) for v, bit, _ in self._scan]
 
     def _tally(self, state: DomainState) -> list[int]:
         masks = state.masks
-        bits = self._bits
-        coef_of = self._coef_of
-        lb = free_sum = free_count = 0
-        for v in self._watched:
+        lb = free_sum = 0
+        for v, bit, c in self._scan:
             m = masks[v.index]
-            bit = bits[v.index]
             if m & bit:
                 if m == bit:
-                    lb += coef_of[v.index]
+                    lb += c
                 else:
-                    free_sum += coef_of[v.index]
-                    free_count += 1
-        return [lb, free_sum, free_count]
+                    free_sum += c
+        return [lb, free_sum]
 
     def reset(self, state: DomainState) -> None:
-        """Tally the weighted fixed / free aggregates."""
+        """Tally the fixed and candidate coefficient sums."""
         self._c = self._tally(state)
         self._stamp = -1
 
@@ -894,8 +622,8 @@ class WeightedCountEq(Propagator):
         """Classify the delta with two bit probes; O(1)."""
         bit = self._bits[idx]
         if not old & bit:
-            return False
-        if new == bit:
+            return False  # `value` was already gone — nothing we track changed
+        if new == bit:  # candidate became fixed to `value`
             c = self._c
             if self._stamp != state._stamp:
                 self._stamp = state._stamp
@@ -903,37 +631,36 @@ class WeightedCountEq(Propagator):
             coef = self._coef_of[idx]
             c[0] += coef
             c[1] -= coef
-            c[2] -= 1
-        elif not new & bit:
+        elif not new & bit:  # candidate lost `value`
             c = self._c
             if self._stamp != state._stamp:
                 self._stamp = state._stamp
                 state._undo.append((c, None, tuple(c)))
             c[1] -= self._coef_of[idx]
-            c[2] -= 1
         else:
             return False  # still an open candidate: nothing we track changed
         lb = c[0]
-        total = self.total
-        if c[2] and self._cmax <= total - lb and self._cmax <= lb + c[1] - total:
+        if lb <= self._lb_max and lb + c[1] >= self._reach_min:
             return False  # no variable can be forced either way yet
         return None
 
     def explain_event(self, state: DomainState, trail, pos: int):
-        """Same shape as :meth:`CountEq.explain_event`: tight forcings
-        blame the lost set, saturated removals the fixed set."""
+        """A var forced *to* ``value`` is explained by the set that lost
+        it (without it the count falls short); a var that lost ``value``
+        by the set fixed to it (taking it would overshoot)."""
         idx, _old, new, _ev = state.events[pos]
         bit = self._bits.get(idx)
         if bit is None:
             return None
-        pos_of = trail.pos_of
-        tail = (self.value, False) if new == bit else (
-            (self.value, True) if not new & bit else None
-        )
-        if tail is None:
+        if new == bit:
+            tail = (self.value, False)
+        elif not new & bit:
+            tail = (self.value, True)
+        else:
             return None
+        pos_of = trail.pos_of
         out = []
-        for v in self._watched:
+        for v, _bit, _c in self._scan:
             if v.index == idx:
                 continue
             lit = (v.index,) + tail
@@ -944,60 +671,66 @@ class WeightedCountEq(Propagator):
 
     def explain_failure(self, state: DomainState, trail):
         """Overshoot blames the fixed set, undershoot the lost set."""
+        lb, free_sum = self._tally(state)
         masks = state.masks
-        bits = self._bits
-        coef_of = self._coef_of
-        lb = lost_sum = 0
-        for v in self._watched:
-            m = masks[v.index]
-            bit = bits[v.index]
-            if m == bit:
-                lb += coef_of[v.index]
-            elif not m & bit:
-                lost_sum += coef_of[v.index]
-        allsum = sum(coef_of.values())
         if lb > self.total:
-            keep = lambda m, bit: m == bit  # noqa: E731 - tiny local pred
             tail = (self.value, True)
-        elif allsum - lost_sum < self.total:
-            keep = lambda m, bit: not m & bit  # noqa: E731
+            blamed = [v for v, bit, _ in self._scan if masks[v.index] == bit]
+        elif lb + free_sum < self.total:
             tail = (self.value, False)
+            blamed = [v for v, bit, _ in self._scan if not masks[v.index] & bit]
         else:
             return None
         pos_of = trail.pos_of
-        return [
-            (v.index,) + tail
-            for v in self._watched
-            if keep(masks[v.index], bits[v.index])
-            and ((v.index,) + tail) in pos_of
-        ]
+        lits = [(v.index,) + tail for v in blamed]
+        return [lit for lit in lits if lit in pos_of]
 
     def propagate(self, state: DomainState) -> int:
-        """O(1) bound checks; per-variable scan + local fixpoint only
-        when some coefficient could overshoot or be required."""
-        lb, free_sum, free_count = (
-            self._c if self.incremental else self._tally(state)
-        )
+        """O(1) bound checks; one forcing scan when saturated or tight
+        (after which the count is decided and the constraint entailed),
+        and the per-variable scan + local fixpoint only when some
+        coefficient could overshoot or be required."""
+        lb, free_sum = self._c if self.incremental else self._tally(state)
         total = self.total
         if lb > total or lb + free_sum < total:
             return PROP_FAIL
-        if free_count == 0:
+        if not free_sum:
             return PROP_ENTAILED
-        if self._cmax <= total - lb and self._cmax <= lb + free_sum - total:
-            return PROP_OK
+        if lb <= self._lb_max and lb + free_sum >= self._reach_min:
+            return PROP_OK  # no single variable can be forced either way
         value = self.value
         masks = state.masks
-        bits = self._bits
-        free = []
-        for v in self._watched:
-            m = masks[v.index]
-            bit = bits[v.index]
-            if m & bit and m != bit:
-                free.append((v, self._coef_of[v.index], bit))
+        # `free_sum` sums the candidates the forcing scans touch; they stop
+        # once all are handled (removals only mutate the candidate itself,
+        # so the sum stays exact mid-scan)
+        if lb == total:  # saturated: no candidate may take `value`
+            for v, bit, c in self._scan:
+                m = masks[v.index]
+                if m & bit and m != bit:
+                    if not state.remove_value(v, value):
+                        return PROP_FAIL
+                    free_sum -= c
+                    if not free_sum:
+                        break
+            return PROP_ENTAILED
+        if lb + free_sum == total:  # tight: every candidate must take it
+            for v, bit, c in self._scan:
+                m = masks[v.index]
+                if m & bit and m != bit:
+                    if not state.assign(v, value):
+                        return PROP_FAIL
+                    free_sum -= c
+                    if not free_sum:
+                        break
+            return PROP_ENTAILED
+        free = [
+            (v, bit, c) for v, bit, c in self._scan
+            if masks[v.index] & bit and masks[v.index] != bit
+        ]
         # local fixpoint; self._c is updated by the engine's event dispatch
         while True:
             changed = False
-            for v, c, bit in free:
+            for v, bit, c in free:
                 m = masks[v.index]
                 if not m & bit or m == bit:
                     continue
@@ -1005,19 +738,31 @@ class WeightedCountEq(Propagator):
                     if not state.remove_value(v, value):
                         return PROP_FAIL
                     free_sum -= c
-                    free_count -= 1
                     changed = True
                 elif lb + free_sum - c < total:  # dropping it would undershoot
                     if not state.assign(v, value):
                         return PROP_FAIL
                     lb += c
                     free_sum -= c
-                    free_count -= 1
                     changed = True
             if lb > total or lb + free_sum < total:
                 return PROP_FAIL
             if not changed:
-                return PROP_ENTAILED if free_count == 0 else PROP_OK
+                return PROP_OK if free_sum else PROP_ENTAILED
+
+
+class CountEq(WeightedCountEq):
+    """Exactly ``total`` variables take ``value`` (paper (9)): the
+    unit-coefficient :class:`WeightedCountEq`, so a repeated variable
+    counts once per occurrence."""
+
+    __slots__ = ()
+
+    def __init__(self, vars: Sequence[Variable], value: int, total: int) -> None:
+        vars = tuple(vars)
+        if not vars:
+            raise ValueError("CountEq over no variables")
+        super().__init__(vars, (1,) * len(vars), value, total)
 
 
 class AllDifferentExceptValue(Propagator):

@@ -10,10 +10,10 @@ One binary variable ``x_{i,j}(t)`` per (task, processor, slot) meaning
   real variables);
 * (3)  per (processor, slot): at most one task;
 * (4)  per (task, slot): at most one processor;
-* (5)  per (task, window): exactly ``C_i`` units — or the weighted variant
-  (11) ``sum s_{i,j} x_{i,j}(t) = C_i`` on non-identical platforms, with
-  ``s_{i,j} = 0`` pairs excluded from variable creation (their domain is
-  ``{0}`` in the paper's Section VI-A).
+* (5)/(11)  per (task, window): ``sum s_{i,j} x_{i,j}(t) = C_i``, which
+  is (5) "exactly ``C_i`` units" on identical platforms (every rate 1),
+  with ``s_{i,j} = 0`` pairs excluded from variable creation (their
+  domain is ``{0}`` in the paper's Section VI-A).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.csp.core import Model, Variable
-from repro.csp.propagators import AtMostOneTrue, ExactSumBool, WeightedExactSumBool
+from repro.csp.propagators import AtMostOneTrue, WeightedExactSumBool
 from repro.model import intervals
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
@@ -76,7 +76,6 @@ def encode_csp1(system: TaskSystem, platform: Platform) -> Csp1Encoding:
     m = platform.m
     n = system.n
     rates = platform.rate_matrix(n).tolist()
-    identical = platform.is_identical
 
     model = Model()
     bool_var = model.bool_var
@@ -108,7 +107,7 @@ def encode_csp1(system: TaskSystem, platform: Platform) -> Csp1Encoding:
             slots = intervals.window_slots(task, T, job)
             windows.append((
                 [v for t in slots for v in at_slot[t]],
-                [] if identical else [c for _ in slots for c in coefs],
+                coefs * len(slots),
                 task.wcet,
             ))
 
@@ -121,11 +120,9 @@ def encode_csp1(system: TaskSystem, platform: Platform) -> Csp1Encoding:
     for group in per_task_slot:
         if len(group) > 1:
             add(AtMostOneTrue(group))
-    # (5)/(11): exactly C_i per availability window
+    # (5)/(11): exactly C_i per availability window (all rates are 1 on
+    # identical platforms, where (11) is (5))
     for wvars, wcoefs, C in windows:
-        if identical:
-            add(ExactSumBool(wvars, C))
-        else:
-            add(WeightedExactSumBool(wvars, wcoefs, C))
+        add(WeightedExactSumBool(wvars, wcoefs, C))
 
     return Csp1Encoding(system=system, platform=platform, model=model, vars=vars)

@@ -13,7 +13,8 @@ Constraints:
   ``s_{i,j} > 0`` — Section VI-A's domain change);
 * (8)  per slot: all-different-except-idle across processors;
 * (9)/(12)  per (task, window): exactly ``C_i`` slot-units with value
-  ``i``, weighted by ``s_{i,j}`` when non-identical.
+  ``i``, weighted by ``s_{i,j}`` (every rate is 1 on identical platforms,
+  where (12) is (9)).
 
 Search-strategy ingredients (Section V-C) are expressed on top of the
 generic engine:
@@ -38,7 +39,6 @@ import numpy as np
 from repro.csp.core import Model, Variable
 from repro.csp.propagators import (
     AllDifferentExceptValue,
-    CountEq,
     NonDecreasing,
     WeightedCountEq,
 )
@@ -135,8 +135,8 @@ def encode_csp2(
         for row in slot_vars:
             add(AllDifferentExceptValue(row, idle))
 
-    # (9)/(12): exactly C_i units per window
-    identical = platform.is_identical
+    # (9)/(12): exactly C_i units per window (all rates are 1 on identical
+    # platforms, where (12) is (9))
     for i in range(n):
         task = system[i]
         C = task.wcet
@@ -145,10 +145,7 @@ def encode_csp2(
         for job in range(system.n_jobs(i)):
             slots = intervals.window_slots(task, T, job)
             wvars = [vars[(j, t)] for t in slots for j in procs]
-            if identical:
-                add(CountEq(wvars, i, C))
-            else:
-                add(WeightedCountEq(wvars, [c for _ in slots for c in coefs], i, C))
+            add(WeightedCountEq(wvars, coefs * len(slots), i, C))
 
     # (10)/(13): symmetry chains over identical processor groups
     if symmetry_breaking and m > 1:

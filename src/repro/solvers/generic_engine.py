@@ -213,8 +213,9 @@ def csp2_engine(
     capabilities=(PROVES_INFEASIBILITY, EXACT),
     suffixes={
         "dom_deg": "Same encoding, dom/deg variable ordering (ablation)",
-        "input": "Same encoding, input-order variables (ablation; close to "
-        "naive chronological enumeration)",
+        "input": "Same encoding, input-order variables: the unseeded csp1 "
+        "search (every variable is 0/1, so min-domain with no random "
+        "tie-break already branches in input order), kept as a named ablation",
         "learn": "Same encoding on the conflict-directed engine: 1-UIP "
         "nogood learning, backjumping, dom/wdeg + last-conflict ordering, "
         "phase saving — the infeasibility prover of the family",

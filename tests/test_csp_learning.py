@@ -427,16 +427,13 @@ class TestLearningSearch:
 def _semantics(c, vals):
     if isinstance(c, AtMostOneTrue):
         return sum(vals[v.index] for v in c.vars) <= 1
+    # ExactSumBool and CountEq are the unit-coefficient weighted classes
     if isinstance(c, WeightedExactSumBool):
         return sum(k * vals[v.index] for v, k in zip(c.vars, c.coefs)) == c.total
-    if isinstance(c, ExactSumBool):
-        return sum(vals[v.index] for v in c.vars) == c.total
     if isinstance(c, WeightedCountEq):
         return sum(
             k for v, k in zip(c.vars, c.coefs) if vals[v.index] == c.value
         ) == c.total
-    if isinstance(c, CountEq):
-        return sum(1 for v in c.vars if vals[v.index] == c.value) == c.total
     if isinstance(c, AllDifferentExceptValue):
         seen = set()
         for v in c.vars:

@@ -45,17 +45,14 @@ def satisfies(constraint, values: dict) -> bool:
     vals = [values[v] for v in constraint.vars]
     if isinstance(constraint, AtMostOneTrue):
         return sum(vals) <= 1
+    # ExactSumBool and CountEq are the unit-coefficient weighted classes
     if isinstance(constraint, WeightedExactSumBool):
         return sum(c * x for c, x in zip(constraint.coefs, vals)) == constraint.total
-    if isinstance(constraint, ExactSumBool):
-        return sum(vals) == constraint.total
     if isinstance(constraint, WeightedCountEq):
         return (
             sum(c for c, x in zip(constraint.coefs, vals) if x == constraint.value)
             == constraint.total
         )
-    if isinstance(constraint, CountEq):
-        return vals.count(constraint.value) == constraint.total
     if isinstance(constraint, AllDifferentExceptValue):
         seen = set()
         for x in vals:
@@ -70,6 +67,24 @@ def satisfies(constraint, values: dict) -> bool:
     if isinstance(constraint, Table):
         return tuple(vals) in constraint.tuples
     raise TypeError(f"no oracle for {type(constraint).__name__}")
+
+
+def assert_prunes_alike(model, constraint, reference):
+    """``constraint`` and ``reference`` give the same verdict and domains
+    from every box of sub-domains of ``model``'s (at most 3) values."""
+    vs = model.variables
+    boxes = [
+        [mask for mask in range(1, v.initial_mask + 1) if not mask & ~v.initial_mask]
+        for v in vs
+    ]
+    for box in itertools.product(*boxes):
+        outcomes = []
+        for c in (constraint, reference):
+            s = DomainState(model)
+            for v, mask in zip(vs, box):
+                s.intersect_mask(v, mask)
+            outcomes.append((bool(run(c, s)), [s.mask(v) for v in vs]))
+        assert outcomes[0] == outcomes[1], box
 
 
 class TestAtMostOneTrue:
@@ -207,11 +222,21 @@ class TestWeightedExactSumBool:
         with pytest.raises(ValueError):
             WeightedExactSumBool([a], [1], -2)
 
-    def test_rejects_duplicate_variables(self):
+    def test_repeated_variable_merges(self):
+        # a, a, b with 1, 2, 1 is 3a + b == 3, from every partial assignment
+        m = Model()
+        a, b = m.bool_var("a"), m.bool_var("b")
+        merged = WeightedExactSumBool([a, a, b], [1, 2, 1], 3)
+        assert merged.vars == (a, b) and merged.coefs == (3, 1)
+        assert [sub[0] for sub in merged.watches()] == [a, b]
+        assert_prunes_alike(m, merged, WeightedExactSumBool([a, b], [3, 1], 3))
+
+    def test_unit_repeat_counts_each_occurrence(self):
         m = Model()
         a = m.bool_var("a")
-        with pytest.raises(ValueError):
-            WeightedExactSumBool([a, a], [1, 2], 2)
+        s = DomainState(m)
+        assert run(ExactSumBool([a, a], 2), s) == PROP_ENTAILED
+        assert s.value(a) == 1
 
     def test_fully_decided_entailed(self):
         m = Model()
@@ -306,11 +331,21 @@ class TestWeightedCountEq:
         s = DomainState(m)
         assert not run(WeightedCountEq(vs, [2], 1, 3), s)
 
-    def test_rejects_duplicate_variables(self):
+    def test_repeated_variable_merges(self):
+        # v, v, w with 1, 2, 1 counts 3 per v == 1 and 1 per w == 1
         m = Model()
-        v = m.int_var(0, 1)
-        with pytest.raises(ValueError):
-            WeightedCountEq([v, v], [1, 1], 1, 1)
+        v, w = m.int_var(0, 2, "v"), m.int_var(0, 2, "w")
+        merged = WeightedCountEq([v, w, v], [1, 1, 2], 1, 3)
+        assert merged.vars == (v, w) and merged.coefs == (3, 1)
+        assert [sub[0] for sub in merged.watches()] == [v, w]
+        assert_prunes_alike(m, merged, WeightedCountEq([v, w], [3, 1], 1, 3))
+
+    def test_unit_repeat_counts_each_occurrence(self):
+        m = Model()
+        v = m.int_var(0, 2)
+        s = DomainState(m)
+        assert run(CountEq([v, v], 1, 2), s) == PROP_ENTAILED
+        assert s.value(v) == 1
 
 
 class TestAllDifferentExceptValue:
@@ -486,6 +521,32 @@ class TestIncrementalCounters:
         vs = [m.bool_var() for _ in range(4)]
         inc = WeightedExactSumBool(vs, [1, 2, 3, 4], 5)
         ref = WeightedExactSumBool(vs, [1, 2, 3, 4], 5)
+        s = DomainState(m)
+        if not self._drive(inc, s, [(vs[i], val) for i, val in ops]):
+            return
+        ref.reset(s)
+        assert inc._c == ref._c
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=8))
+    def test_weighted_sum_repeated_counters_match_reset(self, ops):
+        m = Model()
+        vs = [m.bool_var() for _ in range(4)]
+        row = vs + [vs[1], vs[1]]  # v1 three times: one entry, coefficient 2+4+1
+        inc = WeightedExactSumBool(row, [1, 2, 3, 4, 4, 1], 9)
+        ref = WeightedExactSumBool(vs, [1, 7, 3, 4], 9)
+        s = DomainState(m)
+        if not self._drive(inc, s, [(vs[i], val) for i, val in ops]):
+            return
+        ref.reset(s)
+        assert inc._c == ref._c
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
+    def test_weighted_count_repeated_counters_match_reset(self, ops):
+        m = Model()
+        vs = [m.int_var(0, 3) for _ in range(3)] + [m.int_var(3, 5)]
+        row = [vs[2], vs[0], vs[3], vs[2], vs[1], vs[3]]  # v2 and v3 twice
+        inc = WeightedCountEq(row, [1, 2, 3, 4, 2, 1], 2, 5)
+        ref = WeightedCountEq(vs[:3], [2, 2, 5], 2, 5)
         s = DomainState(m)
         if not self._drive(inc, s, [(vs[i], val) for i, val in ops]):
             return

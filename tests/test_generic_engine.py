@@ -232,3 +232,21 @@ def test_report_matches_the_separate_adapters(name, options):
     got = {spec: _pinned(name, options, spec) for spec in SPECS}
     assert got == PINS[(name, options)]
 
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_csp1_input_is_the_unseeded_csp1_search(spec):
+    """Every CSP1 variable is 0/1, so min-domain with no random
+    tie-break already branches in input order: ``csp1+input`` runs the
+    search of ``csp1`` with ``seed=None``."""
+    system, platform = _instance(spec)
+    got = []
+    for name, seed in (("csp1+input", SEED), ("csp1", None)):
+        problem = Problem.of(
+            system, platform=platform, node_limit=NODE_LIMIT, seed=seed
+        )
+        doc = solve_problem(problem, name).to_dict()
+        stats = doc["stats"]
+        got.append(
+            (doc["status"], stats["nodes"], stats["fails"], stats["propagations"])
+        )
+    assert got[0] == got[1]
