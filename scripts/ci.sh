@@ -35,7 +35,7 @@ python scripts/solvers_md.py --check
 echo "== bench-collect: the paper-table benchmarks still import and collect =="
 python -m pytest -q --collect-only benchmarks/bench_*.py
 
-echo "== kernel-parity: kernels byte-identical to their references, engine wiring equal to its reference builder, the one counting propagator per paper constraint, engine, csp2 and certificate pins hold, bin tests equal simulation, csp2 search stacks, GC traffic and failed-state memo =="
+echo "== kernel-parity: kernels byte-identical to their references, verdict-only bin simulations equal full runs, engine wiring equal to its reference builder, the one counting propagator per paper constraint, engine, csp2 (n = 256 Table IV scale included) and certificate pins hold, bin tests equal simulation, csp2 slot windows, search stacks, O(n) solver memory, GC traffic and failed-state memo =="
 python -m pytest -q tests/test_kernel_parity.py tests/test_engine_wiring.py tests/test_csp_propagators.py tests/test_engine_regression.py \
     tests/test_csp2_regression.py tests/test_partitioned.py tests/test_csp2_dedicated_unit.py tests/test_csp2_gc.py tests/test_csp2_memo.py
 

@@ -98,8 +98,11 @@ def _bound_verdict(
 
 
 def _simulate_bin(tasks: list[Task], max_cycles: int) -> bool:
-    """The uniprocessor EDF simulation of one bin (a proof both ways)."""
-    sim = global_edf(TaskSystem(tasks), 1, max_cycles=max_cycles)
+    """The uniprocessor EDF simulation of one bin (a proof both ways),
+    run for its verdict alone."""
+    sim = global_edf(
+        TaskSystem(tasks), 1, max_cycles=max_cycles, keep_schedule=False
+    )
     if sim.schedulable is None:
         raise RuntimeError(
             "uniprocessor simulation did not converge; raise max_cycles"

@@ -15,12 +15,15 @@ __all__ = [
 ]
 
 
-def global_edf(system: TaskSystem, m: int, max_cycles: int = 64) -> SimulationResult:
+def global_edf(
+    system: TaskSystem, m: int, max_cycles: int = 64, keep_schedule: bool = True
+) -> SimulationResult:
     """Global preemptive EDF: earliest absolute deadline first.
 
     Job-level fixed priority; ties break by task index (deterministic).
     The key is static (release data only), so the simulation runs on the
-    block-stepping kernel.
+    block-stepping kernel.  ``keep_schedule=False`` returns the verdict
+    without a schedule (see :func:`simulate_priority_policy`).
     """
     return simulate_priority_policy(
         system,
@@ -28,6 +31,7 @@ def global_edf(system: TaskSystem, m: int, max_cycles: int = 64) -> SimulationRe
         priority=lambda i, rel, dl, rem: (dl, i),
         max_cycles=max_cycles,
         static_key=("edf", None),
+        keep_schedule=keep_schedule,
     )
 
 

@@ -68,6 +68,7 @@ def simulate_priority_policy(
     priority: PriorityKey,
     max_cycles: int = 64,
     static_key: tuple | None = None,
+    keep_schedule: bool = True,
 ) -> SimulationResult:
     """Simulate a global preemptive priority policy until decisive.
 
@@ -91,6 +92,9 @@ def simulate_priority_policy(
         describe the same order ``priority`` computes — the results are
         byte-identical, only faster (pinned by the kernel parity suite).
         None (default) runs the slot-by-slot loop below.
+    keep_schedule:
+        False when only the verdict matters: ``schedule`` is then always
+        None, and the block-stepping kernel writes no history.
     """
     if not system.is_constrained:
         raise ValueError("simulation requires constrained deadlines (clone first)")
@@ -111,6 +115,7 @@ def simulate_priority_policy(
             rank=rank,
             max_cycles=max_cycles,
             idle=IDLE,
+            keep_history=keep_schedule,
         )
         return SimulationResult(
             schedulable=schedulable,
@@ -118,7 +123,7 @@ def simulate_priority_policy(
             cycles_simulated=cycles,
             schedule=(
                 Schedule(system, Platform.identical(m), history)
-                if schedulable
+                if schedulable and keep_schedule
                 else None
             ),
         )
@@ -149,12 +154,15 @@ def simulate_priority_policy(
                 (c[2], c[0] - t) if c is not None else None for c in current
             )
             if state == prev_state:
-                sched = Schedule(system, Platform.identical(m), history)
                 return SimulationResult(
                     schedulable=True,
                     missed=None,
                     cycles_simulated=t // T,
-                    schedule=sched,
+                    schedule=(
+                        Schedule(system, Platform.identical(m), history)
+                        if keep_schedule
+                        else None
+                    ),
                 )
             prev_state = state
         if t == horizon:

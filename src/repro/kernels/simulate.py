@@ -66,6 +66,7 @@ def simulate_static(
     rank: Sequence[int] | None = None,
     max_cycles: int = 64,
     idle: int = -1,
+    keep_history: bool = True,
 ):
     """Run the block-stepping simulation until decisive.
 
@@ -75,7 +76,9 @@ def simulate_static(
     simulated hyperperiod, the repeating cycle), False on the first
     deadline miss (``missed`` is the scalar loop's first-by-task-index
     ``(task, release, deadline)``), None when ``max_cycles``
-    hyperperiods past the largest offset pass without either.
+    hyperperiods past the largest offset pass without either.  With
+    ``keep_history`` False no history is written and ``history`` is
+    None: the verdict alone, for callers that discard the schedule.
     """
     if key == STATIC_RANK:
         if rank is None:
@@ -93,7 +96,7 @@ def simulate_static(
     remaining = [0] * n  # 0 = no active job
     next_release = list(offsets)
 
-    history = [[idle] * T for _ in range(m)]
+    history = [[idle] * T for _ in range(m)] if keep_history else None
     prev_state: tuple | None = None
     #: the standing priority queue of active jobs, sorted by static key
     #: — maintained incrementally (insort on release, filter on
@@ -161,7 +164,8 @@ def simulate_static(
                 r = remaining[i]
                 if r < delta:
                     delta = r
-            _fill_block(history, running, t % T, delta, idle)
+            if keep_history:
+                _fill_block(history, running, t % T, delta, idle)
             completed = False
             for i in running:
                 left = remaining[i] - delta
@@ -172,7 +176,8 @@ def simulate_static(
             if completed:
                 queue = [e for e in queue if remaining[e[1]]]
                 if not queue and t < window_end:
-                    _fill_block(history, [], t % T, window_end - t, idle)
+                    if keep_history:
+                        _fill_block(history, [], t % T, window_end - t, idle)
                     t = window_end
 
         # miss check: remaining work at (or past) the absolute deadline.

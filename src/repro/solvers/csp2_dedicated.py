@@ -34,19 +34,21 @@ idle rule is dropped (idling can beat running on a slow processor, so the
 exchange argument fails), and symmetry rule (13) applies within maximal
 groups of identical processors only.
 
-The active windows are stepped by release events into a slot table,
-``_slots[t] = (t, frags)``.  ``frags`` holds the window *fragments*
-active at ``t`` as ``(r, target, fragment end, slots in later
-fragments)``; a window wrapping past ``T - 1`` is two fragments, its
-tail at the start of the scan and then its head.  Slot ``t + 1`` is slot
-``t`` minus the fragments that ended plus those a release calendar books
-at ``t + 1``; "slots left" is one subtraction.  The table grows by a
-slot when the search first reaches its end and is kept for later solves.
+Slot ``t``'s open windows follow from ``t`` by arithmetic over one row
+per task, built once: with ``o = (t - phase) mod P``, task ``i`` is
+closed at ``t`` when ``o >= D``, and otherwise its window was released
+at ``start = t - o``.  A window wrapping past ``T - 1`` is scanned as
+its tail at the start of the cycle (``start < 0``, slots left ``D - t``:
+the rest of the tail plus the whole head) and its head at the end
+(``start + D > T``, slots left ``T - t``); any other window is job
+``(t - phase) // P`` with ``D - o`` slots left, slot ``t`` included.
+Nothing is tabled per slot: besides the per-depth stacks below, a dive
+holds O(n) window data however deep it goes.
 
 The search state is one int list ``done`` of length ``2n``:
 ``done[i]`` counts the units task ``i``'s in-scan windows have run so
 far (in rate units on a non-identical platform), and ``done[n + i]``
-those of its wrapped window.  A fragment's ``r`` is ``i`` or ``n + i``
+those of its wrapped window.  A window's ``r`` is ``i`` or ``n + i``
 accordingly, and its ``target`` is ``(job + 1) * wcet`` or ``wcet``, so
 its window's remaining demand is ``target - done[r]``.
 
@@ -136,16 +138,13 @@ class Csp2DedicatedSolver:
         n = system.n
         self._T = system.hyperperiod
         self._m = platform.m
-        self._phase = [t.phase for t in system]
-        self._period = [t.period for t in system]
-        self._deadline = [t.deadline for t in system]
-        self._wcet = [t.wcet for t in system]
-        #: tasks with work to place; windows of the others never matter
-        self._busy = [i for i in range(n) if self._wcet[i] > 0]
-        #: the slots built so far, and the release calendar (slot ->
-        #: tasks releasing there) of the slots not built yet
-        self._slots: list[tuple] = []
-        self._calendar: dict[int, list[int]] = {}
+        #: ``(i, phase, period, deadline, wcet)`` per task with work to
+        #: place (the windows of the others never matter): slot ``t``'s
+        #: windows follow from these by arithmetic (:meth:`_windows`)
+        self._rows = [
+            (i, task.phase, task.period, task.deadline, task.wcet)
+            for i, task in enumerate(system) if task.wcet > 0
+        ]
         # heuristic rank: lower = try first
         order = task_order(system, heuristic)
         rank = [0] * n
@@ -175,46 +174,31 @@ class Csp2DedicatedSolver:
             # tasks runnable on few processors get priority (Section VI-A)
             eligible_count = (rates > 0).sum(axis=1)
             rank = [(int(eligible_count[i]), rank[i]) for i in range(n)]
-        # indexed by a fragment's r: task r % n's rank and best rate
+        # indexed by a window's r: task r % n's rank and best rate
         self._rank = rank + rank
         self._max_rate = max_rate + max_rate
 
-    # -- window fragments, stepped by release events ----------------------------
-    def _grow_slots(self) -> None:
-        """Append the next slot to the table.
+    # -- the windows open at a slot, by arithmetic ----------------------------
+    def _windows(self, t: int) -> list[tuple[int, int, int]]:
+        """``(r, target, slots left)`` of every window open at slot ``t``,
+        in task order; slots left counts ``t`` and the scan slots after
+        it (a wrapped window's tail also counts its head).
 
-        Slot 0 holds the tails of the wrapped windows; every slot then
-        keeps the previous one's open fragments and adds the heads of the
-        windows released there, booking each releasing task's next
-        release in the calendar.
+        ``_search_identical`` inlines this loop.
         """
-        slots = self._slots
-        t = len(slots)
-        n = self.system.n
-        T = self._T
-        period, phase = self._period, self._phase
-        deadline, wcet = self._deadline, self._wcet
-        calendar = self._calendar
-        if t == 0:
-            frags = []
-            for i in self._busy:
-                calendar.setdefault(phase[i], []).append(i)
-                release = phase[i] + (T // period[i] - 1) * period[i]
-                end = release + deadline[i] - 1
-                if end >= T:
-                    frags.append((n + i, wcet[i], end - T, T - release))
-        else:
-            frags = [f for f in slots[t - 1][1] if f[2] >= t]
-        for i in calendar.pop(t, ()):
-            if t + period[i] < T:
-                calendar.setdefault(t + period[i], []).append(i)
-            end = t + deadline[i] - 1
-            if end < T:
-                job = (t - phase[i]) // period[i]
-                frags.append((i, (job + 1) * wcet[i], end, 0))
-            else:  # the head of the wrapped window
-                frags.append((n + i, wcet[i], T - 1, 0))
-        slots.append((t, tuple(frags)))
+        n, T = self.system.n, self._T
+        windows = []
+        for i, phase, period, deadline, wcet in self._rows:
+            o = (t - phase) % period  # slots since the window's release
+            if o < deadline:
+                if t < o:  # the wrapped window's tail
+                    windows.append((n + i, wcet, deadline - t))
+                elif deadline - o > T - t:  # its head
+                    windows.append((n + i, wcet, T - t))
+                else:
+                    job = (t - phase) // period
+                    windows.append((i, (job + 1) * wcet, deadline - o))
+        return windows
 
     # -- public API -----------------------------------------------------------
     def solve(
@@ -245,8 +229,8 @@ class Csp2DedicatedSolver:
             )
 
         # cheap necessary conditions (identical: one unit per slot max)
-        for i in range(self.system.n):
-            if self._wcet[i] > self._deadline[i] * self._max_rate[i]:
+        for i, task in enumerate(self.system):
+            if task.wcet > task.deadline * self._max_rate[i]:
                 return result(Feasibility.INFEASIBLE)
 
         if self._identical:
@@ -254,46 +238,19 @@ class Csp2DedicatedSolver:
         return self._search_general(deadline, stats, node_limit, result)
 
     # -- identical platforms: one depth per slot, choices are task sets --------
-    def _scan(self, t: int, done: list[int]) -> tuple[list[int], list[int]] | None:
-        """(required, optional) windows ``r`` at slot ``t``, from one pass
-        over its fragments; None = dead end."""
-        pruning = self.demand_pruning
-        required: list[int] = []
-        optional: list[int] = []
-        for r, target, end, later in self._slots[t][1]:
-            rem = target - done[r]
-            if rem:
-                left = end - t + 1 + later  # includes slot t
-                if rem < left or not (pruning or left == 1):
-                    # without demand pruning only the window's last slot
-                    # decides (constraint (9) itself)
-                    optional.append(r)
-                elif rem == left:
-                    required.append(r)
-                else:
-                    return None
-        return required, optional
-
     def _selections(self, required: list[int], optional: list[int]):
-        """What a slot with this scan can run: None if nothing (more
-        required tasks than processors), the one selection as a tuple when
-        there is only one, else a lazy iterator of selections.
+        """A lazy iterator of what a slot can run when its scan leaves
+        more than one selection (the dive takes a single selection itself):
+        every required window plus as many optional ones as processors
+        are free, or also fewer without the idle rule.
 
         With symmetry breaking a selection is a set of windows ``r``, in
         no particular order (the schedule puts it on processors in
         ascending task order); without it, every processor order of each
         set in turn, from ascending task order on.
         """
-        free = self._m - len(required)
-        if free < 0:
-            return None
-        if self.symmetry_breaking:
-            if free == 0 or not optional:
-                return tuple(required)
-            if self.idle_rule and free >= len(optional):
-                return tuple(required + optional)
         optional = sorted(optional, key=self._rank.__getitem__)
-        take = min(free, len(optional))
+        take = min(self._m - len(required), len(optional))
         if self.idle_rule:
             combos = combinations(optional, take)
         else:
@@ -309,14 +266,19 @@ class Csp2DedicatedSolver:
         )
 
     def _search_identical(self, deadline, stats, node_limit, result) -> SolveResult:
+        n = self.system.n
         T = self._T
         m = self._m
-        slots = self._slots
+        rows = self._rows
+        pruning = self.demand_pruning
+        symmetric = self.symmetry_breaking
+        fill = symmetric and self.idle_rule  # all optional windows fit: one choice
         energetic = self.energetic_pruning
-        done = [0] * (2 * self.system.n)
+        done = [0] * (2 * n)
         total_rem = self.system.total_demand()
         path: list = []     # the selection applied at slot d, or None
-        pending: list = []  # what slot d has left to try (see _selections)
+        pending: list = []  # what slot d has left to try (a tuple, an
+        # iterator from _selections, or None once nothing is left)
         failed: set[tuple] = set()  # keys (t, *done) of failed slot entries
         room = MEMO_CELLS // (len(done) + 1)  # keys the memo may still take
         hits = 0
@@ -324,23 +286,56 @@ class Csp2DedicatedSolver:
         check_tick = 0
         t = 0  # the slot to expand
         while True:
-            if t == len(slots):
-                self._grow_slots()
+            ok = False
             if t < reached and (t, *done) in failed:
                 hits += 1
-                scan = None
-            elif energetic and total_rem > m * (T - t):
-                scan = None
-            else:
-                scan = self._scan(t, done)
-            if scan is not None:
+            elif not (energetic and total_rem > m * (T - t)):
+                # the scan: slot t's windows as in _windows, each with
+                # rem units left and `left` slots left (t included)
+                required = []
+                optional = []
+                for i, phase, period, dl, wcet in rows:
+                    o = (t - phase) % period
+                    if o < dl:
+                        left = dl - o
+                        if t < o:  # a wrapped window's tail
+                            r = n + i
+                            rem = wcet - done[r]
+                            left = dl - t
+                        elif left > T - t:  # its head
+                            r = n + i
+                            rem = wcet - done[r]
+                            left = T - t
+                        else:
+                            r = i
+                            rem = (t - phase) // period * wcet + wcet - done[i]
+                        if rem:
+                            if rem < left or not (pruning or left == 1):
+                                # without demand pruning only the window's
+                                # last slot decides (constraint (9) itself)
+                                optional.append(r)
+                            elif rem == left:
+                                required.append(r)
+                            else:
+                                break
+                else:
+                    ok = True
+            if ok:
                 if t == reached:
                     reached += 1
-                todo = self._selections(*scan)
-                if todo is None and path:
+                free = m - len(required)
+                if free < 0:
                     # more required tasks than processors: a dead end too,
                     # pushed all the same so the memo records its state
-                    stats.fails += 1
+                    todo = None
+                    if path:
+                        stats.fails += 1
+                elif symmetric and (free == 0 or not optional):
+                    todo = tuple(required)
+                elif fill and free >= len(optional):
+                    todo = tuple(required + optional)
+                else:
+                    todo = self._selections(required, optional)
                 path.append(None)
                 pending.append(todo)
             elif path:
@@ -401,11 +396,13 @@ class Csp2DedicatedSolver:
 
     # -- uniform/heterogeneous: one depth per (slot, processor) ----------------
     def _proc_candidates(
-        self, t: int, j: int, done: list[int], running, prev_val: int | None,
+        self, windows: list, j: int, done: list[int], running,
+        prev_val: int | None,
     ) -> list[int]:
-        """Values to try for processor ``j`` at slot ``t``, in value
-        order, idle (``2n``) last; a value below ``2n`` is a window ``r``,
-        and ``running`` holds the values already on a processor at ``t``."""
+        """Values to try for processor ``j`` at the slot whose
+        :meth:`_windows` are ``windows``, in value order, idle (``2n``)
+        last; a value below ``2n`` is a window ``r``, and ``running``
+        holds the values already on a processor in the slot."""
         n = self.system.n
         idle = 2 * n
         # symmetry rule (13): within an identical group, ascending task ids
@@ -418,7 +415,7 @@ class Csp2DedicatedSolver:
             prev_val %= n
         rate = self._rate_cols[j]
         cands = [
-            r for r, target, _end, _later in self._slots[t][1]
+            r for r, target, _left in windows
             # exactness: never overshoot the window's remaining demand
             if r % n > prev_val and 0 < rate[r] <= target - done[r]
             and r not in running
@@ -427,14 +424,15 @@ class Csp2DedicatedSolver:
         cands.append(idle)  # always tried last (no idle rule here)
         return cands
 
-    def _slot_entry_ok(self, t: int, done: list[int]) -> bool:
-        """Pruning checks when the search reaches slot ``t``."""
-        if t > 0 and not self._ends_complete(t - 1, done):
-            return False  # a window that ended at t-1 is incomplete
+    def _slot_entry_ok(self, ended: list, windows: list, done: list[int]) -> bool:
+        """Pruning checks when the search reaches a slot: ``windows`` are
+        its :meth:`_windows`, ``ended`` those of the slot before it."""
+        if not self._ends_complete(ended, done):
+            return False  # a window that ended in the slot before is incomplete
         if self.demand_pruning:
             max_rate = self._max_rate
-            for r, target, end, later in self._slots[t][1]:
-                if target - done[r] > (end - t + 1 + later) * max_rate[r]:
+            for r, target, left in windows:
+                if target - done[r] > left * max_rate[r]:
                     return False
         return True
 
@@ -442,7 +440,6 @@ class Csp2DedicatedSolver:
         T = self._T
         m = self._m
         idle = 2 * self.system.n
-        slots = self._slots
         proc_order = self._proc_order
         rate_cols = self._rate_cols
         done = [0] * idle
@@ -457,14 +454,23 @@ class Csp2DedicatedSolver:
         hits = 0
         reached = 0  # depths below this one have had a state pushed
         check_tick = 0
+        win_t = -1  # the slot whose windows `windows` holds
+        windows: list = []
         d = 0  # the depth to expand
         while True:
             t, pos = divmod(d, m)
+            if t != win_t:
+                # entering slot t checks slot t - 1's windows, and its
+                # processors' candidates come from slot t's
+                if win_t == t - 1:
+                    ended = windows
+                else:
+                    ended = self._windows(t - 1) if t else []
+                windows = self._windows(t)
+                win_t = t
             ok = True
             if pos == 0:
-                if t == len(slots):
-                    self._grow_slots()
-                ok = self._slot_entry_ok(t, done) and not (
+                ok = self._slot_entry_ok(ended, windows, done) and not (
                     self.energetic_pruning
                     and total_rem > self._slot_capacity * (T - t)
                 )
@@ -479,7 +485,7 @@ class Csp2DedicatedSolver:
                 if self.symmetry_breaking and pos > 0 and self._same_as_prev[j]:
                     prev_val = path[d - 1]
                 cands = self._proc_candidates(
-                    t, j, done, path[d - pos:d], prev_val
+                    windows, j, done, path[d - pos:d], prev_val
                 )
                 cands.reverse()
                 path.append(None)
@@ -523,24 +529,21 @@ class Csp2DedicatedSolver:
                     break
                 # all slots assigned: windows ending at T-1 must be complete
                 # (earlier windows were checked at their own end slot)
-                if self._ends_complete(T - 1, done):
+                if self._ends_complete(self._windows(T - 1), done):
                     schedule = self._build_general(path)
                     return result(Feasibility.FEASIBLE, schedule, hits, len(failed))
                 stats.fails += 1
             else:
                 return result(Feasibility.INFEASIBLE, None, hits, len(failed))
 
-    def _ends_complete(self, t: int, done: list[int]) -> bool:
-        """Every window whose last slot is ``t`` must be complete.
+    def _ends_complete(self, windows: list, done: list[int]) -> bool:
+        """Every window among a slot's ``windows`` that ends there must be
+        complete.
 
         Checked as the search leaves each slot, and after slot T-1; with
         per-window accounting this means all demand is met.
         """
-        return all(
-            done[r] == target
-            for r, target, end, later in self._slots[t][1]
-            if end == t and later == 0
-        )
+        return all(done[r] == target for r, target, left in windows if left == 1)
 
     def _build_general(self, path: list[int]) -> Schedule:
         n = self.system.n

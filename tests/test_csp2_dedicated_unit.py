@@ -1,10 +1,8 @@
 """White-box unit tests for the dedicated CSP2 solver's internals."""
 
-from collections import namedtuple
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.generator import GeneratorConfig, generate_instance
@@ -20,14 +18,9 @@ def make_solver(system, m=2, **kw):
     return Csp2DedicatedSolver(system, Platform.identical(m), **kw)
 
 
-Slot = namedtuple("Slot", "t active")
-
-
 def slot_at(solver, t):
-    """The solver's slot ``t``, stepped from slot 0 by release events."""
-    while len(solver._slots) <= t:
-        solver._grow_slots()
-    return Slot(*solver._slots[t])
+    """``(r, target, slots left)`` of the windows open at slot ``t``."""
+    return solver._windows(t)
 
 
 def no_units(solver):
@@ -46,60 +39,78 @@ def window_of(system, i, job):
 
 
 def scan(solver, t, done=None):
-    """``(required, optional)`` at slot ``t`` (None = dead end)."""
-    slot_at(solver, t)
-    return solver._scan(t, no_units(solver) if done is None else done)
+    """``(required, optional)`` at slot ``t`` (None = dead end), by the
+    rule the identical dive applies to each window it scans."""
+    done = no_units(solver) if done is None else done
+    required, optional = [], []
+    for r, target, left in slot_at(solver, t):
+        rem = target - done[r]
+        if not rem:
+            continue
+        if rem < left or not (solver.demand_pruning or left == 1):
+            optional.append(r)
+        elif rem == left:
+            required.append(r)
+        else:
+            return None
+    return required, optional
 
 
 def selections(solver, required, optional):
     """Every selection ``_selections`` yields, in order; a symmetric
     selection (a task set) in the ascending order the schedule uses."""
-    todo = solver._selections(required, optional)
-    if todo is None:
-        return []
-    found = [todo] if isinstance(todo, tuple) else list(todo)
+    found = list(solver._selections(required, optional))
     if solver.symmetry_breaking:
         found = [tuple(sorted(c)) for c in found]
     return found
 
 
+task_rows = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2, 3, 4, 6]),  # period
+        st.integers(0, 11),                # offset (phase = offset mod P)
+        st.integers(1, 6),                 # deadline, clipped to the period
+        st.integers(1, 6),                 # wcet, clipped to the deadline
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
 class TestWindowHelpers:
-    @given(
-        st.integers(0, 8),
-        st.sampled_from([1, 2, 3, 4, 6]),
-        st.integers(1, 6),
-        st.integers(1, 4),
-    )
-    def test_stepped_fragments_match_intervals_module(self, o, t, d, mult):
-        """At every slot, the stepped fragments name each active job and
-        its slots left exactly as the per-slot formulas do."""
-        d = min(d, t)
-        task = Task(o % t, min(1, d), d, t)
-        other = Task(0, 1, 1, t * mult)  # stretches the hyperperiod
-        system = TaskSystem([task, other])
+    @given(task_rows)
+    @example([(4, 2, 3, 2)])                # wrapped: tail slot 0, head 2-3
+    @example([(3, 1, 3, 1), (2, 0, 1, 1)])  # D == P, non-zero phase, wraps
+    @example([(6, 5, 6, 3), (4, 0, 2, 1)])  # D == P wrapping over T = 12
+    def test_slot_windows_match_intervals_module(self, rows):
+        """At every slot, the arithmetic windows name each active job and
+        its slots left exactly as :mod:`repro.model.intervals` does,
+        wrapped windows (phase + D > P), ``D == P`` and phases included."""
+        system = TaskSystem([
+            Task(o, min(c, d, p), min(d, p), p) for p, o, d, c in rows
+        ])
         solver = make_solver(system, m=1)
         T = solver._T
-        for slot_t in range(T):
-            slot = slot_at(solver, slot_t)
-            assert slot.t == slot_t
-            frags = {f[0] % system.n: f for f in slot.active}
-            for i, tk in enumerate(system):
-                job = intervals.active_job(tk, T, slot_t)
+        for t in range(T):
+            windows = slot_at(solver, t)
+            tasks = [r % system.n for r, _, _ in windows]
+            assert tasks == sorted(set(tasks))  # one window per task, in order
+            by_task = dict(zip(tasks, windows))
+            for i, task in enumerate(system):
+                job = intervals.active_job(task, T, t)
                 if job is None:
-                    assert i not in frags
+                    assert i not in by_task
                     continue
-                r, target, end, later = frags[i]
+                r, target, left = by_task[i]
                 assert (r, target) == window_of(system, i, job)
-                # stepped slots left include slot_t; slots_after excludes it
-                expected = slots_after(tk, T, job, slot_t - 1)
-                assert end - slot_t + 1 + later == expected
+                # slots left include slot t; slots_after excludes it
+                assert left == slots_after(task, T, job, t - 1)
 
-    def test_stepped_keys_match_system(self):
+    def test_slot_windows_match_system(self):
         system = running_example()
         solver = make_solver(system)
         for t in range(system.hyperperiod):
-            slot = slot_at(solver, t)
-            active = {frag[0] % system.n: frag[:2] for frag in slot.active}
+            active = {r % system.n: (r, target) for r, target, _ in slot_at(solver, t)}
             for i in range(system.n):
                 job = system.active_job(i, t)
                 assert (i in active) == (job is not None)
@@ -177,9 +188,15 @@ class TestSlotChoices:
         assert (0, 2) in choices and (2, 0) in choices
 
     def test_too_many_required_is_dead(self):
-        system = running_example()
-        solver = make_solver(system, m=1)
-        assert selections(solver, [0, 2], []) == []
+        # both tasks are required at slot 0 and one processor is free: the
+        # dive offers the root no selection, and its state is the one
+        # failed state
+        tuples = [(0, 1, 1, 2), (0, 1, 1, 2)]
+        solver = make_solver(TaskSystem.from_tuples(tuples), m=1)
+        assert scan(solver, 0) == ([0, 1], [])
+        assert counters(solver.solve(node_limit=5_000)) == (
+            "infeasible", 0, 0, 0, 0, 1
+        )
 
     def test_heuristic_orders_optionals(self):
         # dc ranks tau3 (laxity 0) before tau1 (laxity 1) before tau2
@@ -253,11 +270,10 @@ class TestGeneralModeInternals:
         s = TaskSystem.from_tuples([(0, 1, 2, 2)])
         p = Platform.uniform([2, 1])
         solver = Csp2DedicatedSolver(s, p)
-        j_fast = solver._proc_order.index(0)
-        slot_at(solver, 0)
-        cands = solver._proc_candidates(0, 0, no_units(solver), (), None)
+        windows = slot_at(solver, 0)
+        cands = solver._proc_candidates(windows, 0, no_units(solver), (), None)
         assert 0 not in cands[:-1]  # only idle available on the fast proc
-        cands_slow = solver._proc_candidates(0, 1, no_units(solver), (), None)
+        cands_slow = solver._proc_candidates(windows, 1, no_units(solver), (), None)
         assert 0 in cands_slow
 
 
@@ -344,7 +360,7 @@ class TestFlatStacks:
         # cell there, and is feasible
         tuples = [(2, 2, 3, 4), (0, 1, 2, 2)]
         gap = slot_at(make_solver(TaskSystem.from_tuples(tuples)), 1)
-        assert [f[0] for f in gap.active] == [1]
+        assert [r for r, _, _ in gap] == [1]
         _, result = edge_solve(tuples, 1, kind, heuristic="rm")
         assert result.status.value == "feasible"
         assert result.stats.extra["memo_states"] == 3
@@ -354,6 +370,9 @@ class TestFlatStacks:
         "spec", [None, (5, 4, 2, 23), (6, 6, 3, 7), (8, 8, "min", 1)]
     )
     def test_solving_twice_reuses_the_slot_table(self, kind, spec):
+        """A solver answers a second solve exactly as the first: nothing
+        kept from one solve, finished or cut by its budget, changes the
+        next."""
         if spec is None:
             system, m = running_example(), 2
         else:
@@ -363,9 +382,7 @@ class TestFlatStacks:
         platform = edge_platform(kind, system.n, m)
         solver = Csp2DedicatedSolver(system, platform, heuristic="dc")
         first = solver.solve(node_limit=5_000)
-        grown = len(solver._slots)
         second = solver.solve(node_limit=5_000)
-        assert len(solver._slots) == grown
         # the memo is per solve: the second one refuses no state early
         assert counters(second) == counters(first)
         if spec == (8, 8, "min", 1):
@@ -374,7 +391,7 @@ class TestFlatStacks:
             assert second.schedule is None
         else:
             assert np.array_equal(second.schedule.table, first.schedule.table)
-        # a budget-cut first solve leaves a partial table the next one extends
+        # a first solve cut by its budget changes nothing either
         cut = Csp2DedicatedSolver(system, platform, heuristic="dc")
         cut.solve(node_limit=1)
         assert counters(cut.solve(node_limit=5_000)) == counters(first)

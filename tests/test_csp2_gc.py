@@ -11,6 +11,8 @@ generator and an undo list per depth needed about three times as many
 
 import gc
 
+import pytest
+
 from repro.generator import GeneratorConfig, generate_instance
 from repro.model import Platform
 from repro.solvers.csp2_dedicated import Csp2DedicatedSolver
@@ -52,3 +54,29 @@ def test_deep_dive_keeps_the_gc_quiet():
         f"{young} young collections in {nodes} nodes"
     )
     assert full <= MAX_FULL, f"{full} full collections"
+
+
+def container_sizes(solver):
+    """Length of every list, dict and set attribute of ``solver``."""
+    return {
+        name: len(value)
+        for name, value in vars(solver).items()
+        if isinstance(value, (list, dict, set))
+    }
+
+
+@pytest.mark.parametrize("kind", ["identical", "general"])
+def test_a_deep_solve_grows_no_solver_container(kind):
+    """The search tables nothing per slot: a 5 000-node dive leaves every
+    container the solver holds as long as it was, so what a solve keeps
+    beyond its per-depth stacks is O(n)."""
+    inst = generate_instance(GeneratorConfig(n=12, tmax=12, m="min"), SEED)
+    if kind == "identical":
+        platform = Platform.identical(inst.m)
+    else:  # unit rates on the per-processor search
+        platform = Platform.heterogeneous([[1] * inst.m] * inst.system.n)
+    solver = Csp2DedicatedSolver(inst.system, platform, heuristic="dc")
+    before = container_sizes(solver)
+    result = solver.solve(node_limit=5_000)
+    assert result.stats.nodes >= 5_000
+    assert container_sizes(solver) == before

@@ -664,6 +664,33 @@ def test_search_grid_covers_every_platform_and_wrap():
         ), kind
 
 
+#: node budget of the Table IV-scale pins
+TABLE_IV_NODES = 2_000
+
+#: ``(status, nodes, fails, max_depth)`` of csp2+dc on the generator's
+#: Table IV scale (``n = 256``, ``tmax = 15``, ``m = "min"``; T = 360 360)
+#: per seed, captured from the search that tabled every slot it reached
+EXPECTED_TABLE_IV = {
+    0: ("unknown", 2047, 0, 2047),
+    1: ("unknown", 2047, 0, 2047),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXPECTED_TABLE_IV))
+def test_pinned_search_at_table_iv_scale(seed):
+    """The slot windows' arithmetic at the paper's largest hyperperiod."""
+    inst = generate_instance(GeneratorConfig(n=256, tmax=15, m="min"), seed)
+    assert inst.system.hyperperiod == 360_360
+    solver = Csp2DedicatedSolver(
+        inst.system, Platform.identical(inst.m), heuristic="dc"
+    )
+    result = solver.solve(node_limit=TABLE_IV_NODES)
+    stats = result.stats
+    assert (
+        result.status.value, stats.nodes, stats.fails, stats.max_depth
+    ) == EXPECTED_TABLE_IV[seed]
+
+
 @pytest.mark.parametrize("case", cert_cases())
 def test_pinned_certificates(case):
     """Every certificate (verdict, witness, detail) is unchanged."""

@@ -3,7 +3,8 @@
 Both kernels in :mod:`repro.kernels` have a second implementation to
 agree with, observation for observation:
 
-* the block-stepping simulator vs the slot-by-slot simulator loop;
+* the block-stepping simulator vs the slot-by-slot simulator loop, and
+  either run for its verdict alone vs the full run;
 * the numpy demand tables vs their pure-Python references
   (``repro.kernels.demand._*_reference``), called directly.
 
@@ -60,6 +61,26 @@ class TestSimulatorParity:
             system, m, priority=lambda i, rel, dl, rem: (dl, i)
         )
         _sim_equal(kernel, scalar)
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_verdict_only_edf_grid(self, seed, m):
+        """Without a schedule to keep (the partitioned bin test), both
+        loops reach the full run's verdict, miss and cycle count."""
+        system = _random_system(seed)
+        full = global_edf(system, m)
+        runs = [
+            global_edf(system, m, keep_schedule=False),
+            simulate_priority_policy(
+                system, m, priority=lambda i, rel, dl, rem: (dl, i),
+                keep_schedule=False,
+            ),
+        ]
+        for run in runs:
+            assert (run.schedulable, run.missed, run.cycles_simulated) == (
+                full.schedulable, full.missed, full.cycles_simulated
+            )
+            assert run.schedule is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_fixed_priority_grid(self, seed):
